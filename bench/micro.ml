@@ -26,6 +26,23 @@ let test_hpp_protect =
          Hp_plus.protect g hdr;
          Hp_plus.release g))
 
+(* One traversal per op: a single-domain HHSList [get] over 512 nodes,
+   keys cycling so a walk averages ~256 protect/validate steps. Divide by
+   the mean walk length to compare a step with the protect+release row. *)
+let test_hpp_hhslist_get =
+  let module L = Smr_ds.Hhslist.Make (Hp_plus) in
+  let t = Hp_plus.create () in
+  let l = L.create t in
+  let lo = L.make_local (Hp_plus.register t) in
+  for k = 0 to 511 do
+    ignore (L.insert l lo k k)
+  done;
+  let next = ref 0 in
+  Test.make ~name:"hp_plus/hhslist get (512 nodes)"
+    (Staged.stage (fun () ->
+         next := (!next + 1) land 511;
+         ignore (L.get l lo !next)))
+
 let test_ebr_crit =
   let t = Ebr.create () in
   let h = Ebr.register t in
@@ -93,6 +110,7 @@ let tests =
     [
       test_hp_protect;
       test_hpp_protect;
+      test_hpp_hhslist_get;
       test_ebr_crit;
       test_pebr_crit;
       test_retire "hp" (module Hp);

@@ -25,7 +25,7 @@ let list_arg name default doc =
 
 let ds_arg =
   list_arg "ds" [ "treiber"; "msqueue" ]
-    "Comma-separated structures (treiber, msqueue, hmlist, hhslist, \
+    "Comma-separated structures (treiber, msqueue, hmlist, hhslist, nmtree, \
      hashmap, skiplist, shardkv)."
 
 let scheme_arg =

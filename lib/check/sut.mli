@@ -60,7 +60,8 @@ val structures : string list
 val schemes : string list
 
 val valid : ds:string -> scheme:string -> bool
-(** False for the pairs the paper marks unsupported (hhslist × HP). *)
+(** False for the pairs the paper marks unsupported (hhslist and nmtree
+    under HP). *)
 
 val all_pairs : (string * string) list
 

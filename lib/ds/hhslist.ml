@@ -30,10 +30,10 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   type local = {
     handle : S.handle;
-    mutable hp_prev : S.guard;
-    mutable hp_cur : S.guard;
-    mutable hp_anchor : S.guard;
-    mutable hp_anchor_next : S.guard;
+    hp_prev : S.guard;
+    hp_cur : S.guard;
+    hp_anchor : S.guard;
+    hp_anchor_next : S.guard;
   }
 
   (* The pending chain unlink: CAS [a_link] from [a_expected] (pointing at
@@ -69,21 +69,6 @@ module Make (S : Smr.Smr_intf.S) = struct
     S.release l.hp_cur;
     S.release l.hp_anchor;
     S.release l.hp_anchor_next
-
-  let swap_prev_cur l =
-    let p = l.hp_prev in
-    l.hp_prev <- l.hp_cur;
-    l.hp_cur <- p
-
-  let swap_anchor_prev l =
-    let a = l.hp_anchor in
-    l.hp_anchor <- l.hp_prev;
-    l.hp_prev <- a
-
-  let swap_anchor_next_prev l =
-    let a = l.hp_anchor_next in
-    l.hp_anchor_next <- l.hp_prev;
-    l.hp_prev <- a
 
   (* Nodes of the just-unlinked chain, from its first node up to (not
      including) the frontier. Their links are frozen (all are logically
@@ -132,11 +117,15 @@ module Make (S : Smr.Smr_intf.S) = struct
             | _ -> `Done (found, a.a_link, desired, cur_opt)
           end
     in
-    let rec loop prev_node prev_link cur_t anchor =
+    (* The four guards ride along as arguments: [gcur] protects the node
+       being read, [gprev] the owner of [prev_link], [ganchor] the owner of
+       the pending chain's [a_link] and [ganext] its first node. A step
+       hands roles on by permuting them at the recursive call. *)
+    let rec loop gprev gcur ganchor ganext prev_node prev_link cur_t anchor =
       match
         C.try_protect
           ?src:(match prev_node with Some p -> Some p.hdr | None -> None)
-          ~node_header l.hp_cur l.handle ~src_link:prev_link cur_t
+          ~node_header gcur l.handle ~src_link:prev_link cur_t
       with
       | C.Invalid -> `Prot
       | C.Ok cur_t -> (
@@ -149,42 +138,43 @@ module Make (S : Smr.Smr_intf.S) = struct
                 if cur.key >= key then
                   finish ~found:(cur.key = key) prev_link cur_t (Some cur)
                     anchor
-                else begin
-                  swap_prev_cur l;
-                  loop (Some cur) cur.next next_t None
-                end
+                else
+                  loop gcur gprev ganchor ganext (Some cur) cur.next next_t None
               else begin
                 (* [cur] is logically deleted: optimistic traversal walks
                    through it, remembering where the chain started. *)
-                let anchor =
-                  match anchor with
-                  | None ->
-                      swap_anchor_prev l;
-                      Some
-                        {
-                          a_link = prev_link;
-                          a_expected = cur_t;
-                          a_first = cur;
-                        }
-                  | Some a ->
-                      (match prev_node with
-                      | Some p when p == a.a_first -> swap_anchor_next_prev l
-                      | _ -> ());
-                      Some a
-                in
-                swap_prev_cur l;
-                loop (Some cur) cur.next next_t anchor
+                match anchor with
+                | None ->
+                    (* prev becomes the anchor; the old anchor slot is free *)
+                    loop gcur ganchor gprev ganext (Some cur) cur.next next_t
+                      (Some
+                         {
+                           a_link = prev_link;
+                           a_expected = cur_t;
+                           a_first = cur;
+                         })
+                | Some a -> (
+                    match prev_node with
+                    | Some p when p == a.a_first ->
+                        (* prev is the chain's first node: pin it as
+                           anchor-next and reuse the old anchor-next slot *)
+                        loop gcur ganext ganchor gprev (Some cur) cur.next
+                          next_t anchor
+                    | _ ->
+                        loop gcur gprev ganchor ganext (Some cur) cur.next
+                          next_t anchor)
               end)
     in
-    loop None t.head (Link.get t.head) None
+    loop l.hp_prev l.hp_cur l.hp_anchor l.hp_anchor_next None t.head
+      (Link.get t.head) None
 
   (* Wait-free (under EBR/NR/RC; lock-free under HP++/PEBR) search that
      ignores logical deletion entirely and never writes. *)
   let get t l key =
     C.with_crit l.handle (stats t) (fun () ->
-        let rec walk src prev_link cur_t =
+        let rec walk gprev gcur src prev_link cur_t =
           match
-            C.try_protect ?src ~node_header l.hp_cur l.handle
+            C.try_protect ?src ~node_header gcur l.handle
               ~src_link:prev_link cur_t
           with
           | C.Invalid -> `Prot
@@ -199,12 +189,9 @@ module Make (S : Smr.Smr_intf.S) = struct
                     `Done
                       (if Tagged.is_deleted next_t then None
                        else Some cur.value)
-                  else begin
-                    swap_prev_cur l;
-                    walk (Some cur.hdr) cur.next next_t
-                  end)
+                  else walk gcur gprev (Some cur.hdr) cur.next next_t)
         in
-        walk None t.head (Link.get t.head))
+        walk l.hp_prev l.hp_cur None t.head (Link.get t.head))
 
   let insert t l key value =
     let fresh = ref None in

@@ -51,10 +51,10 @@ module Make :
       type 'v t = { scheme : S.t; head : 'v node Link.t; }
       type local = {
         handle : S.handle;
-        mutable hp_prev : S.guard;
-        mutable hp_cur : S.guard;
-        mutable hp_anchor : S.guard;
-        mutable hp_anchor_next : S.guard;
+        hp_prev : S.guard;
+        hp_cur : S.guard;
+        hp_anchor : S.guard;
+        hp_anchor_next : S.guard;
       }
       type 'v anchor_info = {
         a_link : 'v node Link.t;
@@ -66,9 +66,6 @@ module Make :
       val stats : 'a t -> Smr_core.Stats.t
       val make_local : S.handle -> local
       val clear_local : local -> unit
-      val swap_prev_cur : local -> unit
-      val swap_anchor_prev : local -> unit
-      val swap_anchor_next_prev : local -> unit
       val collect_chain : 'a node -> 'a node option -> 'a node list
       val invalidate_node : 'a node -> unit
       val search_attempt :

@@ -27,8 +27,8 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   type local = {
     handle : S.handle;
-    mutable hp_prev : S.guard;
-    mutable hp_cur : S.guard;
+    hp_prev : S.guard;
+    hp_cur : S.guard;
   }
 
   let create scheme = { scheme; head = Link.null () }
@@ -42,24 +42,21 @@ module Make (S : Smr.Smr_intf.S) = struct
     S.release l.hp_prev;
     S.release l.hp_cur
 
-  let swap_guards l =
-    let p = l.hp_prev in
-    l.hp_prev <- l.hp_cur;
-    l.hp_cur <- p
-
   (* One traversal attempt from the head. Returns [`Prot] on a failed
      protection validation (restart from scratch), [`Retry] when a cleanup
      CAS lost a race, or [`Done (found, prev_link, cur_t, cur)] positioned
      at the first node with key >= [key] ([cur_t] is the current record of
-     [prev_link], the expected value for a subsequent CAS). *)
+     [prev_link], the expected value for a subsequent CAS). [gcur]
+     protects the node being read and [gprev] the owner of [prev_link]; a
+     step swaps them at the recursive call. *)
   let find_attempt t l key =
-    let rec advance prev_link cur_t =
+    let rec advance gprev gcur prev_link cur_t =
       match Tagged.ptr cur_t with
       | None -> `Done (false, prev_link, cur_t, None)
       | Some cur ->
           if
             not
-              (C.protect_pessimistic ~node_header l.hp_cur l.handle
+              (C.protect_pessimistic ~node_header gcur l.handle
                  ~src_link:prev_link cur_t)
           then `Prot
           else begin
@@ -71,19 +68,16 @@ module Make (S : Smr.Smr_intf.S) = struct
               let desired = Tagged.make (Tagged.ptr next_t) in
               if Link.cas_clean prev_link cur_t desired then begin
                 S.retire l.handle cur.hdr;
-                advance prev_link desired
+                advance gprev gcur prev_link desired
               end
               else `Retry
             end
             else if cur.key >= key then
               `Done (cur.key = key, prev_link, cur_t, Some cur)
-            else begin
-              swap_guards l;
-              advance cur.next next_t
-            end
+            else advance gcur gprev cur.next next_t
           end
     in
-    advance t.head (Link.get t.head)
+    advance l.hp_prev l.hp_cur t.head (Link.get t.head)
 
   let get t l key =
     C.with_crit l.handle (stats t) (fun () ->

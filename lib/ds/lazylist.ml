@@ -47,8 +47,8 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   type local = {
     handle : S.handle;
-    mutable hp_prev : S.guard;
-    mutable hp_cur : S.guard;
+    hp_prev : S.guard;
+    hp_cur : S.guard;
   }
 
   let create scheme =
@@ -69,18 +69,14 @@ module Make (S : Smr.Smr_intf.S) = struct
     S.release l.hp_prev;
     S.release l.hp_cur
 
-  let swap_guards l =
-    let p = l.hp_prev in
-    l.hp_prev <- l.hp_cur;
-    l.hp_cur <- p
-
   (* Read phase: walk (through marked nodes) to the first node with
      key >= [key]. Protection is hand-over-hand HP++-style; the sentinel
-     needs no protection. Returns the predecessor and the candidate. *)
+     needs no protection; [gprev] and [gcur] swap roles at each step.
+     Returns the predecessor and the candidate. *)
   let walk t l key =
-    let rec go prev cur_t =
+    let rec go gprev gcur prev cur_t =
       match
-        C.try_protect ~node_header l.hp_cur l.handle
+        C.try_protect ~node_header gcur l.handle
           ~src_link:(pred_link t prev) cur_t
       with
       | C.Invalid -> `Prot
@@ -90,12 +86,9 @@ module Make (S : Smr.Smr_intf.S) = struct
           | Some cur ->
               Mem.check_access cur.hdr;
               if cur.key >= key then `Done (prev, Some cur)
-              else begin
-                swap_guards l;
-                go (Node cur) (Link.get cur.next)
-              end)
+              else go gcur gprev (Node cur) (Link.get cur.next))
     in
-    go Head (Link.get t.head_link)
+    go l.hp_prev l.hp_cur Head (Link.get t.head_link)
 
   let contains t l key =
     C.with_crit l.handle (stats t) (fun () ->

@@ -61,15 +61,14 @@ module Make :
       val pred_marked : 'a pred -> bool
       type local = {
         handle : S.handle;
-        mutable hp_prev : S.guard;
-        mutable hp_cur : S.guard;
+        hp_prev : S.guard;
+        hp_cur : S.guard;
       }
       val create : S.t -> 'a t
       val scheme : 'a t -> S.t
       val stats : 'a t -> Smr_core.Stats.t
       val make_local : S.handle -> local
       val clear_local : local -> unit
-      val swap_guards : local -> unit
       val walk :
         'a t ->
         local -> int -> [> `Done of 'a pred * 'a node option | `Prot ]

@@ -240,12 +240,18 @@ module Make (S : Smr.Smr_intf.S) = struct
     match Tagged.ptr sib_rec with
     | None -> false
     | Some sibling ->
+        (* The sibling moves up with its tag cleared but its flag kept: a
+           flagged sibling is a leaf whose own delete is pending, and
+           dropping the flag would resurrect it unfrozen, letting an insert
+           hang a live leaf under an edge that a later splice removes. *)
+        let moved =
+          Tagged.make ~tag:(Tagged.tag sib_rec land flag_bit) (Some sibling)
+        in
         S.try_unlink l.handle
           ~frontier:[ sibling.hdr ]
           ~do_unlink:(fun () ->
             if
-              Link.cas_clean sr.sr_ancestor_link sr.sr_ancestor_rec
-                (Tagged.make (Some sibling))
+              Link.cas_clean sr.sr_ancestor_link sr.sr_ancestor_rec moved
             then Some (collect_spliced sr.sr_successor key)
             else None)
           ~node_header ~invalidate:invalidate_nodes
@@ -256,7 +262,10 @@ module Make (S : Smr.Smr_intf.S) = struct
         match seek t l key with
         | (`Prot | `Retry) as r -> r
         | `Done sr ->
-            if sr.sr_leaf.key = key then `Done sr.sr_leaf.value else `Done None)
+            (* a flagged leaf edge is a delete past its linearization point *)
+            if sr.sr_leaf.key = key && not (is_flagged sr.sr_parent_rec) then
+              `Done sr.sr_leaf.value
+            else `Done None)
 
   let insert t l key value =
     if key >= inf1 then invalid_arg "Nmtree: key too large";
@@ -265,7 +274,15 @@ module Make (S : Smr.Smr_intf.S) = struct
         | (`Prot | `Retry) as r -> r
         | `Done sr ->
             let leaf = sr.sr_leaf in
-            if leaf.key = key then `Done false
+            if leaf.key = key then
+              if is_flagged sr.sr_parent_rec then begin
+                (* [key] is logically deleted but not yet spliced out, e.g.
+                   by a remove that returned after a protection failure
+                   past its flag CAS: finish the splice, then retry. *)
+                ignore (cleanup l key sr);
+                `Retry
+              end
+              else `Done false
             else begin
               Mem.check_access leaf.hdr;
               let st = stats t in

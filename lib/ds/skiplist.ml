@@ -41,8 +41,8 @@ module Make (S : Smr.Smr_intf.S) = struct
   type local = {
     handle : S.handle;
     rng : Rng.t;
-    mutable hp_pred : S.guard;
-    mutable hp_cur : S.guard;
+    hp_pred : S.guard;
+    hp_cur : S.guard;
     pred_guards : S.guard array;
     target_guard : S.guard;
   }
@@ -70,11 +70,6 @@ module Make (S : Smr.Smr_intf.S) = struct
     S.release l.hp_cur;
     Array.iter S.release l.pred_guards;
     S.release l.target_guard
-
-  let swap_guards l =
-    let p = l.hp_pred in
-    l.hp_pred <- l.hp_cur;
-    l.hp_cur <- p
 
   let random_height l =
     let bits = Int64.to_int (Rng.next l.rng) in
@@ -129,21 +124,24 @@ module Make (S : Smr.Smr_intf.S) = struct
     let preds = Array.make max_height { links = t.head; node = None } in
     let pred_ts = Array.make max_height Tagged.null in
     let succs = Array.make max_height None in
-    let protect_cur pred_links lvl cur_t =
+    let protect_cur gcur pred_links lvl cur_t =
       if S.supports_optimistic then
         match
-          C.try_protect ~node_header l.hp_cur l.handle
+          C.try_protect ~node_header gcur l.handle
             ~src_link:pred_links.(lvl) cur_t
         with
         | C.Invalid -> None
         | C.Ok cur_t -> Some cur_t
       else if
-        C.protect_pessimistic ~node_header l.hp_cur l.handle
+        C.protect_pessimistic ~node_header gcur l.handle
           ~src_link:pred_links.(lvl) cur_t
       then Some cur_t
       else None
     in
-    let rec level lvl pred =
+    (* [gcur] protects the node being read, [gpred] the tower whose links
+       the walk is reading; they swap at each step right and carry over on
+       each step down. *)
+    let rec level gpred gcur lvl pred =
       if lvl < 0 then
         `Done
           ( (match succs.(0) with Some c -> c.key = key | None -> false),
@@ -151,12 +149,12 @@ module Make (S : Smr.Smr_intf.S) = struct
             pred_ts,
             succs )
       else
-        let rec walk pred cur_t =
-          match protect_cur pred.links lvl cur_t with
+        let rec walk gpred gcur pred cur_t =
+          match protect_cur gcur pred.links lvl cur_t with
           | None -> `Prot
           | Some cur_t -> (
               match Tagged.ptr cur_t with
-              | None -> descend pred cur_t None
+              | None -> descend gpred gcur pred cur_t None
               | Some cur ->
                   Mem.check_access cur.hdr;
                   let next_t = Link.get cur.next.(lvl) in
@@ -164,25 +162,23 @@ module Make (S : Smr.Smr_intf.S) = struct
                     match
                       snip l ~pred_links:pred.links ~lvl ~cur ~cur_t ~next_t
                     with
-                    | Some desired -> walk pred desired
+                    | Some desired -> walk gpred gcur pred desired
                     | None -> `Retry
-                  else if cur.key < key then begin
-                    swap_guards l;
-                    walk { links = cur.next; node = Some cur } next_t
-                  end
-                  else descend pred cur_t (Some cur))
-        and descend pred cur_t succ =
+                  else if cur.key < key then
+                    walk gcur gpred { links = cur.next; node = Some cur } next_t
+                  else descend gpred gcur pred cur_t (Some cur))
+        and descend gpred gcur pred cur_t succ =
           preds.(lvl) <- pred;
           pred_ts.(lvl) <- cur_t;
           succs.(lvl) <- succ;
           (match pred.node with
           | Some p -> S.protect l.pred_guards.(lvl) p.hdr
           | None -> ());
-          level (lvl - 1) pred
+          level gpred gcur (lvl - 1) pred
         in
-        walk pred (Link.get pred.links.(lvl))
+        walk gpred gcur pred (Link.get pred.links.(lvl))
     in
-    level (max_height - 1) { links = t.head; node = None }
+    level l.hp_pred l.hp_cur (max_height - 1) { links = t.head; node = None }
 
   (* Link levels [1 .. height-1] of a freshly inserted [node]; level 0 is
      already linked (the linearization point), so failures here only affect
@@ -219,26 +215,27 @@ module Make (S : Smr.Smr_intf.S) = struct
     level 1
 
   let get_optimistic t l key =
-    let rec level lvl pred cur_t =
+    let rec level gpred gcur lvl pred cur_t =
       match
-        C.try_protect ~node_header l.hp_cur l.handle ~src_link:pred.links.(lvl)
+        C.try_protect ~node_header gcur l.handle ~src_link:pred.links.(lvl)
           cur_t
       with
       | C.Invalid -> `Prot
       | C.Ok cur_t -> (
           let descend pred =
             if lvl = 0 then `Done None
-            else level (lvl - 1) pred (Link.get pred.links.(lvl - 1))
+            else
+              level gpred gcur (lvl - 1) pred (Link.get pred.links.(lvl - 1))
           in
           match Tagged.ptr cur_t with
           | None -> descend pred
           | Some cur ->
               Mem.check_access cur.hdr;
               let next_t = Link.get cur.next.(lvl) in
-              if cur.key < key then begin
-                swap_guards l;
-                level lvl { links = cur.next; node = Some cur } next_t
-              end
+              if cur.key < key then
+                level gcur gpred lvl
+                  { links = cur.next; node = Some cur }
+                  next_t
               else if cur.key = key && lvl = 0 then
                 `Done
                   (if Tagged.is_deleted next_t then None else Some cur.value)
@@ -247,7 +244,8 @@ module Make (S : Smr.Smr_intf.S) = struct
               else descend pred)
     in
     let start = { links = t.head; node = None } in
-    level (max_height - 1) start (Link.get t.head.(max_height - 1))
+    level l.hp_pred l.hp_cur (max_height - 1) start
+      (Link.get t.head.(max_height - 1))
 
   let get t l key =
     C.with_crit l.handle (stats t) (fun () ->

@@ -57,8 +57,8 @@ module Make :
       type local = {
         handle : S.handle;
         rng : Rng.t;
-        mutable hp_pred : S.guard;
-        mutable hp_cur : S.guard;
+        hp_pred : S.guard;
+        hp_cur : S.guard;
         pred_guards : S.guard array;
         target_guard : S.guard;
       }
@@ -68,7 +68,6 @@ module Make :
       val locals_seed : int Atomic.t
       val make_local : S.handle -> local
       val clear_local : local -> unit
-      val swap_guards : local -> unit
       val random_height : local -> int
       val invalidate_level : 'a node -> int -> 'b -> unit
       val snip :

@@ -210,6 +210,63 @@ struct
       counts;
     check_wellformed t
 
+  (* Churn with both reclamation thresholds at 1: every unlink is
+     invalidated at once and every retire runs a hazard scan, so a block
+     is freed as soon as no slot names it. A traversal that reads a node
+     its guards no longer protect then trips the UAF detector inside a
+     worker, and the trace replay flags any free inside a protection
+     window or step out of a freed node. (A lost protection on a node
+     whose link is only validated or CASed stays silent: the simulated
+     heap never reuses a block, and HP++ invalidates before it retires,
+     so the stale read fails validation.) Two domains over 8 keys keep
+     chains short but contended; the size oracle is the sum of each
+     domain's successful inserts minus its successful removes. *)
+  let test_tight_churn () =
+    let config =
+      {
+        Smr.Smr_intf.default_config with
+        reclaim_threshold = 1;
+        invalidate_threshold = 1;
+      }
+    in
+    let scheme = S.create ~config () in
+    let t = L.create scheme in
+    let n = 2 and keys = 8 and ops = 3000 in
+    Obs.Trace.enable ~capacity:(1 lsl 17) ();
+    let deltas =
+      Fun.protect ~finally:Obs.Trace.disable (fun () ->
+          Domain_pool.run ~n (fun i ->
+              let h = S.register scheme in
+              let lo = L.make_local h in
+              let rng = Rng.create ~seed:(97 * (i + 1)) in
+              let delta = ref 0 in
+              for _ = 1 to ops do
+                let key = Rng.below rng keys in
+                match Rng.below rng 3 with
+                | 0 -> (
+                    match L.get t lo key with
+                    | Some v when v <> key ->
+                        failwith (Printf.sprintf "get %d returned %d" key v)
+                    | _ -> ())
+                | 1 -> if L.insert t lo key key then incr delta
+                | _ -> if L.remove t lo key then decr delta
+              done;
+              L.clear_local lo;
+              S.unregister h;
+              !delta))
+    in
+    let snap = Obs.Trace.snapshot () in
+    Obs.Trace.reset ();
+    Alcotest.(check int) "size oracle" (Array.fold_left ( + ) 0 deltas)
+      (L.size t);
+    check_wellformed t;
+    match Obs.Check.run_snapshot snap with
+    | Ok _ | Error [] -> ()
+    | Error (v :: rest) ->
+        Alcotest.failf "trace violation: %s (+%d more)"
+          (Format.asprintf "%a" Obs.Check.pp_violation v)
+          (List.length rest)
+
   let tests =
     [
       Alcotest.test_case "sequential basics" `Quick test_sequential_basics;

@@ -88,4 +88,13 @@ let () =
             test_lazylist_rejects_hp;
           Alcotest.test_case "HP++ plain fence" `Quick test_hpp_plain_fence_list;
         ] );
+      ( "tight reclaim",
+        [
+          Alcotest.test_case "hmlist HP++ churn" `Quick
+            Hm_hpp.test_tight_churn;
+          Alcotest.test_case "hhslist HP++ churn" `Quick
+            Hhs_hpp.test_tight_churn;
+          Alcotest.test_case "lazylist HP++ churn" `Quick
+            Lz_hpp.test_tight_churn;
+        ] );
     ]

@@ -79,4 +79,13 @@ let () =
           Alcotest.test_case "sorted iteration" `Quick
             test_skiplist_order_iteration;
         ] );
+      ( "tight reclaim",
+        [
+          Alcotest.test_case "hashmap HP++ churn" `Quick
+            Map_hpp.test_tight_churn;
+          Alcotest.test_case "hashmap HP churn" `Quick
+            Map_hp.test_tight_churn;
+          Alcotest.test_case "skiplist HP++ churn" `Quick
+            Sk_hpp.test_tight_churn;
+        ] );
     ]

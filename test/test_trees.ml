@@ -65,6 +65,33 @@ let test_nmtree_bulk_delete_drains () =
     (Smr_core.Stats.unreclaimed (Hp_plus.stats scheme));
   Hp_plus.unregister h
 
+(* Two removers of sibling leaves: the second's flag CAS (staged here by
+   hand) lands before the first tags it. The first's splice must move the
+   flagged sibling up with its flag kept; dropping it resurrected the key
+   and let an insert hang a live leaf where the pending delete would later
+   splice it away (the owned-churn flake). *)
+let test_nmtree_splice_keeps_sibling_flag () =
+  let module T = Nmtree.Make (Hp_plus) in
+  let scheme = Hp_plus.create () in
+  let t = T.create scheme in
+  let h = Hp_plus.register scheme in
+  let lo = T.make_local h in
+  assert (T.insert t lo 1 10);
+  assert (T.insert t lo 2 20);
+  (match T.seek t lo 2 with
+  | `Done sr ->
+      assert (
+        Smr_core.Link.cas_clean sr.T.sr_parent_link sr.T.sr_parent_rec
+          (Smr_core.Tagged.make ~tag:T.flag_bit (Some sr.T.sr_leaf)))
+  | `Prot | `Retry -> Alcotest.fail "seek 2");
+  Alcotest.(check bool) "remove the sibling" true (T.remove t lo 1);
+  Alcotest.(check (option int)) "2 stays deleted" None (T.get t lo 2);
+  Alcotest.(check bool) "insert 2 finishes the splice" true
+    (T.insert t lo 2 21);
+  Alcotest.(check (list (pair int int))) "contents" [ (2, 21) ] (T.to_list t);
+  T.clear_local lo;
+  Hp_plus.unregister h
+
 let () =
   Alcotest.run "trees"
     [
@@ -86,5 +113,7 @@ let () =
           Alcotest.test_case "key bound" `Quick test_nmtree_key_bound;
           Alcotest.test_case "bulk delete drains" `Quick
             test_nmtree_bulk_delete_drains;
+          Alcotest.test_case "splice keeps a sibling's flag" `Quick
+            test_nmtree_splice_keeps_sibling_flag;
         ] );
     ]
