@@ -1,11 +1,10 @@
 (* SMR hot-path microbenchmarks: isolates the three costs every scheme pays
    on every operation — statistics accounting, header allocation, and the
    retire→reclaim cycle — plus the per-reclaim hazard scan, away from any
-   data-structure traversal. Each cost is measured on the current (striped)
-   implementation AND on a measured-legacy replica of the seed's hot path
-   (one shared stats cache line with a per-op peak CAS, one global uid
-   counter, list retire bags drained through a per-reclaim Hashtbl), so the
-   before/after ratio is visible in one run.
+   data-structure traversal. The seed's hot path (shared stats cache line,
+   global uid counter, list bags drained through a per-reclaim Hashtbl) is
+   no longer replicated here; its before/after numbers are kept in
+   BENCH_pr2.json and EXPERIMENTS.md.
 
    Wired as [bench/main.exe exp hotpath]; rows flow into [--json] via
    {!Bench_harness.Collector}. The run fails loudly (nonzero exit) if any
@@ -23,107 +22,6 @@ module Histogram = Service.Histogram
 module Json = Service.Json
 
 let now_ns () = Int64.to_int (Monotonic_clock.now ())
-
-(* --- Measured-legacy replicas of the seed hot path ----------------------- *)
-
-(* The seed's Stats: eight shared atomics bumped on every event, with a
-   CAS-loop peak update on every alloc and retire. *)
-module Legacy_stats = struct
-  type t = {
-    allocated : int Atomic.t;
-    freed : int Atomic.t;
-    retired_total : int Atomic.t;
-    unreclaimed : int Atomic.t;
-    peak_unreclaimed : int Atomic.t;
-    peak_live : int Atomic.t;
-  }
-
-  let create () =
-    {
-      allocated = Atomic.make 0;
-      freed = Atomic.make 0;
-      retired_total = Atomic.make 0;
-      unreclaimed = Atomic.make 0;
-      peak_unreclaimed = Atomic.make 0;
-      peak_live = Atomic.make 0;
-    }
-
-  let rec update_peak peak v =
-    let cur = Atomic.get peak in
-    if v > cur && not (Atomic.compare_and_set peak cur v) then
-      update_peak peak v
-
-  let on_alloc t =
-    Atomic.incr t.allocated;
-    update_peak t.peak_live (Atomic.get t.allocated - Atomic.get t.freed)
-
-  let on_retire t =
-    Atomic.incr t.retired_total;
-    let v = 1 + Atomic.fetch_and_add t.unreclaimed 1 in
-    update_peak t.peak_unreclaimed v
-
-  let on_free t =
-    Atomic.incr t.freed;
-    ignore (Atomic.fetch_and_add t.unreclaimed (-1))
-end
-
-(* The seed's Mem.make: every header allocation hits one global uid counter.
-   The header shape (uid, state, refcount) and the retire/free state-machine
-   CASes match Mem exactly so the comparison isolates the uid/stats/bag/scan
-   changes, not the detector's cost. *)
-module Legacy_alloc = struct
-  let uid_counter = Atomic.make 0
-
-  type header = { uid : int; state : int Atomic.t; refcount : int Atomic.t }
-
-  let make stats =
-    Legacy_stats.on_alloc stats;
-    {
-      uid = Atomic.fetch_and_add uid_counter 1;
-      state = Atomic.make 0;
-      refcount = Atomic.make 1;
-    }
-
-  let retire_mark h = ignore (Atomic.compare_and_set h.state 0 1)
-  let free_mark h = ignore (Atomic.compare_and_set h.state 1 2)
-end
-
-(* The seed's HP retire→reclaim: a header list bag consed per retire, a
-   Hashtbl of every hazard slot rebuilt per reclaim, a List.filter rebuild
-   of the bag, and a List.length recount of the survivors. *)
-module Legacy_hp = struct
-  type handle = {
-    stats : Legacy_stats.t;
-    registry : Slots.registry;
-    mutable retireds : Legacy_alloc.header list;
-    mutable retired_count : int;
-  }
-
-  let make ~registry ~stats = { stats; registry; retireds = []; retired_count = 0 }
-
-  let reclaim h =
-    let protected_ = Slots.protected_set h.registry in
-    let keep =
-      List.filter
-        (fun (hdr : Legacy_alloc.header) ->
-          if Hashtbl.mem protected_ hdr.uid then true
-          else begin
-            Legacy_alloc.free_mark hdr;
-            Legacy_stats.on_free h.stats;
-            false
-          end)
-        h.retireds
-    in
-    h.retireds <- keep;
-    h.retired_count <- List.length keep
-
-  let retire h hdr =
-    Legacy_alloc.retire_mark hdr;
-    Legacy_stats.on_retire h.stats;
-    h.retireds <- hdr :: h.retireds;
-    h.retired_count <- h.retired_count + 1;
-    if h.retired_count >= 128 then reclaim h
-end
 
 (* --- Timing helpers ------------------------------------------------------ *)
 
@@ -230,30 +128,6 @@ module Ebr_loop = Retire_loop (Ebr)
 module Pebr_loop = Retire_loop (Pebr)
 module Rc_loop = Retire_loop (Rc)
 
-let legacy_retire_loop ~threads ~duration =
-  let stats = Legacy_stats.create () in
-  let registry = Slots.create () in
-  let outs =
-    Domain_pool.run_timed ~n:threads ~duration (fun _ ~stop ->
-        let local = Slots.register registry in
-        let h = Legacy_hp.make ~registry ~stats in
-        let hist = Histogram.create () in
-        let n = ref 0 in
-        while not (stop ()) do
-          for _ = 1 to 64 do
-            let t0 = now_ns () in
-            Legacy_hp.retire h (Legacy_alloc.make stats);
-            Histogram.record hist (now_ns () - t0)
-          done;
-          n := !n + 64
-        done;
-        Legacy_hp.reclaim h;
-        ignore local;
-        (!n, hist))
-  in
-  let ops = Array.fold_left (fun acc (n, _) -> acc + n) 0 outs in
-  (ops, Histogram.merge (Array.to_list (Array.map snd outs)))
-
 (* Paired rows per scheme: the inline baseline ([workload = "hotpath"]) and
    the asynchronous pipeline ([workload = "hotpath-async"]) over the
    identical loop, so the JSON carries the p99 comparison the
@@ -290,14 +164,7 @@ let retire_reclaim_bench ~threads ~duration =
   List.iter
     (one ~mode:"inline" ~workload:"hotpath" Smr.Smr_intf.default_config)
     schemes;
-  List.iter (one ~mode:"async" ~workload:"hotpath-async" async_config) schemes;
-  let t0 = Unix.gettimeofday () in
-  let ops, hist = legacy_retire_loop ~threads ~duration in
-  let wall = Unix.gettimeofday () -. t0 in
-  report
-    ~extra:(lat_extra ~mode:"inline" (Histogram.summary hist))
-    ~ds:"retire-reclaim" ~scheme:"HP/legacy-seed" ~threads ~key_range:0
-    (result_of ~ops ~wall ())
+  List.iter (one ~mode:"async" ~workload:"hotpath-async" async_config) schemes
 
 (* --- 2. hazard-scan cost vs registered-handle count ---------------------- *)
 
@@ -326,18 +193,9 @@ let scan_bench ~handles ~duration =
   let ops, wall = time_loop ~duration sorted_pass in
   report ~ds:"hazard-scan" ~scheme:"sorted-array" ~threads:1 ~key_range:handles
     (result_of ~ops ~wall ());
-  (* legacy scan: rebuild the Hashtbl of every slot per pass *)
-  let legacy_pass () =
-    let tbl = Slots.protected_set registry in
-    Array.iter (fun uid -> ignore (Hashtbl.mem tbl uid)) retired
-  in
-  let ops, wall = time_loop ~duration legacy_pass in
-  report ~ds:"hazard-scan" ~scheme:"hashtbl-legacy" ~threads:1
-    ~key_range:handles
-    (result_of ~ops ~wall ());
   List.iter Slots.unregister locals
 
-(* --- 3. statistics accounting: striped vs seed --------------------------- *)
+(* --- 3. statistics accounting ----------------------------------------------- *)
 
 let stats_bench ~threads ~duration =
   let striped = Stats.create () in
@@ -356,26 +214,9 @@ let stats_bench ~threads ~duration =
   in
   let ops = Array.fold_left ( + ) 0 counts in
   report ~ds:"stats" ~scheme:"striped" ~threads ~key_range:0
-    (result_of ~ops ~wall:duration ());
-  let legacy = Legacy_stats.create () in
-  let counts =
-    Domain_pool.run_timed ~n:threads ~duration (fun _ ~stop ->
-        let n = ref 0 in
-        while not (stop ()) do
-          for _ = 1 to 64 do
-            Legacy_stats.on_alloc legacy;
-            Legacy_stats.on_retire legacy;
-            Legacy_stats.on_free legacy
-          done;
-          n := !n + 64
-        done;
-        !n)
-  in
-  let ops = Array.fold_left ( + ) 0 counts in
-  report ~ds:"stats" ~scheme:"shared-legacy" ~threads ~key_range:0
     (result_of ~ops ~wall:duration ())
 
-(* --- 4. header allocation: per-domain uid blocks vs global counter ------- *)
+(* --- 4. header allocation: per-domain uid blocks --------------------------- *)
 
 let alloc_bench ~threads ~duration =
   let stats = Stats.create () in
@@ -392,21 +233,6 @@ let alloc_bench ~threads ~duration =
   in
   let ops = Array.fold_left ( + ) 0 counts in
   report ~ds:"alloc" ~scheme:"uid-blocks" ~threads ~key_range:0
-    (result_of ~ops ~wall:duration ());
-  let legacy = Legacy_stats.create () in
-  let counts =
-    Domain_pool.run_timed ~n:threads ~duration (fun _ ~stop ->
-        let n = ref 0 in
-        while not (stop ()) do
-          for _ = 1 to 64 do
-            ignore (Sys.opaque_identity (Legacy_alloc.make legacy))
-          done;
-          n := !n + 64
-        done;
-        !n)
-  in
-  let ops = Array.fold_left ( + ) 0 counts in
-  report ~ds:"alloc" ~scheme:"global-counter-legacy" ~threads ~key_range:0
     (result_of ~ops ~wall:duration ())
 
 (* --- 5. tracer cost: disabled branch, enabled ring write, traced retire -- *)
@@ -470,7 +296,7 @@ let check_anomalies schemes_stats =
     schemes_stats
 
 let run ~threads_list ~duration =
-  print_endline "hotpath: SMR hot-path microbenchmarks (current vs measured-legacy seed path)";
+  print_endline "hotpath: SMR hot-path microbenchmarks";
   Printf.printf "  uaf-detector=%b\n%!" (Mem.checking ());
   List.iter
     (fun threads ->

@@ -103,7 +103,7 @@ let test_rc_counts =
   Test.make ~name:"rc/incr_ref+decr"
     (Staged.stage (fun () ->
          Rc.incr_ref hdr;
-         ignore (Atomic.fetch_and_add (Mem.refcount hdr) (-1))))
+         ignore (Mem.decr_ref hdr)))
 
 let tests =
   Test.make_grouped ~name:"primitives" ~fmt:"%s %s"

@@ -137,6 +137,10 @@ type env = {
   vars : objset SMap.t;
   funcs : int SMap.t;
   pend : pending SMap.t;
+  tries : (objset * objset) SMap.t;
+      (** [let r = try_protect ...] results: r's objects and the expected
+          argument's, both Validated where [not (Tagged.is_invalid r)];
+          rebinding the name drops the entry *)
   in_crit : bool;
   frozen : bool;
   handler : int option;  (** innermost exception-handler node *)
@@ -147,6 +151,7 @@ let env0 ~funcs =
     vars = SMap.empty;
     funcs;
     pend = SMap.empty;
+    tries = SMap.empty;
     in_crit = false;
     frozen = false;
     handler = None;
@@ -219,7 +224,9 @@ let is_blocking qual last =
 (* Value-preserving wrappers: the result aliases the arguments. *)
 let is_transparent qual last =
   match (qual, last) with
-  | Some "Tagged", ("ptr" | "make" | "untagged" | "set_bits" | "clear_bits") ->
+  | ( Some "Tagged",
+      ("make" | "of_option" | "get_exn" | "untagged" | "set_bits" | "with_tag")
+    ) ->
       true
   | Some "Option", ("get" | "some" | "value") -> true
   | Some "Array", "get" -> true
@@ -297,14 +304,16 @@ let align_args (params : (string option * string list) list) args =
 
 (* --- Pattern binding ------------------------------------------------------ *)
 
+let bind_var env x objs =
+  { env with vars = SMap.add x objs env.vars; tries = SMap.remove x env.tries }
+
 (* Bind a pattern against a value. Tuple and constructor patterns whose
    arity matches the value's slots bind per-slot; everything else binds
    every variable to the whole set (conservative aliasing). *)
 let rec bind_pattern env pat (v : value) =
   match pat.ppat_desc with
-  | Ppat_var { txt; _ } -> { env with vars = SMap.add txt v.whole env.vars }
-  | Ppat_alias (p, { txt; _ }) ->
-      bind_pattern { env with vars = SMap.add txt v.whole env.vars } p v
+  | Ppat_var { txt; _ } -> bind_var env txt v.whole
+  | Ppat_alias (p, { txt; _ }) -> bind_pattern (bind_var env txt v.whole) p v
   | Ppat_tuple ps when Array.length v.slots = List.length ps ->
       List.fold_left
         (fun env (i, p) -> bind_pattern env p (vof v.slots.(i)))
@@ -332,7 +341,7 @@ let rec bind_pattern env pat (v : value) =
       (* wildcards, constants, intervals: nothing to bind; any variables in
          unmodelled corners alias the whole set *)
       List.fold_left
-        (fun env x -> { env with vars = SMap.add x v.whole env.vars })
+        (fun env x -> bind_var env x v.whole)
         env (Rules.pattern_vars pat)
 
 (* --- Function registration ------------------------------------------------ *)
@@ -634,17 +643,25 @@ and eval_let ctx env rf vbs =
         | _ ->
             let v, _ = eval ctx env_rhs vb.pvb_expr in
             let acc = bind_pattern acc vb.pvb_pat v in
-            track_pending ctx acc vb)
+            track_pending ctx ~env_rhs acc vb)
       { env with funcs = funcs' }
       vbs
   in
   env'
 
-and track_pending ctx env vb =
+and track_pending ctx ~env_rhs env vb =
   ignore ctx;
   match (vb.pvb_pat.ppat_desc, vb.pvb_expr.pexp_desc) with
   | Ppat_var { txt; _ }, Pexp_apply (f, args) -> (
       match head_name f with
+      | Some (_, "try_protect") ->
+          (* the expected argument resolves in the binding's own scope: the
+             result usually shadows it ([let cur_t = try_protect .. cur_t]) *)
+          let expected = last_positional_objs env_rhs args in
+          let result =
+            Option.value (SMap.find_opt txt env.vars) ~default:oempty
+          in
+          { env with tries = SMap.add txt (result, expected) env.tries }
       | Some (_, "protect_pessimistic") ->
           let objs = last_positional_objs env args in
           { env with pend = SMap.add txt (P_protect objs) env.pend }
@@ -713,6 +730,19 @@ and eval_cond ctx env cond =
         | P_valid -> [ ([ Validate_protected ], []) ]
       in
       (refin, env)
+  | Pexp_apply
+      ( f,
+        [ (Asttypes.Nolabel,
+           { pexp_desc = Pexp_ident { txt = Longident.Lident x; _ }; _ }) ] )
+    when head_name f = Some (Some "Tagged", "is_invalid")
+         && SMap.mem x env.tries ->
+      (* the reshaped TryProtect: a result without the invalid bit is the
+         validated current link value; the invalid one is the shared
+         sentinel carrying no node *)
+      let result, expected = SMap.find x env.tries in
+      ( [ ( [ Set_state (result, Lattice.Invalidated) ],
+            [ Set_state (ounion result expected, Lattice.Validated) ] ) ],
+        env )
   | Pexp_apply (f, args) -> (
       let v_refin =
         match head_name f with
@@ -742,68 +772,18 @@ and last_positional_objs_dyn ctx env args =
   ignore ctx;
   last_positional_objs env args
 
-(* Match: the try_protect outcome gets its builtin refinement (the [Ok]
-   case validates the expected argument and binds a validated alias);
-   pending booleans branch like conditions; everything else is a plain
-   value match with per-case binding. *)
+(* Match: pending booleans branch like conditions; everything else is a
+   plain value match with per-case binding (a try_protect result included:
+   it is validated by the [Tagged.is_invalid] branch, not by its shape). *)
 and eval_match ctx env ~loc scrut cases =
   ignore loc;
   let special =
     match scrut.pexp_desc with
-    | Pexp_apply (f, args) -> (
-        match head_name f with
-        | Some (_, "try_protect") -> Some (`Try_protect args)
-        | _ -> None)
     | Pexp_ident { txt = Longident.Lident x; _ } when SMap.mem x env.pend ->
         Some (`Pending (SMap.find x env.pend))
     | _ -> None
   in
   match special with
-  | Some (`Try_protect args) ->
-      (* evaluate arguments (their derefs count), protect the expected
-         target, then branch per case *)
-      let env =
-        List.fold_left
-          (fun env (_, a) ->
-            let _, env = eval ctx env a in
-            env)
-          env args
-      in
-      let expected = last_positional_objs env args in
-      if expected <> oempty then
-        emit ctx (Protect expected);
-      ctx.fn.fn_sync <- true;
-      let before = ctx.cur in
-      let jn = new_node ctx env in
-      let v =
-        List.fold_left
-          (fun acc c ->
-            let cn = new_node ctx env in
-            link ctx before cn;
-            ctx.cur <- cn;
-            let is_ok =
-              match c.pc_lhs.ppat_desc with
-              | Ppat_construct ({ txt; _ }, _) -> (
-                  match List.rev (Rules.lident_parts txt) with
-                  | "Ok" :: _ -> true
-                  | _ -> false)
-              | _ -> false
-            in
-            let env_c =
-              if is_ok then begin
-                emit ctx (Set_state (expected, Lattice.Validated));
-                let o = fresh_tracked ctx Lattice.Validated in
-                bind_pattern env c.pc_lhs (vof (ounion expected (osingle o)))
-              end
-              else bind_pattern env c.pc_lhs vnone
-            in
-            let cv, _ = eval ctx env_c c.pc_rhs in
-            link ctx ctx.cur jn;
-            vjoin acc cv)
-          vnone cases
-      in
-      ctx.cur <- jn;
-      (v, env)
   | Some (`Pending p) ->
       let before = ctx.cur in
       let jn = new_node ctx env in
@@ -833,7 +813,7 @@ and eval_match ctx env ~loc scrut cases =
       (v, env)
   | None ->
       let sv, env = eval ctx env scrut in
-      let nulls = null_refine_objs env scrut in
+      let nulls = sv.whole in
       let before = ctx.cur in
       let jn = new_node ctx env in
       let v =
@@ -842,7 +822,7 @@ and eval_match ctx env ~loc scrut cases =
             let cn = new_node ctx env in
             link ctx before cn;
             ctx.cur <- cn;
-            if nulls <> oempty && is_none_pat c.pc_lhs then
+            if nulls <> oempty && is_null_pat c.pc_lhs then
               emit ctx (Set_state (nulls, Lattice.Neutral));
             let env_c = bind_pattern env c.pc_lhs sv in
             (match c.pc_guard with
@@ -858,23 +838,20 @@ and eval_match ctx env ~loc scrut cases =
       ctx.cur <- jn;
       (v, env)
 
-(* [match Tagged.ptr x with None -> ...]: the None arm witnesses that [x]
+(* [match x with Tagged.Null _ -> ...]: the Null arm witnesses that [x]
    is null, which carries no protection obligation (dereferencing requires
-   another ptr-match, observed again). Refining the argument to Neutral on
-   that arm keeps a null path from dragging the join of a sibling arm's
-   protect-and-validate chain down to Raw. *)
-and null_refine_objs env scrut =
-  match scrut.pexp_desc with
-  | Pexp_apply (f, args) when head_name f = Some (Some "Tagged", "ptr") ->
-      last_positional_objs env args
-  | _ -> oempty
-
-and is_none_pat (p : Parsetree.pattern) =
+   a Ptr arm, observed again). Refining the scrutinee to Neutral on that arm
+   keeps a null path from dragging the join of a sibling arm's
+   protect-and-validate chain down to Raw. A [Tagged.Ptr (n, _)] arm binds
+   [n] to the scrutinee's objects, so every field read through [n] is a
+   dereference of the tagged value. *)
+and is_null_pat (p : Parsetree.pattern) =
   match p.ppat_desc with
-  | Ppat_construct ({ txt; _ }, None) -> (
+  | Ppat_construct ({ txt; _ }, _) -> (
       match List.rev (Rules.lident_parts txt) with
-      | "None" :: _ -> true
+      | "Null" :: _ -> true
       | _ -> false)
+  | Ppat_or (a, b) -> is_null_pat a && is_null_pat b
   | _ -> false
 
 (* --- Applications: the Smr_intf builtin contracts -------------------------- *)
@@ -956,7 +933,8 @@ and eval_apply ctx env ~loc f args =
       ctx.fn.fn_sync <- true;
       emit ctx (Protect (last_positional vals));
       (vnone, env)
-  | Some (_, "try_protect") ->
+  | Some (qual, "try_protect")
+    when not (qual = None && SMap.mem "try_protect" env.funcs) ->
       let vals, env = eval_args ctx env args in
       ctx.fn.fn_sync <- true;
       emit ctx (Protect (last_positional vals));
@@ -966,9 +944,11 @@ and eval_apply ctx env ~loc f args =
       (vnone, env)
   (* a local definition shadows the name-based retire/invalidate contracts:
      scheme files define [retire]/[do_invalidation] themselves, and those
-     bodies are what the summary should say, not the Smr_intf automaton *)
+     bodies are what the summary should say, not the Smr_intf automaton;
+     likewise Ds_common's own recursive [try_protect] *)
   | Some (None, last)
-    when (List.mem last retire_names || List.mem last invalidate_names)
+    when (List.mem last retire_names || List.mem last invalidate_names
+         || last = "try_protect")
          && SMap.mem last env.funcs ->
       eval_local_call ctx env ~loc (SMap.find last env.funcs) args
   | Some (_, last) when List.mem last retire_names ->
@@ -1070,7 +1050,7 @@ and inline_lambda ctx env lam ~param_objs =
     List.fold_left
       (fun env (_, vars) ->
         List.fold_left
-          (fun env x -> { env with vars = SMap.add x param_objs env.vars })
+          (fun env x -> bind_var env x param_objs)
           env vars)
       env params
   in
@@ -1298,7 +1278,7 @@ and build_tail ctx env e =
             List.fold_left
               (fun env x ->
                 let o = fresh_tracked ctx Lattice.Neutral in
-                { env with vars = SMap.add x (osingle o) env.vars })
+                bind_var env x (osingle o))
               env vars)
           env params
       in
@@ -1310,55 +1290,7 @@ and build_tail ctx env e =
       link ctx ctx.cur ctx.fn.fn_exit
 
 and build_tail_match ctx env scrut cases =
-  let is_try_protect =
-    match scrut.pexp_desc with
-    | Pexp_apply (f, _) -> (
-        match head_name f with
-        | Some (_, "try_protect") -> true
-        | _ -> false)
-    | _ -> false
-  in
   match scrut.pexp_desc with
-  | Pexp_apply (_, args) when is_try_protect ->
-      (* same builtin refinement as eval_match's try_protect case, but each
-         case body builds in tail so its return site keeps per-slot shape
-         (a search loop's `Ok` arm returning a validated cursor must not
-         join with the `Invalid` arm) *)
-      let env =
-        List.fold_left
-          (fun env (_, a) ->
-            let _, env = eval ctx env a in
-            env)
-          env args
-      in
-      let expected = last_positional_objs env args in
-      if expected <> oempty then
-        emit ctx (Protect expected);
-      ctx.fn.fn_sync <- true;
-      let before = ctx.cur in
-      List.iter
-        (fun c ->
-          let cn = new_node ctx env in
-          link ctx before cn;
-          ctx.cur <- cn;
-          let is_ok =
-            match c.pc_lhs.ppat_desc with
-            | Ppat_construct ({ txt; _ }, _) -> (
-                match List.rev (Rules.lident_parts txt) with
-                | "Ok" :: _ -> true
-                | _ -> false)
-            | _ -> false
-          in
-          let env_c =
-            if is_ok then begin
-              emit ctx (Set_state (expected, Lattice.Validated));
-              let o = fresh_tracked ctx Lattice.Validated in
-              bind_pattern env c.pc_lhs (vof (ounion expected (osingle o)))
-            end
-            else bind_pattern env c.pc_lhs vnone
-          in
-          build_tail ctx env_c c.pc_rhs)
-        cases
   | Pexp_ident { txt = Longident.Lident x; _ } when SMap.mem x env.pend ->
       let p = SMap.find x env.pend in
       let before = ctx.cur in
@@ -1382,8 +1314,7 @@ and build_tail_match ctx env scrut cases =
         cases
   | _ ->
       let sv, env = eval ctx env scrut in
-      let nulls = null_refine_objs env scrut in
-      build_tail_match_value ctx env ~nulls sv cases
+      build_tail_match_value ctx env ~nulls:sv.whole sv cases
 
 and build_tail_match_value ctx env ?(nulls = oempty) sv cases =
   let before = ctx.cur in
@@ -1392,7 +1323,7 @@ and build_tail_match_value ctx env ?(nulls = oempty) sv cases =
       let cn = new_node ctx env in
       link ctx before cn;
       ctx.cur <- cn;
-      if nulls <> oempty && is_none_pat c.pc_lhs then
+      if nulls <> oempty && is_null_pat c.pc_lhs then
         emit ctx (Set_state (nulls, Lattice.Neutral));
       let env_c = bind_pattern env c.pc_lhs sv in
       (match c.pc_guard with
@@ -1425,7 +1356,7 @@ and build_func file fn ~funcs lam =
         fn.fn_param_objs.(i) <- o;
         ( i + 1,
           List.fold_left
-            (fun env x -> { env with vars = SMap.add x (osingle o) env.vars })
+            (fun env x -> bind_var env x (osingle o))
             env vars ))
       (0, env) params
     |> snd

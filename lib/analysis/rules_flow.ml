@@ -259,7 +259,8 @@ let check_file ~file ~checks ~ext ast =
                               (Printf.sprintf
                                  "`%s` dereferences `%s` while it is still \
                                   raw on some path from the shared read: \
-                                  validation (try_protect Ok / \
+                                  validation (a try_protect result that \
+                                  is not Tagged.is_invalid / \
                                   protect_pessimistic true) must dominate \
                                   every field access"
                                  fname hint)

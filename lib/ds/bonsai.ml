@@ -114,6 +114,10 @@ module Make (S : Smr.Smr_intf.S) = struct
     end;
     Mem.check_access n.hdr
 
+  (* The root link's target in the option shape the tree's own child
+     fields use. *)
+  let root_of = function Tagged.Ptr (n, _) -> Some n | Tagged.Null _ -> None
+
   let node_size = function None -> 0 | Some n -> n.size
   let weight n = node_size n + 1
 
@@ -224,7 +228,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       match rebuild ctx ~is_old root_rec with
       | None -> `Done_noop
       | Some (new_root, result) ->
-          let desired = Tagged.make new_root in
+          let desired = Tagged.of_option new_root in
           (* The unlink frontier: children of replaced nodes that survive
              (the shared subtree roots). A reader standing on a replaced but
              not-yet-invalidated node may still step into them, so they must
@@ -270,7 +274,7 @@ module Make (S : Smr.Smr_intf.S) = struct
               (match new_root with
               | Some nr when is_old nr -> S.incr_ref nr.hdr
               | _ -> ());
-              let old_root = Tagged.ptr ctx.root_rec in
+              let old_root = root_of ctx.root_rec in
               List.iter
                 (fun z ->
                   match old_root with
@@ -326,7 +330,7 @@ module Make (S : Smr.Smr_intf.S) = struct
                         (rebalance t l ctx st ~is_old ~key:n.key ~value:n.value
                            ~left:n.left ~right:(Some right))
           in
-          match go (Tagged.ptr root_rec) with
+          match go (root_of root_rec) with
           | None -> None
           | Some root -> Some (Some root, true))
 
@@ -385,7 +389,7 @@ module Make (S : Smr.Smr_intf.S) = struct
                            (rebalance t l ctx st ~is_old ~key:n.key
                               ~value:n.value ~left:n.left ~right)))
           in
-          match go (Tagged.ptr root_rec) with
+          match go (root_of root_rec) with
           | None -> None
           | Some root -> Some (root, true))
 
@@ -426,7 +430,7 @@ module Make (S : Smr.Smr_intf.S) = struct
               else if key < n.key then go (Some n) n.left
               else go (Some n) n.right
         in
-        match go None (Tagged.ptr root_rec) with
+        match go None (root_of root_rec) with
         | r -> r
         | exception Restart -> `Prot)
 
@@ -450,7 +454,7 @@ module Make (S : Smr.Smr_intf.S) = struct
               go (Some n) acc n.right
         in
         match
-          let acc = go None init (Tagged.ptr root_rec) in
+          let acc = go None init (root_of root_rec) in
           reset_guards l;
           acc
         with
@@ -466,9 +470,9 @@ module Make (S : Smr.Smr_intf.S) = struct
       | None -> acc
       | Some n -> walk ((n.key, n.value) :: walk acc n.right) n.left
     in
-    walk [] (Tagged.ptr (Link.get_quiescent t.root))
+    walk [] (root_of (Link.get_quiescent t.root))
 
-  let size_quiescent t = node_size (Tagged.ptr (Link.get_quiescent t.root))
+  let size_quiescent t = node_size (root_of (Link.get_quiescent t.root))
   let size t = size_quiescent t
 
   let assert_reachable_not_freed t =
@@ -479,7 +483,7 @@ module Make (S : Smr.Smr_intf.S) = struct
           walk n.left;
           walk n.right
     in
-    walk (Tagged.ptr (Link.get_quiescent t.root))
+    walk (root_of (Link.get_quiescent t.root))
 
   (* Balance invariant check for tests. *)
   let assert_balanced t =
@@ -494,5 +498,5 @@ module Make (S : Smr.Smr_intf.S) = struct
           walk n.left;
           walk n.right
     in
-    walk (Tagged.ptr (Link.get_quiescent t.root))
+    walk (root_of (Link.get_quiescent t.root))
 end

@@ -13,24 +13,20 @@ module Make :
     sig
       module C :
         sig
-          type 'n protect_outcome =
-            'n Ds_common.Make(S).protect_outcome =
-              Ok of 'n Ds_common.Tagged.t
-            | Invalid
-          val uid_of_hdr : Ds_common.Mem.header option -> int
+          val uid_of_hdr : Ds_common.Mem.header -> int
           val trace_step :
             node_header:('a -> Ds_common.Mem.header) ->
-            src:Ds_common.Mem.header option ->
+            src:Ds_common.Mem.header ->
             validated:bool -> 'a Ds_common.Tagged.t -> unit
           val try_protect :
-            ?src:Ds_common.Mem.header ->
+            src:Ds_common.Mem.header ->
             node_header:('a -> Ds_common.Mem.header) ->
             S.guard ->
             S.handle ->
             src_link:'a Ds_common.Link.t ->
-            'a Ds_common.Tagged.t -> 'a protect_outcome
+            'a Ds_common.Tagged.t -> 'a Ds_common.Tagged.t
           val protect_pessimistic :
-            ?src:Ds_common.Mem.header ->
+            src:Ds_common.Mem.header ->
             node_header:('a -> Ds_common.Mem.header) ->
             S.guard ->
             S.handle ->
@@ -75,6 +71,7 @@ module Make :
       val take_guard : local -> S.guard
       val reset_guards : local -> unit
       val guard_old : 'a t -> local -> 'a ctx -> 'b node -> unit
+      val root_of : 'a Tagged.t -> 'a option
       val node_size : 'a node option -> int
       val weight : 'a node option -> int
       val mk :

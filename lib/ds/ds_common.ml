@@ -7,14 +7,9 @@ module Link = Smr_core.Link
 module Trace = Obs.Trace
 
 module Make (S : Smr.Smr_intf.S) = struct
-  (** Outcome of protecting the target of a link (paper Algorithm 3
-      TryProtect). [Ok l] is the current value of [src_link] — same target
-      as requested, possibly retagged; [Invalid] means the source node has
-      been invalidated (or, under PEBR, this thread neutralized) and the
-      caller must recover, typically by restarting the operation. *)
-  type 'n protect_outcome = Ok of 'n Tagged.t | Invalid
-
-  let uid_of_hdr = function Some h -> Mem.uid h | None -> -1
+  (* The Step/Validation_fail trace uid of a source node: [Mem.phantom]
+     stands for "no node" (the structure's root link), traced as -1. *)
+  let uid_of_hdr src = if src == Mem.phantom then -1 else Mem.uid src
 
   (* A validated protection (the slot store survived validation) plus the
      traversal step it enables. The Step event records the tag bits actually
@@ -23,64 +18,68 @@ module Make (S : Smr.Smr_intf.S) = struct
      what the trace-replay checker flags. *)
   let trace_step ~node_header ~src ~validated l =
     if Trace.enabled () then begin
-      let dst = Tagged.ptr l in
-      (match dst with
-      | Some n when validated ->
-          Trace.emit Trace.Protect (Mem.uid (node_header n)) 0 0
-      | _ -> ());
-      Trace.emit Trace.Step (uid_of_hdr src)
-        (match dst with Some n -> Mem.uid (node_header n) | None -> -1)
-        (Tagged.tag l)
+      let dst =
+        match l with
+        | Tagged.Ptr (n, _) ->
+            let uid = Mem.uid (node_header n) in
+            if validated then Trace.emit Trace.Protect uid 0 0;
+            uid
+        | Tagged.Null _ -> -1
+      in
+      Trace.emit Trace.Step (uid_of_hdr src) dst (Tagged.tag l)
     end
 
-  (* Under-approximating validation: protection only fails when [src_link]
-     carries the invalidation bit; logical-deletion tags are ignored, so
-     optimistic traversal through deleted chains succeeds. If the link moved
-     to a new target, chase it (announcing protection anew each time).
-     [?src] is the node [src_link] lives in, for the trace only. *)
-  let try_protect ?src ~node_header guard handle ~src_link expected =
+  (* Paper Algorithm 3 TryProtect with under-approximating validation:
+     protection only fails when [src_link] carries the invalidation bit (or,
+     under PEBR, this thread was neutralized); logical-deletion tags are
+     ignored, so optimistic traversal through deleted chains succeeds. If
+     the link moved to a new target, chase it, announcing protection anew
+     each time. Returns the current value of [src_link] — same target as
+     requested, possibly retagged — or, on failure, the shared
+     {!Tagged.invalid}, which carries no node; the caller must then recover,
+     typically by restarting the operation. [src] is the header of the node
+     [src_link] lives in ([Mem.phantom] for a root link), for the trace
+     only. Allocates nothing. *)
+  let rec try_protect ~src ~node_header guard handle ~src_link expected =
     if not S.needs_protection then begin
       if Trace.enabled () then
         trace_step ~node_header ~src ~validated:false expected;
-      Ok expected
+      expected
     end
-    else
-      let rec loop exp =
-        (match Tagged.ptr exp with
-        | Some n -> S.protect guard (node_header n)
-        | None -> ());
-        if not (S.protection_valid handle) then begin
-          Trace.emit Trace.Validation_fail (uid_of_hdr src) 0 0;
-          Invalid
+    else begin
+      (match expected with
+      | Tagged.Ptr (n, _) -> S.protect guard (node_header n)
+      | Tagged.Null _ -> ());
+      if not (S.protection_valid handle) then begin
+        Trace.emit Trace.Validation_fail (uid_of_hdr src) 0 0;
+        Tagged.invalid
+      end
+      else
+        let l = Link.get src_link in
+        if Tagged.is_invalid l then begin
+          Trace.emit Trace.Validation_fail (uid_of_hdr src) (Tagged.tag l) 0;
+          Tagged.invalid
         end
-        else
-          let l = Link.get src_link in
-          if Tagged.is_invalid l then begin
-            Trace.emit Trace.Validation_fail (uid_of_hdr src) (Tagged.tag l) 0;
-            Invalid
-          end
-          else if Tagged.same_ptr l exp then begin
-            if Trace.enabled () then
-              trace_step ~node_header ~src ~validated:true l;
-            Ok l
-          end
-          else loop l
-      in
-      loop expected
+        else if Tagged.same_ptr l expected then begin
+          if Trace.enabled () then trace_step ~node_header ~src ~validated:true l;
+          l
+        end
+        else try_protect ~src ~node_header guard handle ~src_link l
+    end
 
   (* Over-approximating validation (original HP, paper §2.2): succeed only
      if [src_link] still holds exactly [expected]'s target with a clean tag;
      any change — including the source's logical deletion — fails. *)
-  let protect_pessimistic ?src ~node_header guard handle ~src_link expected =
+  let protect_pessimistic ~src ~node_header guard handle ~src_link expected =
     if not S.needs_protection then begin
       if Trace.enabled () then
         trace_step ~node_header ~src ~validated:false expected;
       true
     end
     else begin
-      (match Tagged.ptr expected with
-      | Some n -> S.protect guard (node_header n)
-      | None -> ());
+      (match expected with
+      | Tagged.Ptr (n, _) -> S.protect guard (node_header n)
+      | Tagged.Null _ -> ());
       if
         S.protection_valid handle
         &&

@@ -11,18 +11,16 @@ module Trace = Obs.Trace
 module Make :
   functor (S : Smr.Smr_intf.S) ->
     sig
-      type 'n protect_outcome = Ok of 'n Tagged.t | Invalid
-      val uid_of_hdr : Mem.header option -> int
+      val uid_of_hdr : Mem.header -> int
       val trace_step :
         node_header:('a -> Mem.header) ->
-        src:Mem.header option -> validated:bool -> 'a Tagged.t -> unit
+        src:Mem.header -> validated:bool -> 'a Tagged.t -> unit
       val try_protect :
-        ?src:Mem.header ->
+        src:Mem.header ->
         node_header:('a -> Mem.header) ->
-        S.guard ->
-        S.handle -> src_link:'a Link.t -> 'a Tagged.t -> 'a protect_outcome
+        S.guard -> S.handle -> src_link:'a Link.t -> 'a Tagged.t -> 'a Tagged.t
       val protect_pessimistic :
-        ?src:Mem.header ->
+        src:Mem.header ->
         node_header:('a -> Mem.header) ->
         S.guard -> S.handle -> src_link:'a Link.t -> 'a Tagged.t -> bool
       val with_crit :

@@ -122,13 +122,13 @@ module Make (S : Smr.Smr_intf.S) = struct
     in
     let s =
       mk_node stats ~key:inf1 ~value:None ~kind:Internal
-        ~left:(Tagged.make (Some (leaf inf1)))
-        ~right:(Tagged.make (Some (leaf inf2)))
+        ~left:(Tagged.make (leaf inf1))
+        ~right:(Tagged.make (leaf inf2))
     in
     let r =
       mk_node stats ~key:inf2 ~value:None ~kind:Internal
-        ~left:(Tagged.make (Some s))
-        ~right:(Tagged.make (Some (leaf inf2)))
+        ~left:(Tagged.make s)
+        ~right:(Tagged.make (leaf inf2))
     in
     { scheme; root = r }
 
@@ -158,15 +158,15 @@ module Make (S : Smr.Smr_intf.S) = struct
      is about to be spliced out together with one child). *)
   let protect_step l ~src ~src_link expected =
     if S.supports_optimistic then
-      match
-        C.try_protect ~node_header l.hp_cur l.handle ~src_link expected
-      with
-      | C.Invalid -> None
-      | C.Ok r -> Some r
+      let r =
+        C.try_protect ~src:Mem.phantom ~node_header l.hp_cur l.handle
+          ~src_link expected
+      in
+      if Tagged.is_invalid r then None else Some r
     else begin
-      (match Tagged.ptr expected with
-      | Some n -> S.protect l.hp_cur n.hdr
-      | None -> ());
+      (match expected with
+      | Tagged.Ptr (n, _) -> S.protect l.hp_cur n.hdr
+      | Tagged.Null _ -> ());
       if not (S.protection_valid l.handle) then None
       else if
         Tagged.same_ptr (Link.get src_link) expected
@@ -187,7 +187,7 @@ module Make (S : Smr.Smr_intf.S) = struct
   let help_insert (op : 'v iinfo) iflag_rec =
     ignore
       (Link.cas_clean op.i_l_link op.i_l_rec
-         (Tagged.make (Some op.i_new_internal)));
+         (Tagged.make op.i_new_internal));
     ignore (Atomic.compare_and_set op.i_p.update iflag_rec (fresh_clean ()))
 
   (* HelpMarked: splice out [d_p] and [d_l]; the sibling subtree root is the
@@ -196,14 +196,14 @@ module Make (S : Smr.Smr_intf.S) = struct
   let help_marked l (op : 'v dinfo) dflag_rec =
     let p = op.d_p in
     let sibling_link =
-      match Tagged.ptr (Link.get p.left) with
-      | Some n when n == op.d_l -> p.right
+      match Link.get p.left with
+      | Tagged.Ptr (n, _) when n == op.d_l -> p.right
       | _ -> p.left
     in
     let sib_rec = Link.get sibling_link in
-    (match Tagged.ptr sib_rec with
-    | None -> ()
-    | Some sibling ->
+    (match sib_rec with
+    | Tagged.Null _ -> ()
+    | Tagged.Ptr (sibling, _) ->
         ignore
           (S.try_unlink l.handle
              ~frontier:[ sibling.hdr ]
@@ -253,9 +253,9 @@ module Make (S : Smr.Smr_intf.S) = struct
     match protect_step l ~src:r ~src_link:(child_link r key) r_rec with
     | None -> `Prot
     | Some r_rec -> (
-        match Tagged.ptr r_rec with
-        | None -> `Retry
-        | Some s ->
+        match r_rec with
+        | Tagged.Null _ -> `Retry
+        | Tagged.Ptr (s, _) ->
             S.protect l.hp_p s.hdr;
             let rec walk gp p gpupdate pupdate p_rec p_link cur cur_rec
                 cur_link =
@@ -280,9 +280,9 @@ module Make (S : Smr.Smr_intf.S) = struct
                 match protect_step l ~src:cur ~src_link:link rec0 with
                 | None -> `Prot
                 | Some next_rec -> (
-                    match Tagged.ptr next_rec with
-                    | None -> `Retry
-                    | Some next ->
+                    match next_rec with
+                    | Tagged.Null _ -> `Retry
+                    | Tagged.Ptr (next, _) ->
                         Mem.check_access next.hdr;
                         (* roles shift: gp <- p, p <- cur, l <- next *)
                         S.protect l.hp_gp p.hdr;
@@ -299,9 +299,9 @@ module Make (S : Smr.Smr_intf.S) = struct
             (match protect_step l ~src:s ~src_link:link rec0 with
             | None -> `Prot
             | Some first_rec -> (
-                match Tagged.ptr first_rec with
-                | None -> `Retry
-                | Some first ->
+                match first_rec with
+                | Tagged.Null _ -> `Retry
+                | Tagged.Ptr (first, _) ->
                     Mem.check_access first.hdr;
                     let g = l.hp_l in
                     l.hp_l <- l.hp_cur;
@@ -342,8 +342,8 @@ module Make (S : Smr.Smr_intf.S) = struct
               in
               let internal =
                 mk_node st ~key:(max key leaf.key) ~value:None ~kind:Internal
-                  ~left:(Tagged.make (Some lo_leaf))
-                  ~right:(Tagged.make (Some hi_leaf))
+                  ~left:(Tagged.make lo_leaf)
+                  ~right:(Tagged.make hi_leaf)
               in
               let op =
                 {
@@ -412,9 +412,9 @@ module Make (S : Smr.Smr_intf.S) = struct
           if n.key >= inf1 then acc else (n.key, Option.get n.value) :: acc
       | Internal ->
           let go link acc =
-            match Tagged.ptr (Link.get_quiescent link) with
-            | Some m -> walk m acc
-            | None -> acc
+            match Link.get_quiescent link with
+            | Tagged.Ptr (m, _) -> walk m acc
+            | Tagged.Null _ -> acc
           in
           go n.left (go n.right acc)
     in
@@ -426,9 +426,9 @@ module Make (S : Smr.Smr_intf.S) = struct
     let rec walk n =
       assert (not (Mem.is_freed n.hdr));
       let go link =
-        match Tagged.ptr (Link.get_quiescent link) with
-        | Some m -> walk m
-        | None -> ()
+        match Link.get_quiescent link with
+        | Tagged.Ptr (m, _) -> walk m
+        | Tagged.Null _ -> ()
       in
       go n.left;
       go n.right

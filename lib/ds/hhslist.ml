@@ -79,9 +79,9 @@ module Make (S : Smr.Smr_intf.S) = struct
       if is_until n then List.rev acc
       else
         let acc = n :: acc in
-        match Tagged.ptr (Link.get n.next) with
-        | Some m -> walk m acc
-        | None -> List.rev acc
+        match Link.get n.next with
+        | Tagged.Ptr (m, _) -> walk m acc
+        | Tagged.Null _ -> List.rev acc
     in
     walk first []
 
@@ -101,7 +101,7 @@ module Make (S : Smr.Smr_intf.S) = struct
           let frontier =
             match cur_opt with Some c -> [ c.hdr ] | None -> []
           in
-          let desired = Tagged.make cur_opt in
+          let desired = Tagged.with_tag cur_t 0 in
           let unlinked =
             S.try_unlink l.handle ~frontier
               ~do_unlink:(fun () ->
@@ -120,78 +120,72 @@ module Make (S : Smr.Smr_intf.S) = struct
     (* The four guards ride along as arguments: [gcur] protects the node
        being read, [gprev] the owner of [prev_link], [ganchor] the owner of
        the pending chain's [a_link] and [ganext] its first node. A step
-       hands roles on by permuting them at the recursive call. *)
-    let rec loop gprev gcur ganchor ganext prev_node prev_link cur_t anchor =
-      match
-        C.try_protect
-          ?src:(match prev_node with Some p -> Some p.hdr | None -> None)
-          ~node_header gcur l.handle ~src_link:prev_link cur_t
-      with
-      | C.Invalid -> `Prot
-      | C.Ok cur_t -> (
-          match Tagged.ptr cur_t with
-          | None -> finish ~found:false prev_link cur_t None anchor
-          | Some cur ->
-              Mem.check_access cur.hdr;
-              let next_t = Link.get cur.next in
-              if not (Tagged.is_deleted next_t) then
-                if cur.key >= key then
-                  finish ~found:(cur.key = key) prev_link cur_t (Some cur)
-                    anchor
-                else
-                  loop gcur gprev ganchor ganext (Some cur) cur.next next_t None
-              else begin
-                (* [cur] is logically deleted: optimistic traversal walks
-                   through it, remembering where the chain started. *)
-                match anchor with
-                | None ->
-                    (* prev becomes the anchor; the old anchor slot is free *)
-                    loop gcur ganchor gprev ganext (Some cur) cur.next next_t
-                      (Some
-                         {
-                           a_link = prev_link;
-                           a_expected = cur_t;
-                           a_first = cur;
-                         })
-                | Some a -> (
-                    match prev_node with
-                    | Some p when p == a.a_first ->
-                        (* prev is the chain's first node: pin it as
-                           anchor-next and reuse the old anchor-next slot *)
-                        loop gcur ganext ganchor gprev (Some cur) cur.next
-                          next_t anchor
-                    | _ ->
-                        loop gcur gprev ganchor ganext (Some cur) cur.next
-                          next_t anchor)
-              end)
+       hands roles on by permuting them at the recursive call. [src] is the
+       header of the node owning [prev_link] ([Mem.phantom] at the head). *)
+    let rec loop gprev gcur ganchor ganext src prev_link cur_t anchor =
+      let cur_t =
+        C.try_protect ~src ~node_header gcur l.handle ~src_link:prev_link
+          cur_t
+      in
+      if Tagged.is_invalid cur_t then `Prot
+      else
+        match cur_t with
+        | Tagged.Null _ -> finish ~found:false prev_link cur_t None anchor
+        | Tagged.Ptr (cur, _) ->
+            Mem.check_access cur.hdr;
+            let next_t = Link.get cur.next in
+            if not (Tagged.is_deleted next_t) then
+              if cur.key >= key then
+                finish ~found:(cur.key = key) prev_link cur_t (Some cur)
+                  anchor
+              else loop gcur gprev ganchor ganext cur.hdr cur.next next_t None
+            else begin
+              (* [cur] is logically deleted: optimistic traversal walks
+                 through it, remembering where the chain started. *)
+              match anchor with
+              | None ->
+                  (* prev becomes the anchor; the old anchor slot is free *)
+                  loop gcur ganchor gprev ganext cur.hdr cur.next next_t
+                    (Some
+                       { a_link = prev_link; a_expected = cur_t; a_first = cur })
+              | Some a ->
+                  if src == a.a_first.hdr then
+                    (* prev is the chain's first node: pin it as anchor-next
+                       and reuse the old anchor-next slot *)
+                    loop gcur ganext ganchor gprev cur.hdr cur.next next_t
+                      anchor
+                  else
+                    loop gcur gprev ganchor ganext cur.hdr cur.next next_t
+                      anchor
+            end
     in
-    loop l.hp_prev l.hp_cur l.hp_anchor l.hp_anchor_next None t.head
+    loop l.hp_prev l.hp_cur l.hp_anchor l.hp_anchor_next Mem.phantom t.head
       (Link.get t.head) None
 
   (* Wait-free (under EBR/NR/RC; lock-free under HP++/PEBR) search that
-     ignores logical deletion entirely and never writes. *)
+     ignores logical deletion entirely and never writes. Each step is one
+     protect and one validation, and allocates nothing. *)
   let get t l key =
     C.with_crit l.handle (stats t) (fun () ->
         let rec walk gprev gcur src prev_link cur_t =
-          match
-            C.try_protect ?src ~node_header gcur l.handle
+          let cur_t =
+            C.try_protect ~src ~node_header gcur l.handle
               ~src_link:prev_link cur_t
-          with
-          | C.Invalid -> `Prot
-          | C.Ok cur_t -> (
-              match Tagged.ptr cur_t with
-              | None -> `Done None
-              | Some cur ->
-                  Mem.check_access cur.hdr;
-                  let next_t = Link.get cur.next in
-                  if cur.key > key then `Done None
-                  else if cur.key = key then
-                    `Done
-                      (if Tagged.is_deleted next_t then None
-                       else Some cur.value)
-                  else walk gcur gprev (Some cur.hdr) cur.next next_t)
+          in
+          if Tagged.is_invalid cur_t then `Prot
+          else
+            match cur_t with
+            | Tagged.Null _ -> `Done None
+            | Tagged.Ptr (cur, _) ->
+                Mem.check_access cur.hdr;
+                let next_t = Link.get cur.next in
+                if cur.key > key then `Done None
+                else if cur.key = key then
+                  `Done
+                    (if Tagged.is_deleted next_t then None else Some cur.value)
+                else walk gcur gprev cur.hdr cur.next next_t
         in
-        walk l.hp_prev l.hp_cur None t.head (Link.get t.head))
+        walk l.hp_prev l.hp_cur Mem.phantom t.head (Link.get t.head))
 
   let insert t l key value =
     let fresh = ref None in
@@ -221,8 +215,8 @@ module Make (S : Smr.Smr_intf.S) = struct
                     fresh := Some n;
                     n
               in
-              Link.set node.next (Tagged.make cur_opt);
-              if Link.cas_clean prev_link cur_t (Tagged.make (Some node)) then
+              Link.set node.next (Tagged.of_option cur_opt);
+              if Link.cas_clean prev_link cur_t (Tagged.make node) then
                 `Done true
               else `Retry)
 
@@ -246,16 +240,16 @@ module Make (S : Smr.Smr_intf.S) = struct
                    deletion must go through TryUnlink so the frontier is
                    protected and [cur] invalidated before it is retired. *)
                 let frontier =
-                  match Tagged.ptr next_t with
-                  | Some n -> [ n.hdr ]
-                  | None -> []
+                  match next_t with
+                  | Tagged.Ptr (n, _) -> [ n.hdr ]
+                  | Tagged.Null _ -> []
                 in
                 ignore
                   (S.try_unlink l.handle ~frontier
                      ~do_unlink:(fun () ->
                        if
                          Link.cas_clean prev_link cur_t
-                           (Tagged.make (Tagged.ptr next_t))
+                           (Tagged.with_tag next_t 0)
                        then Some [ cur ]
                        else None)
                      ~node_header ~invalidate:(List.iter invalidate_node));
@@ -266,9 +260,9 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let to_list t =
     let rec walk acc tg =
-      match Tagged.ptr tg with
-      | None -> List.rev acc
-      | Some n ->
+      match tg with
+      | Tagged.Null _ -> List.rev acc
+      | Tagged.Ptr (n, _) ->
           let next_t = Link.get_quiescent n.next in
           let acc =
             if Tagged.is_deleted next_t then acc else (n.key, n.value) :: acc
@@ -281,9 +275,9 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let assert_reachable_not_freed t =
     let rec walk tg =
-      match Tagged.ptr tg with
-      | None -> ()
-      | Some n ->
+      match tg with
+      | Tagged.Null _ -> ()
+      | Tagged.Ptr (n, _) ->
           assert (not (Mem.is_freed n.hdr));
           walk (Link.get_quiescent n.next)
     in

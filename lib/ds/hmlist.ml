@@ -48,16 +48,16 @@ module Make (S : Smr.Smr_intf.S) = struct
      at the first node with key >= [key] ([cur_t] is the current record of
      [prev_link], the expected value for a subsequent CAS). [gcur]
      protects the node being read and [gprev] the owner of [prev_link]; a
-     step swaps them at the recursive call. *)
+     step swaps them at the recursive call. Steps trace no source node. *)
   let find_attempt t l key =
     let rec advance gprev gcur prev_link cur_t =
-      match Tagged.ptr cur_t with
-      | None -> `Done (false, prev_link, cur_t, None)
-      | Some cur ->
+      match cur_t with
+      | Tagged.Null _ -> `Done (false, prev_link, cur_t, None)
+      | Tagged.Ptr (cur, _) ->
           if
             not
-              (C.protect_pessimistic ~node_header gcur l.handle
-                 ~src_link:prev_link cur_t)
+              (C.protect_pessimistic ~src:Mem.phantom ~node_header gcur
+                 l.handle ~src_link:prev_link cur_t)
           then `Prot
           else begin
             Mem.check_access cur.hdr;
@@ -65,7 +65,7 @@ module Make (S : Smr.Smr_intf.S) = struct
             if Tagged.is_deleted next_t then begin
               (* [cur] is logically deleted: unlink it before moving on
                  (the pessimism HP requires). *)
-              let desired = Tagged.make (Tagged.ptr next_t) in
+              let desired = Tagged.with_tag next_t 0 in
               if Link.cas_clean prev_link cur_t desired then begin
                 S.retire l.handle cur.hdr;
                 advance gprev gcur prev_link desired
@@ -115,8 +115,8 @@ module Make (S : Smr.Smr_intf.S) = struct
                     fresh := Some n;
                     n
               in
-              Link.set node.next (Tagged.make (Tagged.ptr cur_t));
-              if Link.cas_clean prev_link cur_t (Tagged.make (Some node)) then
+              Link.set node.next (Tagged.with_tag cur_t 0);
+              if Link.cas_clean prev_link cur_t (Tagged.make node) then
                 `Done true
               else `Retry)
 
@@ -138,7 +138,7 @@ module Make (S : Smr.Smr_intf.S) = struct
               else begin
                 (* Logical deletion done; physically unlink if we can, else
                    a later traversal will. Only the unlinker retires. *)
-                let desired = Tagged.make (Tagged.ptr next_t) in
+                let desired = Tagged.with_tag next_t 0 in
                 if Link.cas_clean prev_link cur_t desired then
                   S.retire l.handle cur.hdr;
                 `Done true
@@ -148,9 +148,9 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let to_list t =
     let rec walk acc tg =
-      match Tagged.ptr tg with
-      | None -> List.rev acc
-      | Some n ->
+      match tg with
+      | Tagged.Null _ -> List.rev acc
+      | Tagged.Ptr (n, _) ->
           let next_t = Link.get_quiescent n.next in
           let acc =
             if Tagged.is_deleted next_t then acc else (n.key, n.value) :: acc
@@ -165,9 +165,9 @@ module Make (S : Smr.Smr_intf.S) = struct
      marked nodes too. Quiescent test invariant. *)
   let assert_reachable_not_freed t =
     let rec walk tg =
-      match Tagged.ptr tg with
-      | None -> ()
-      | Some n ->
+      match tg with
+      | Tagged.Null _ -> ()
+      | Tagged.Ptr (n, _) ->
           assert (not (Mem.is_freed n.hdr));
           walk (Link.get_quiescent n.next)
     in

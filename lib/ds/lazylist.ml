@@ -72,21 +72,22 @@ module Make (S : Smr.Smr_intf.S) = struct
   (* Read phase: walk (through marked nodes) to the first node with
      key >= [key]. Protection is hand-over-hand HP++-style; the sentinel
      needs no protection; [gprev] and [gcur] swap roles at each step.
-     Returns the predecessor and the candidate. *)
+     Returns the predecessor and the candidate. Steps trace no source
+     node. *)
   let walk t l key =
     let rec go gprev gcur prev cur_t =
-      match
-        C.try_protect ~node_header gcur l.handle
+      let cur_t =
+        C.try_protect ~src:Mem.phantom ~node_header gcur l.handle
           ~src_link:(pred_link t prev) cur_t
-      with
-      | C.Invalid -> `Prot
-      | C.Ok cur_t -> (
-          match Tagged.ptr cur_t with
-          | None -> `Done (prev, None)
-          | Some cur ->
-              Mem.check_access cur.hdr;
-              if cur.key >= key then `Done (prev, Some cur)
-              else go gcur gprev (Node cur) (Link.get cur.next))
+      in
+      if Tagged.is_invalid cur_t then `Prot
+      else
+        match cur_t with
+        | Tagged.Null _ -> `Done (prev, None)
+        | Tagged.Ptr (cur, _) ->
+            Mem.check_access cur.hdr;
+            if cur.key >= key then `Done (prev, Some cur)
+            else go gcur gprev (Node cur) (Link.get cur.next)
     in
     go l.hp_prev l.hp_cur Head (Link.get t.head_link)
 
@@ -113,9 +114,9 @@ module Make (S : Smr.Smr_intf.S) = struct
       (not (pred_marked pred))
       && (match cur with Some c -> not (Atomic.get c.marked) | None -> true)
       &&
-      match (Tagged.ptr (Link.get (pred_link t pred)), cur) with
-      | Some n, Some c -> n == c
-      | None, None -> true
+      match (Link.get (pred_link t pred), cur) with
+      | Tagged.Ptr (n, _), Some c -> n == c
+      | Tagged.Null _, None -> true
       | _ -> false
     in
     let result = if ok then Some (f ()) else None in
@@ -156,8 +157,8 @@ module Make (S : Smr.Smr_intf.S) = struct
                 match
                   (* smr-lint: allow F1 — validated locks pred and cur before any deref; locked, unmarked nodes cannot be unlinked, hence never invalidated or freed (Heller validation) *)
                   validated t ~pred ~cur (fun () ->
-                      Link.set node.next (Tagged.make cur);
-                      Link.set (pred_link t pred) (Tagged.make (Some node)))
+                      Link.set node.next (Tagged.of_option cur);
+                      Link.set (pred_link t pred) (Tagged.make node))
                 with
                 | Some () -> `Done true
                 | None -> `Retry)))
@@ -181,9 +182,9 @@ module Make (S : Smr.Smr_intf.S) = struct
                        successor, invalidated flag on cur's link. *)
                     let next_t = Link.get cur.next in
                     let frontier =
-                      match Tagged.ptr next_t with
-                      | Some n -> [ n.hdr ]
-                      | None -> []
+                      match next_t with
+                      | Tagged.Ptr (n, _) -> [ n.hdr ]
+                      | Tagged.Null _ -> []
                     in
                     ignore
                       (S.try_unlink l.handle ~frontier
@@ -202,9 +203,9 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let to_list t =
     let rec go acc tg =
-      match Tagged.ptr tg with
-      | None -> List.rev acc
-      | Some n ->
+      match tg with
+      | Tagged.Null _ -> List.rev acc
+      | Tagged.Ptr (n, _) ->
           let acc =
             if Atomic.get n.marked then acc else (n.key, n.value) :: acc
           in
@@ -216,9 +217,9 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let assert_reachable_not_freed t =
     let rec go tg =
-      match Tagged.ptr tg with
-      | None -> ()
-      | Some n ->
+      match tg with
+      | Tagged.Null _ -> ()
+      | Tagged.Ptr (n, _) ->
           assert (not (Mem.is_freed n.hdr));
           go (Link.get_quiescent n.next)
     in

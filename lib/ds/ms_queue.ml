@@ -19,7 +19,7 @@ module Make (S : Smr.Smr_intf.S) = struct
   let create scheme =
     let stats = S.stats scheme in
     let dummy = { hdr = Mem.make stats; value = None; next = Link.null () } in
-    let d = Tagged.make (Some dummy) in
+    let d = Tagged.make dummy in
     { scheme; head = Link.make d; tail = Link.make d }
 
   let scheme t = t.scheme
@@ -40,23 +40,23 @@ module Make (S : Smr.Smr_intf.S) = struct
         let tl = Tagged.get_exn tail_t in
         if
           not
-            (C.protect_pessimistic ~node_header l.hp_head l.handle
-               ~src_link:t.tail tail_t)
+            (C.protect_pessimistic ~src:Mem.phantom ~node_header l.hp_head
+               l.handle ~src_link:t.tail tail_t)
         then `Prot
         else begin
           Mem.check_access tl.hdr;
           let next_t = Link.get tl.next in
-          match Tagged.ptr next_t with
-          | None ->
-              if Link.cas_clean tl.next next_t (Tagged.make (Some node))
+          match next_t with
+          | Tagged.Null _ ->
+              if Link.cas_clean tl.next next_t (Tagged.make node)
               then begin
                 (* Swing the tail; losing this CAS is fine (someone helped). *)
                 ignore
-                  (Link.cas_clean t.tail tail_t (Tagged.make (Some node)));
+                  (Link.cas_clean t.tail tail_t (Tagged.make node));
                 `Done ()
               end
               else `Retry
-          | Some _ ->
+          | Tagged.Ptr _ ->
               (* Tail lags behind: help advance it. *)
               ignore
                 (Link.cas_clean t.tail tail_t (Tagged.untagged next_t));
@@ -69,16 +69,16 @@ module Make (S : Smr.Smr_intf.S) = struct
         let h = Tagged.get_exn head_t in
         if
           not
-            (C.protect_pessimistic ~node_header l.hp_head l.handle
-               ~src_link:t.head head_t)
+            (C.protect_pessimistic ~src:Mem.phantom ~node_header l.hp_head
+               l.handle ~src_link:t.head head_t)
         then `Prot
         else begin
           Mem.check_access h.hdr;
           let tail_t = Link.get t.tail in
           let next_t = Link.get h.next in
-          match Tagged.ptr next_t with
-          | None -> `Done None
-          | Some n ->
+          match next_t with
+          | Tagged.Null _ -> `Done None
+          | Tagged.Ptr (n, _) ->
               if Tagged.same_ptr head_t tail_t then begin
                 (* Help the lagging tail past the dummy. *)
                 ignore (Link.cas_clean t.tail tail_t (Tagged.untagged next_t));
@@ -114,15 +114,15 @@ module Make (S : Smr.Smr_intf.S) = struct
      test/check_corpus/msqueue-to-list-model.case). *)
   let to_list t =
     let rec walk acc tg =
-      match Tagged.ptr tg with
-      | None -> List.rev acc
-      | Some n ->
+      match tg with
+      | Tagged.Null _ -> List.rev acc
+      | Tagged.Ptr (n, _) ->
           let acc = match n.value with Some v -> v :: acc | None -> acc in
           walk acc (Link.get_quiescent n.next)
     in
-    match Tagged.ptr (Link.get_quiescent t.head) with
-    | None -> []
-    | Some dummy -> walk [] (Link.get_quiescent dummy.next)
+    match Link.get_quiescent t.head with
+    | Tagged.Null _ -> []
+    | Tagged.Ptr (dummy, _) -> walk [] (Link.get_quiescent dummy.next)
 
   let length t = List.length (to_list t)
 end

@@ -88,13 +88,13 @@ module Make (S : Smr.Smr_intf.S) = struct
     in
     let s =
       mk_node stats ~key:inf1 ~value:None ~kind:Internal
-        ~left:(Tagged.make (Some (leaf inf1)))
-        ~right:(Tagged.make (Some (leaf inf2)))
+        ~left:(Tagged.make (leaf inf1))
+        ~right:(Tagged.make (leaf inf2))
     in
     let r =
       mk_node stats ~key:inf2 ~value:None ~kind:Internal
-        ~left:(Tagged.make (Some s))
-        ~right:(Tagged.make (Some (leaf inf2)))
+        ~left:(Tagged.make s)
+        ~right:(Tagged.make (leaf inf2))
     in
     { scheme; root = r }
 
@@ -124,29 +124,29 @@ module Make (S : Smr.Smr_intf.S) = struct
      its source is the ancestor where a splice for [key]'s leaf must happen. *)
   let seek t l key =
     let protect_step src_link expected =
-      match
-        C.try_protect ~node_header l.hp_cur l.handle ~src_link expected
-      with
-      | C.Invalid -> None
-      | C.Ok r -> Some r
+      let r =
+        C.try_protect ~src:Mem.phantom ~node_header l.hp_cur l.handle
+          ~src_link expected
+      in
+      if Tagged.is_invalid r then None else Some r
     in
     let r = t.root in
     let r_rec = Link.get r.left in
     match protect_step r.left r_rec with
     | None -> `Prot
     | Some r_rec -> (
-        match Tagged.ptr r_rec with
-        | None -> `Retry
-        | Some s ->
+        match r_rec with
+        | Tagged.Null _ -> `Retry
+        | Tagged.Ptr (s, _) ->
             (* [s] protected by hp_cur; pin it under the successor role. *)
             S.protect l.hp_successor s.hdr;
             let s_rec = Link.get s.left in
             (match protect_step s.left s_rec with
             | None -> `Prot
             | Some s_rec -> (
-                match Tagged.ptr s_rec with
-                | None -> `Retry
-                | Some first_leaf ->
+                match s_rec with
+                | Tagged.Null _ -> `Retry
+                | Tagged.Ptr (first_leaf, _) ->
                     let rec walk ancestor ancestor_link ancestor_rec successor
                         parent parent_link parent_rec leaf =
                       if leaf.kind = Leaf then
@@ -166,9 +166,9 @@ module Make (S : Smr.Smr_intf.S) = struct
                         match protect_step link (Link.get link) with
                         | None -> `Prot
                         | Some next_rec -> (
-                            match Tagged.ptr next_rec with
-                            | None -> `Retry
-                            | Some next ->
+                            match next_rec with
+                            | Tagged.Null _ -> `Retry
+                            | Tagged.Ptr (next, _) ->
                                 Mem.check_access next.hdr;
                                 let anc, anc_link, anc_rec, succ =
                                   if not (is_tagged parent_rec) then
@@ -211,9 +211,9 @@ module Make (S : Smr.Smr_intf.S) = struct
       let acc = n :: acc in
       if n.kind = Leaf then List.rev acc
       else
-        match Tagged.ptr (Link.get (child_link n key)) with
-        | Some m -> walk m acc
-        | None -> List.rev acc
+        match Link.get (child_link n key) with
+        | Tagged.Ptr (m, _) -> walk m acc
+        | Tagged.Null _ -> List.rev acc
     in
     walk successor []
 
@@ -224,9 +224,9 @@ module Make (S : Smr.Smr_intf.S) = struct
     let parent = sr.sr_parent in
     Mem.check_access parent.hdr;
     let leaf_on_left =
-      match Tagged.ptr (Link.get parent.left) with
-      | Some n -> n == sr.sr_leaf
-      | None -> false
+      match Link.get parent.left with
+      | Tagged.Ptr (n, _) -> n == sr.sr_leaf
+      | Tagged.Null _ -> false
     in
     let sibling_link = if leaf_on_left then parent.right else parent.left in
     let rec tag_sibling () =
@@ -237,15 +237,15 @@ module Make (S : Smr.Smr_intf.S) = struct
       else tag_sibling ()
     in
     let sib_rec = tag_sibling () in
-    match Tagged.ptr sib_rec with
-    | None -> false
-    | Some sibling ->
+    match sib_rec with
+    | Tagged.Null _ -> false
+    | Tagged.Ptr (sibling, _) ->
         (* The sibling moves up with its tag cleared but its flag kept: a
            flagged sibling is a leaf whose own delete is pending, and
            dropping the flag would resurrect it unfrozen, letting an insert
            hang a live leaf under an edge that a later splice removes. *)
         let moved =
-          Tagged.make ~tag:(Tagged.tag sib_rec land flag_bit) (Some sibling)
+          Tagged.make ~tag:(Tagged.tag sib_rec land flag_bit) sibling
         in
         S.try_unlink l.handle
           ~frontier:[ sibling.hdr ]
@@ -295,12 +295,12 @@ module Make (S : Smr.Smr_intf.S) = struct
               in
               let internal =
                 mk_node st ~key:(max key leaf.key) ~value:None ~kind:Internal
-                  ~left:(Tagged.make (Some lo_leaf))
-                  ~right:(Tagged.make (Some hi_leaf))
+                  ~left:(Tagged.make lo_leaf)
+                  ~right:(Tagged.make hi_leaf)
               in
               if
                 Link.cas_clean sr.sr_parent_link sr.sr_parent_rec
-                  (Tagged.make (Some internal))
+                  (Tagged.make internal)
               then `Done true
               else begin
                 (* Undo the accounting for the two discarded nodes and help
@@ -308,8 +308,8 @@ module Make (S : Smr.Smr_intf.S) = struct
                 Stats.on_discard st;
                 Stats.on_discard st;
                 let r = Link.get sr.sr_parent_link in
-                (match Tagged.ptr r with
-                | Some n when n == leaf && is_flagged r ->
+                (match r with
+                | Tagged.Ptr (n, _) when n == leaf && is_flagged r ->
                     ignore (cleanup l key sr)
                 | _ -> ());
                 `Retry
@@ -327,7 +327,7 @@ module Make (S : Smr.Smr_intf.S) = struct
               if leaf.key <> key then `Done false
               else if
                 Link.cas_clean sr.sr_parent_link sr.sr_parent_rec
-                  (Tagged.make ~tag:flag_bit (Some leaf))
+                  (Tagged.make ~tag:flag_bit leaf)
               then begin
                 (* We own the deletion; splice until done or helped. *)
                 if cleanup l key sr then `Done true
@@ -336,8 +336,8 @@ module Make (S : Smr.Smr_intf.S) = struct
               else begin
                 (* Someone else flagged this leaf: help, then retry. *)
                 let r = Link.get sr.sr_parent_link in
-                (match Tagged.ptr r with
-                | Some n when n == leaf && is_flagged r ->
+                (match r with
+                | Tagged.Ptr (n, _) when n == leaf && is_flagged r ->
                     ignore (cleanup l key sr)
                 | _ -> ());
                 injection ()
@@ -371,9 +371,9 @@ module Make (S : Smr.Smr_intf.S) = struct
           else (n.key, Option.get n.value) :: acc
       | Internal ->
           let go link acc =
-            match Tagged.ptr (Link.get_quiescent link) with
-            | Some m -> walk m acc
-            | None -> acc
+            match Link.get_quiescent link with
+            | Tagged.Ptr (m, _) -> walk m acc
+            | Tagged.Null _ -> acc
           in
           go n.left (go n.right acc)
     in
@@ -385,9 +385,9 @@ module Make (S : Smr.Smr_intf.S) = struct
     let rec walk n =
       assert (not (Mem.is_freed n.hdr));
       let go link =
-        match Tagged.ptr (Link.get_quiescent link) with
-        | Some m -> walk m
-        | None -> ()
+        match Link.get_quiescent link with
+        | Tagged.Ptr (m, _) -> walk m
+        | Tagged.Null _ -> ()
       in
       go n.left;
       go n.right

@@ -84,9 +84,9 @@ module Make (S : Smr.Smr_intf.S) = struct
      level's successor; the severed link is invalidated in the deferred
      batch; the tower is retired iff this was its last accounted level. *)
   let snip l ~pred_links ~lvl ~cur ~cur_t ~next_t =
-    let desired = Tagged.make (Tagged.ptr next_t) in
+    let desired = Tagged.with_tag next_t 0 in
     let frontier =
-      match Tagged.ptr next_t with Some f -> [ f.hdr ] | None -> []
+      match next_t with Tagged.Ptr (f, _) -> [ f.hdr ] | Tagged.Null _ -> []
     in
     let ok =
       S.try_unlink l.handle ~frontier
@@ -126,14 +126,13 @@ module Make (S : Smr.Smr_intf.S) = struct
     let succs = Array.make max_height None in
     let protect_cur gcur pred_links lvl cur_t =
       if S.supports_optimistic then
-        match
-          C.try_protect ~node_header gcur l.handle
+        let cur_t =
+          C.try_protect ~src:Mem.phantom ~node_header gcur l.handle
             ~src_link:pred_links.(lvl) cur_t
-        with
-        | C.Invalid -> None
-        | C.Ok cur_t -> Some cur_t
+        in
+        if Tagged.is_invalid cur_t then None else Some cur_t
       else if
-        C.protect_pessimistic ~node_header gcur l.handle
+        C.protect_pessimistic ~src:Mem.phantom ~node_header gcur l.handle
           ~src_link:pred_links.(lvl) cur_t
       then Some cur_t
       else None
@@ -153,9 +152,9 @@ module Make (S : Smr.Smr_intf.S) = struct
           match protect_cur gcur pred.links lvl cur_t with
           | None -> `Prot
           | Some cur_t -> (
-              match Tagged.ptr cur_t with
-              | None -> descend gpred gcur pred cur_t None
-              | Some cur ->
+              match cur_t with
+              | Tagged.Null _ -> descend gpred gcur pred cur_t None
+              | Tagged.Ptr (cur, _) ->
                   Mem.check_access cur.hdr;
                   let next_t = Link.get cur.next.(lvl) in
                   if Tagged.is_deleted next_t then
@@ -204,47 +203,44 @@ module Make (S : Smr.Smr_intf.S) = struct
               if Tagged.is_deleted mine then
                 give_up_levels l node ~from_level:lvl
               else if
-                not (Link.cas_clean node.next.(lvl) mine (Tagged.make succs.(lvl)))
+                not
+                  (Link.cas_clean node.next.(lvl) mine
+                     (Tagged.of_option succs.(lvl)))
               then level lvl (* lost to a concurrent marker: re-check *)
               else if
                 Link.cas_clean preds.(lvl).links.(lvl) pred_ts.(lvl)
-                  (Tagged.make (Some node))
+                  (Tagged.make node)
               then level (lvl + 1)
               else level lvl
     in
     level 1
 
+  (* [links] is the link array of the tower the walk stands on (the head's
+     at the start); a step right or down allocates nothing. *)
   let get_optimistic t l key =
-    let rec level gpred gcur lvl pred cur_t =
-      match
-        C.try_protect ~node_header gcur l.handle ~src_link:pred.links.(lvl)
-          cur_t
-      with
-      | C.Invalid -> `Prot
-      | C.Ok cur_t -> (
-          let descend pred =
-            if lvl = 0 then `Done None
-            else
-              level gpred gcur (lvl - 1) pred (Link.get pred.links.(lvl - 1))
-          in
-          match Tagged.ptr cur_t with
-          | None -> descend pred
-          | Some cur ->
-              Mem.check_access cur.hdr;
-              let next_t = Link.get cur.next.(lvl) in
-              if cur.key < key then
-                level gcur gpred lvl
-                  { links = cur.next; node = Some cur }
-                  next_t
-              else if cur.key = key && lvl = 0 then
-                `Done
-                  (if Tagged.is_deleted next_t then None else Some cur.value)
-              else if cur.key = key && not (Tagged.is_deleted next_t) then
-                `Done (Some cur.value)
-              else descend pred)
+    let rec level gpred gcur lvl links cur_t =
+      let cur_t =
+        C.try_protect ~src:Mem.phantom ~node_header gcur l.handle
+          ~src_link:links.(lvl) cur_t
+      in
+      if Tagged.is_invalid cur_t then `Prot
+      else
+        match cur_t with
+        | Tagged.Null _ -> descend gpred gcur lvl links
+        | Tagged.Ptr (cur, _) ->
+            Mem.check_access cur.hdr;
+            let next_t = Link.get cur.next.(lvl) in
+            if cur.key < key then level gcur gpred lvl cur.next next_t
+            else if cur.key = key && lvl = 0 then
+              `Done (if Tagged.is_deleted next_t then None else Some cur.value)
+            else if cur.key = key && not (Tagged.is_deleted next_t) then
+              `Done (Some cur.value)
+            else descend gpred gcur lvl links
+    and descend gpred gcur lvl links =
+      if lvl = 0 then `Done None
+      else level gpred gcur (lvl - 1) links (Link.get links.(lvl - 1))
     in
-    let start = { links = t.head; node = None } in
-    level l.hp_pred l.hp_cur (max_height - 1) start
+    level l.hp_pred l.hp_cur (max_height - 1) t.head
       (Link.get t.head.(max_height - 1))
 
   let get t l key =
@@ -291,10 +287,10 @@ module Make (S : Smr.Smr_intf.S) = struct
                     fresh := Some n;
                     n
               in
-              Link.set node.next.(0) (Tagged.make succs.(0));
+              Link.set node.next.(0) (Tagged.of_option succs.(0));
               if
                 Link.cas_clean preds.(0).links.(0) pred_ts.(0)
-                  (Tagged.make (Some node))
+                  (Tagged.make node)
               then begin
                 link_upper t l node;
                 `Done true
@@ -355,9 +351,9 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let to_list t =
     let rec walk acc tg =
-      match Tagged.ptr tg with
-      | None -> List.rev acc
-      | Some n ->
+      match tg with
+      | Tagged.Null _ -> List.rev acc
+      | Tagged.Ptr (n, _) ->
           let next_t = Link.get_quiescent n.next.(0) in
           let acc =
             if Tagged.is_deleted next_t then acc else (n.key, n.value) :: acc
@@ -372,9 +368,9 @@ module Make (S : Smr.Smr_intf.S) = struct
     Array.iter
       (fun link ->
         let rec walk tg =
-          match Tagged.ptr tg with
-          | None -> ()
-          | Some n ->
+          match tg with
+          | Tagged.Null _ -> ()
+          | Tagged.Ptr (n, _) ->
               assert (not (Mem.is_freed n.hdr));
               walk (Link.get_quiescent n.next.(0))
         in

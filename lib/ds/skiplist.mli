@@ -14,24 +14,20 @@ module Make :
     sig
       module C :
         sig
-          type 'n protect_outcome =
-            'n Ds_common.Make(S).protect_outcome =
-              Ok of 'n Ds_common.Tagged.t
-            | Invalid
-          val uid_of_hdr : Ds_common.Mem.header option -> int
+          val uid_of_hdr : Ds_common.Mem.header -> int
           val trace_step :
             node_header:('a -> Ds_common.Mem.header) ->
-            src:Ds_common.Mem.header option ->
+            src:Ds_common.Mem.header ->
             validated:bool -> 'a Ds_common.Tagged.t -> unit
           val try_protect :
-            ?src:Ds_common.Mem.header ->
+            src:Ds_common.Mem.header ->
             node_header:('a -> Ds_common.Mem.header) ->
             S.guard ->
             S.handle ->
             src_link:'a Ds_common.Link.t ->
-            'a Ds_common.Tagged.t -> 'a protect_outcome
+            'a Ds_common.Tagged.t -> 'a Ds_common.Tagged.t
           val protect_pessimistic :
-            ?src:Ds_common.Mem.header ->
+            src:Ds_common.Mem.header ->
             node_header:('a -> Ds_common.Mem.header) ->
             S.guard ->
             S.handle ->

@@ -30,24 +30,25 @@ module Make (S : Smr.Smr_intf.S) = struct
     let hdr = Mem.make (stats t) in
     C.with_crit l.handle (stats t) (fun () ->
         let top_t = Link.get t.top in
-        let node = { hdr; value; next = Tagged.ptr top_t } in
-        if Link.cas_clean t.top top_t (Tagged.make (Some node)) then `Done ()
+        let next = match top_t with Tagged.Ptr (n, _) -> Some n | Tagged.Null _ -> None in
+        let node = { hdr; value; next } in
+        if Link.cas_clean t.top top_t (Tagged.make node) then `Done ()
         else `Retry)
 
   let pop t l =
     C.with_crit l.handle (stats t) (fun () ->
         let top_t = Link.get t.top in
-        match Tagged.ptr top_t with
-        | None -> `Done None
-        | Some n ->
+        match top_t with
+        | Tagged.Null _ -> `Done None
+        | Tagged.Ptr (n, _) ->
             if
               not
-                (C.protect_pessimistic ~node_header l.hp l.handle
-                   ~src_link:t.top top_t)
+                (C.protect_pessimistic ~src:Mem.phantom ~node_header l.hp
+                   l.handle ~src_link:t.top top_t)
             then `Prot
             else begin
               Mem.check_access n.hdr;
-              if Link.cas_clean t.top top_t (Tagged.make n.next) then begin
+              if Link.cas_clean t.top top_t (Tagged.of_option n.next) then begin
                 S.retire l.handle n.hdr;
                 `Done (Some n.value)
               end
@@ -57,13 +58,13 @@ module Make (S : Smr.Smr_intf.S) = struct
   let peek t l =
     C.with_crit l.handle (stats t) (fun () ->
         let top_t = Link.get t.top in
-        match Tagged.ptr top_t with
-        | None -> `Done None
-        | Some n ->
+        match top_t with
+        | Tagged.Null _ -> `Done None
+        | Tagged.Ptr (n, _) ->
             if
               not
-                (C.protect_pessimistic ~node_header l.hp l.handle
-                   ~src_link:t.top top_t)
+                (C.protect_pessimistic ~src:Mem.phantom ~node_header l.hp
+                   l.handle ~src_link:t.top top_t)
             then `Prot
             else begin
               Mem.check_access n.hdr;
@@ -77,7 +78,9 @@ module Make (S : Smr.Smr_intf.S) = struct
       | None -> List.rev acc
       | Some n -> walk (n.value :: acc) n.next
     in
-    walk [] (Tagged.ptr (Link.get_quiescent t.top))
+    match Link.get_quiescent t.top with
+    | Tagged.Null _ -> []
+    | Tagged.Ptr (n, _) -> walk [] (Some n)
 
   let length t = List.length (to_list t)
 end

@@ -298,7 +298,12 @@ let collect_or_handoff h =
          is exactly an inline peak's worth on top of the steady state).
          Oversized stragglers finish the inline path instead, which
          absorbs the queue anyway. *)
-      if len <= 2 * Atomic.get t.adaptive && Collector.offer c full then begin
+      if Collector.late c then begin
+        Collector.note_fallback c;
+        absorb_queued c ~dst:h.bag;
+        collect h
+      end
+      else if len <= 2 * Atomic.get t.adaptive && Collector.offer c full then begin
         (* the ring owns [full] now; replace it before the next push *)
         h.bag <-
           (match Collector.take_bag c with

@@ -39,7 +39,7 @@ let guard _ = ()
 let protect () _ = ()
 let release () = ()
 let protection_valid _ = true
-let incr_ref hdr = Atomic.incr (Mem.refcount hdr)
+let incr_ref = Mem.incr_ref
 
 let take_children t hdr =
   Mutex.lock t.reg_lock;
@@ -68,7 +68,7 @@ let rec destroy t hdr =
   Stats.on_free t.stats;
   List.iter
     (fun child ->
-      if Atomic.fetch_and_add (Mem.refcount child) (-1) = 1 then begin
+      if Mem.decr_ref child then begin
         if Mem.is_live child then Stats.on_retire t.stats;
         destroy t child
       end)
@@ -82,7 +82,7 @@ let retire_with_children h hdr ~children =
   register_children h.shared hdr children;
   let t = h.shared in
   Ebr.defer h.ebr_h (fun () ->
-      if Atomic.fetch_and_add (Mem.refcount hdr) (-1) = 1 then destroy t hdr)
+      if Mem.decr_ref hdr then destroy t hdr)
 
 let retire h hdr = retire_with_children h hdr ~children:(fun () -> [])
 

@@ -1,8 +1,8 @@
 (** RC — concurrent deferred reference counting, CDRC's EBR flavour
     (Anderson et al., PLDI 2022), simplified.
 
-    Each block carries an incoming-link counter ({!Smr_core.Mem.refcount},
-    born 1). Readers are protected by EBR critical sections (CDRC's deferred
+    Each block carries an incoming-link counter in its header word
+    ({!Smr_core.Mem.incr_ref}/{!Smr_core.Mem.decr_ref}, born 1). Readers are protected by EBR critical sections (CDRC's deferred
     snapshots); unlinking a block defers the decrement of its counter
     through EBR, and a block whose counter reaches zero is destroyed,
     cascading decrements to the children it still points to

@@ -89,6 +89,18 @@ type 'bag t = {
 let capacity t = Array.length t.slots
 let occupancy t = max 0 (Atomic.get t.tail - Atomic.get t.head)
 let running t = Atomic.get t.state = Running
+
+(* Mutator assist: a collector with [late_bags] bags already queued when a
+   mutator comes to hand off another is behind the retire rate. The
+   mutator then absorbs the queue and runs the pass itself instead of
+   queueing more, so a mutator faster than the collector cannot outrun it
+   and queued garbage stays within two bags of the inline envelope. A ring
+   of at most [late_bags] cells already has that bound: it is full at two
+   bags, [offer] fails, and the fallback absorbs the queue at the inline
+   baseline — there the assist would only turn every handoff into an
+   inline pass. *)
+let late_bags = 2
+let late t = capacity t > late_bags && occupancy t >= late_bags
 let dead t = Atomic.get t.state = Dead
 
 (* Producer side. Returns false — caller reclaims inline — when the queue

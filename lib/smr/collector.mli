@@ -65,6 +65,16 @@ val recycle : 'bag t -> 'bag -> unit
 (** Return a stolen-and-emptied bag to the pool {!take_bag} draws from. *)
 
 val running : 'bag t -> bool
+
+val late : 'bag t -> bool
+(** The collector is behind: at least two bags are already queued in a ring
+    that can hold more. A mutator about to hand off a bag to a late
+    collector absorbs the queue ({!steal}) and runs the pass inline
+    instead, counted as a fallback — the mutator-assist rule every scheme's
+    handoff path applies, so a mutator faster than the collector cannot
+    outrun it. A two-cell ring is never late: it is full at two bags, and
+    the full-ring fallback already bounds it the same way. *)
+
 val dead : 'bag t -> bool
 
 val occupancy : 'bag t -> int

@@ -1,6 +1,11 @@
 module Mem = Smr_core.Mem
 
-type slot = Mem.header option Atomic.t
+(* A slot holds the protected block's uid, an immediate, or [empty]. An
+   immediate store skips the write barrier that a header pointer would pay
+   (darkening the old major-heap block on every protect). *)
+type slot = int Atomic.t
+
+let empty = -1
 
 let chunk_size = 64
 
@@ -31,7 +36,7 @@ let rec push_chunk registry chunk =
 
 let new_chunk () =
   {
-    slots = Array.init chunk_size (fun _ -> Atomic.make None);
+    slots = Array.init chunk_size (fun _ -> Atomic.make empty);
     active = Atomic.make true;
   }
 
@@ -87,13 +92,12 @@ module Trace = Obs.Trace
    (see Obs.Trace on emission-order discipline). *)
 let trace_unprotect slot =
   if Trace.enabled () then
-    match Atomic.get slot with
-    | Some prev -> Trace.emit Trace.Unprotect (Mem.uid prev) 0 0
-    | None -> ()
+    let prev = Atomic.get slot in
+    if prev <> empty then Trace.emit Trace.Unprotect prev 0 0
 
 let set slot hdr =
   trace_unprotect slot;
-  Atomic.set slot (Some hdr);
+  Atomic.set slot (Mem.uid hdr);
   (* Crash window: the protection is published, nothing has been validated
      or released. A kill leaves the slot set until a reaper clears it; a
      stall parks the victim with the hazard held. *)
@@ -101,9 +105,7 @@ let set slot hdr =
 
 let clear slot =
   trace_unprotect slot;
-  Atomic.set slot None
-
-let get slot = Atomic.get slot
+  Atomic.set slot empty
 
 let release local slot =
   clear slot;
@@ -208,9 +210,8 @@ let scan_snapshot registry scan =
       if Atomic.get chunk.active then
         Array.iter
           (fun slot ->
-            match Atomic.get slot with
-            | Some hdr -> scan_push scan (Mem.uid hdr)
-            | None -> ())
+            let uid = Atomic.get slot in
+            if uid <> empty then scan_push scan uid)
           chunk.slots)
     (Atomic.get registry.chunks);
   sort_prefix scan.uids scan.len
@@ -229,21 +230,5 @@ let scan_mem scan uid =
   !found
 
 let scan_size scan = scan.len
-
-(* Legacy Hashtbl-based scan, retained only so bench/hotpath.ml can measure
-   the path this module replaced. Schemes no longer call it. *)
-let protected_set registry =
-  let table = Hashtbl.create 64 in
-  List.iter
-    (fun chunk ->
-      if Atomic.get chunk.active then
-        Array.iter
-          (fun slot ->
-            match Atomic.get slot with
-            | Some hdr -> Hashtbl.replace table (Mem.uid hdr) ()
-            | None -> ())
-          chunk.slots)
-    (Atomic.get registry.chunks);
-  table
 
 let total_slots registry = chunk_size * List.length (Atomic.get registry.chunks)

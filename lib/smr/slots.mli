@@ -1,8 +1,9 @@
 (** Hazard-pointer slot machinery shared by HP, HP++ and PEBR.
 
     A {e slot} is a single-writer multi-reader cell announcing protection of
-    one block. Slots live in per-handle chunks registered in a global chunk
-    list, so reclaimers can always scan every published slot (the paper's
+    one block by holding its uid (an immediate, [-1] when empty). Slots live
+    in per-handle chunks registered in a global chunk list, so reclaimers
+    can always scan every published slot (the paper's
     [hazards: ConcurrentList<HazptrRecord>]). A chunk whose handle
     unregisters is cleared, marked inactive (scans skip it) and parked for
     reuse by the next handle, so the registry stays bounded under handle
@@ -41,9 +42,9 @@ val acquire : local -> slot
 (** Get an empty slot (paper's MakeHazptr). *)
 
 val set : slot -> Smr_core.Mem.header -> unit
-val clear : slot -> unit
+(** Announce protection of a block: stores its uid, an immediate. *)
 
-val get : slot -> Smr_core.Mem.header option
+val clear : slot -> unit
 
 val release : local -> slot -> unit
 (** Clear the slot and return it to the owner's free list. *)
@@ -66,9 +67,5 @@ val scan_mem : scan -> int -> bool
 
 val scan_size : scan -> int
 (** Number of protected uids captured by the last snapshot. *)
-
-val protected_set : registry -> (int, unit) Hashtbl.t
-(** Legacy Hashtbl-based scan, kept only as the measured baseline for
-    [bench/main.exe exp hotpath]; reclamation schemes use {!scan_snapshot}. *)
 
 val total_slots : registry -> int

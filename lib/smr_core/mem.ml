@@ -2,18 +2,35 @@ exception Use_after_free of int
 exception Double_retire of int
 exception Invalid_free of int
 
+(* One word per header: [uid | incoming-link count | state], uid in the
+   high bits so an arithmetic shift recovers negative uids (the phantom's
+   -2). The count is RC's; every other scheme leaves it at 1. *)
+type header = int Atomic.t
+
 let state_live = 0
 let state_retired = 1
 let state_freed = 2
+let state_mask = 3
+let count_shift = 2
+let count_bits = 20
+let count_max = (1 lsl count_bits) - 1
+let count_one = 1 lsl count_shift
+let uid_shift = count_shift + count_bits
+let max_uid = max_int asr uid_shift
 
-type header = { uid : int; state : int Atomic.t; refcount : int Atomic.t }
+let pack ~uid ~count ~state =
+  (uid lsl uid_shift) lor (count lsl count_shift) lor state
+
+let uid_of_word w = w asr uid_shift
+let count_of_word w = (w lsr count_shift) land count_max
 
 let enabled = Atomic.make true
 
 (* Uids are drawn from per-domain blocks so header allocation does not
    contend on one global counter: a domain grabs [uid_block] ids at a time
    and hands them out locally. Uids stay globally unique (the only property
-   scans rely on) but are no longer globally ordered. *)
+   scans rely on) but are no longer globally ordered. The packed-range check
+   runs once per block, off the per-allocation path. *)
 let uid_block = 1024
 let uid_counter = Atomic.make 0
 
@@ -25,6 +42,11 @@ let fresh_uid () =
   let c = Domain.DLS.get uid_key in
   if c.next >= c.limit then begin
     let base = Atomic.fetch_and_add uid_counter uid_block in
+    if base > max_uid - uid_block + 1 then
+      failwith
+        (Printf.sprintf
+           "Mem.fresh_uid: uid block %d exceeds the packed range (max %d)" base
+           max_uid);
     c.next <- base;
     c.limit <- base + uid_block
   end;
@@ -32,19 +54,16 @@ let fresh_uid () =
   c.next <- uid + 1;
   uid
 
+let set_uid_counter n = Atomic.set uid_counter n
+let uid_counter_value () = Atomic.get uid_counter
+
 module Trace = Obs.Trace
 
 let make stats =
   Stats.on_alloc stats;
-  let h =
-    {
-      uid = fresh_uid ();
-      state = Atomic.make state_live;
-      refcount = Atomic.make 1;
-    }
-  in
-  if Trace.enabled () then Trace.emit Trace.Alloc h.uid 0 0;
-  h
+  let uid = fresh_uid () in
+  if Trace.enabled () then Trace.emit Trace.Alloc uid 0 0;
+  Atomic.make (pack ~uid ~count:1 ~state:state_live)
 
 (* A shared placeholder header: array filler for retire batches. Never
    retired, freed or dereferenced. Its uid is -2, NOT -1: -1 is the "no
@@ -52,26 +71,50 @@ let make stats =
    must stay distinguishable in traces — the replay checker rejects any
    event carrying the phantom uid. *)
 let phantom_uid = -2
+let phantom = Atomic.make (pack ~uid:phantom_uid ~count:1 ~state:state_live)
 
-let phantom =
-  { uid = phantom_uid; state = Atomic.make state_live; refcount = Atomic.make 1 }
+let uid h = uid_of_word (Atomic.get h)
 
 let reject_phantom op h =
-  if h.uid = phantom_uid then
+  if uid h = phantom_uid then
     invalid_arg ("Mem." ^ op ^ ": phantom header escaped into a retire/free path")
 
-let refcount h = h.refcount
+let ref_count h = count_of_word (Atomic.get h)
 
-let uid h = h.uid
-let is_live h = Atomic.get h.state = state_live
-let is_retired h = Atomic.get h.state = state_retired
-let is_freed h = Atomic.get h.state = state_freed
+let rec incr_ref h =
+  let w = Atomic.get h in
+  if count_of_word w = count_max then
+    failwith "Mem.incr_ref: incoming-link count overflows its field";
+  if not (Atomic.compare_and_set h w (w + count_one)) then incr_ref h
+
+let decr_ref h =
+  let w = Atomic.fetch_and_add h (-count_one) in
+  match count_of_word w with
+  | 0 ->
+      ignore (Atomic.fetch_and_add h count_one);
+      invalid_arg "Mem.decr_ref: incoming-link count already zero"
+  | c -> c = 1
+
+let state h = Atomic.get h land state_mask
+let is_live h = state h = state_live
+let is_retired h = state h = state_retired
+let is_freed h = state h = state_freed
+
+(* Move the state bits from one allowed state to [next]. A failed CAS means
+   the word moved under us — only the count bits can, unless a racing
+   transition won — so re-read and re-check. Returns false when the state
+   read was not allowed. *)
+let rec transition h ~allowed ~next =
+  let w = Atomic.get h in
+  if not (allowed (w land state_mask)) then false
+  else if Atomic.compare_and_set h w (w land lnot state_mask lor next) then true
+  else transition h ~allowed ~next
 
 let retire_mark h =
   reject_phantom "retire_mark" h;
-  if not (Atomic.compare_and_set h.state state_live state_retired) then
-    raise (Double_retire h.uid);
-  if Trace.enabled () then Trace.emit Trace.Retire h.uid 0 0;
+  if not (transition h ~allowed:(fun s -> s = state_live) ~next:state_retired)
+  then raise (Double_retire (uid h));
+  if Trace.enabled () then Trace.emit Trace.Retire (uid h) 0 0;
   (* Crash window: the block is marked retired but its header has not yet
      reached any retire bag. A kill here leaks the block (no survivor can
      find it) — which is exactly what dying between the mark and the push
@@ -80,20 +123,19 @@ let retire_mark h =
 
 let free_mark h =
   reject_phantom "free_mark" h;
-  if not (Atomic.compare_and_set h.state state_retired state_freed) then
-    raise (Invalid_free h.uid);
-  if Trace.enabled () then Trace.emit Trace.Free h.uid 0 0
+  if not (transition h ~allowed:(fun s -> s = state_retired) ~next:state_freed)
+  then raise (Invalid_free (uid h));
+  if Trace.enabled () then Trace.emit Trace.Free (uid h) 0 0
 
 let free_mark_cascade h =
   reject_phantom "free_mark_cascade" h;
-  let s = Atomic.get h.state in
-  if s = state_freed || not (Atomic.compare_and_set h.state s state_freed)
-  then raise (Invalid_free h.uid);
-  if Trace.enabled () then Trace.emit Trace.Free h.uid 1 0
+  if not (transition h ~allowed:(fun s -> s <> state_freed) ~next:state_freed)
+  then raise (Invalid_free (uid h));
+  if Trace.enabled () then Trace.emit Trace.Free (uid h) 1 0
 
 let check_access h =
-  if Atomic.get enabled && Atomic.get h.state = state_freed then
-    raise (Use_after_free h.uid)
+  if Atomic.get enabled && Atomic.get h land state_mask = state_freed then
+    raise (Use_after_free (uid h))
 
 let set_checking b = Atomic.set enabled b
 let checking () = Atomic.get enabled

@@ -18,11 +18,26 @@ exception Double_retire of int
 exception Invalid_free of int
 
 type header
+(** One [int Atomic.t] word: the uid in the high bits (arithmetic shift, so
+    negative uids survive), RC's incoming-link count in the next 20 bits and
+    the 2-bit lifecycle state in the low bits. A dereference check reads
+    node → header word, one hop. *)
 
 val make : Stats.t -> header
 (** Allocate a fresh block header, counted in [stats]. Uids are drawn from
     per-domain blocks of 1024 off one global counter, so allocation does
-    not contend; uids are unique but not globally ordered. *)
+    not contend; uids are unique but not globally ordered.
+    @raise Failure when the next block would leave the packed uid range
+    (checked once per block). *)
+
+val max_uid : int
+(** Largest uid the header word can hold. *)
+
+val set_uid_counter : int -> unit
+(** Move the global uid counter (tests of the packed-range limit only; run
+    them on a fresh domain so no other domain's cached block is affected). *)
+
+val uid_counter_value : unit -> int
 
 val phantom_uid : int
 (** The phantom's uid, [-2]. Distinct from [-1], the "no node" sentinel of
@@ -38,16 +53,24 @@ val phantom : header
 val uid : header -> int
 (** Unique id, for hash-set membership during hazard scans. *)
 
-val refcount : header -> int Atomic.t
-(** Incoming-link counter, initialized to 1 (the link about to be created).
-    Only the reference-counting scheme reads or writes it. *)
+val incr_ref : header -> unit
+(** Count one more incoming link. The count starts at 1 (the link about to
+    be created); only the reference-counting scheme moves it.
+    @raise Failure if the count field would overflow. *)
+
+val decr_ref : header -> bool
+(** Drop one incoming link; [true] when that was the last one.
+    @raise Invalid_argument if the count is already zero. *)
+
+val ref_count : header -> int
 
 val is_live : header -> bool
 val is_retired : header -> bool
 val is_freed : header -> bool
 
 val retire_mark : header -> unit
-(** Transition [Live -> Retired]. @raise Double_retire otherwise. *)
+(** Transition [Live -> Retired]. @raise Double_retire otherwise. State
+    changes are CAS loops that retry when only the count bits moved. *)
 
 val free_mark : header -> unit
 (** Transition [Retired -> Freed]. @raise Invalid_free otherwise. *)

@@ -1,27 +1,34 @@
-type 'a t = { ptr : 'a option; tag : int }
+type 'a t = Null of int | Ptr of 'a * int
 
 let deleted_bit = 1
 let invalid_bit = 2
 
-let make ?(tag = 0) ptr = { ptr; tag }
-let null = { ptr = None; tag = 0 }
-let ptr t = t.ptr
-let tag t = t.tag
+let null = Null 0
+let invalid = Null invalid_bit
+let make ?(tag = 0) n = Ptr (n, tag)
 
-let get_exn t =
-  match t.ptr with
-  | Some v -> v
-  | None -> invalid_arg "Tagged.get_exn: null pointer"
+let of_option ?(tag = 0) = function
+  | Some n -> Ptr (n, tag)
+  | None -> Null tag
 
-let is_null t = t.ptr = None
-let is_deleted t = t.tag land deleted_bit <> 0
-let is_invalid t = t.tag land invalid_bit <> 0
-let with_tag t tag = { t with tag }
-let set_bits t bits = { t with tag = t.tag lor bits }
-let untagged t = if t.tag = 0 then t else { t with tag = 0 }
+let tag = function Null tag | Ptr (_, tag) -> tag
+
+let get_exn = function
+  | Ptr (n, _) -> n
+  | Null _ -> invalid_arg "Tagged.get_exn: null pointer"
+
+let is_null = function Null _ -> true | Ptr _ -> false
+let is_deleted t = tag t land deleted_bit <> 0
+let is_invalid t = tag t land invalid_bit <> 0
+
+let with_tag t tag =
+  match t with Null _ -> Null tag | Ptr (n, _) -> Ptr (n, tag)
+
+let set_bits t bits = with_tag t (tag t lor bits)
+let untagged t = if tag t = 0 then t else with_tag t 0
 
 let same_ptr a b =
-  match (a.ptr, b.ptr) with
-  | None, None -> true
-  | Some x, Some y -> x == y
+  match (a, b) with
+  | Null _, Null _ -> true
+  | Ptr (x, _), Ptr (y, _) -> x == y
   | _ -> false

@@ -1,21 +1,32 @@
-(** Tagged pointers, the paper's low-bit encoding lifted to records.
+(** Tagged pointers, the paper's low-bit encoding lifted to a variant.
 
     The C/Rust implementations pack mark bits into pointer low bits. Here a
-    tagged pointer is an immutable record [{ptr; tag}] stored in an
-    [Atomic.t]; CAS compares the record physically, which gives the same
-    single-word CAS semantics. Bit 0 ([deleted]) is logical deletion
-    (Harris); bit 1 ([invalid]) is HP++ invalidation (§3.2). *)
+    tagged pointer is an immutable block — [Null tag] or [Ptr (node, tag)] —
+    stored in an [Atomic.t]; a traversal step matches on the constructor, so
+    reading the target allocates nothing and chases no [option] box. Every
+    write stores a freshly allocated block and CAS compares blocks
+    physically, which gives the same single-word CAS semantics. Bit 0
+    ([deleted]) is logical deletion (Harris); bit 1 ([invalid]) is HP++
+    invalidation (§3.2). *)
 
-type 'a t = private { ptr : 'a option; tag : int }
+type 'a t = private Null of int | Ptr of 'a * int
 
 val deleted_bit : int
 val invalid_bit : int
 
-val make : ?tag:int -> 'a option -> 'a t
 val null : 'a t
-(** [{ptr = None; tag = 0}]. *)
+(** [Null 0], shared. *)
 
-val ptr : 'a t -> 'a option
+val invalid : 'a t
+(** [Null invalid_bit], shared: what [Ds_common.try_protect] returns on
+    every failure, so a failed protection never hands out a node. *)
+
+val make : ?tag:int -> 'a -> 'a t
+(** A fresh [Ptr]. *)
+
+val of_option : ?tag:int -> 'a option -> 'a t
+(** A fresh [Ptr] or [Null]. *)
+
 val tag : 'a t -> int
 
 val get_exn : 'a t -> 'a
@@ -26,7 +37,7 @@ val is_deleted : 'a t -> bool
 val is_invalid : 'a t -> bool
 
 val with_tag : 'a t -> int -> 'a t
-(** Same pointer, new tag (fresh record: safe wrt physical-equality CAS). *)
+(** Same pointer, new tag (a fresh block: safe wrt physical-equality CAS). *)
 
 val set_bits : 'a t -> int -> 'a t
 (** OR extra bits into the tag. *)

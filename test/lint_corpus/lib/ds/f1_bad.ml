@@ -1,13 +1,24 @@
 (* smr-lint: allow missing-mli — corpus fixture: parsed, never compiled *)
 
-(* F1 seed: the classic raw traversal. Every node is fetched with a plain
-   Link.get and dereferenced with no protection, so Validated never
-   dominates the field accesses. *)
+(* F1 seed: a failed protection falls back to the expected node. The
+   traversal calls try_protect, but on the invalid branch it still reads
+   [expected] — announced in the hazard slot, never validated — so
+   Validated does not dominate that field access. *)
 
-let lookup t key =
-  let rec go l =
-    match Tagged.ptr (Link.get l) with
-    | None -> None
-    | Some n -> if n.key = key then Some n.value else go n.next
+let lookup t l key =
+  let rec go src link =
+    let expected = Link.get link in
+    let cur =
+      C.try_protect ~src ~node_header l.hp l.handle ~src_link:link expected
+    in
+    if Tagged.is_invalid cur then
+      match expected with
+      | Tagged.Ptr (n, _) when n.key = key -> Some n.value
+      | _ -> None
+    else
+      match cur with
+      | Tagged.Null _ -> None
+      | Tagged.Ptr (n, _) ->
+          if n.key = key then Some n.value else go n.hdr n.next
   in
-  go t.head
+  go Mem.phantom t.head

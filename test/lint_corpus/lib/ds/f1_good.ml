@@ -1,15 +1,20 @@
 (* smr-lint: allow missing-mli — corpus fixture: parsed, never compiled *)
 
 (* F1 good twin: the same traversal validated step by step through
-   try_protect, so every dereference happens under a Validated pointer. *)
+   try_protect; every dereference sits on the [not (Tagged.is_invalid cur)]
+   branch, under a Validated pointer. *)
 
 let lookup t l key =
   let rec go src link expected =
-    match C.try_protect ~src ~node_header l.hp link expected with
-    | C.Invalid -> None
-    | C.Ok cur -> (
-        match Tagged.ptr cur with
-        | None -> None
-        | Some n -> if n.key = key then Some n.value else go None n.next cur)
+    let cur =
+      C.try_protect ~src ~node_header l.hp l.handle ~src_link:link expected
+    in
+    if Tagged.is_invalid cur then None
+    else
+      match cur with
+      | Tagged.Null _ -> None
+      | Tagged.Ptr (n, _) ->
+          if n.key = key then Some n.value
+          else go n.hdr n.next (Link.get n.next)
   in
-  go None t.head (Link.get t.head)
+  go Mem.phantom t.head (Link.get t.head)

@@ -8,4 +8,4 @@
 let peek t l =
   let cur = Link.get t.head in
   S.protect l.hp cur;
-  Tagged.ptr cur
+  cur

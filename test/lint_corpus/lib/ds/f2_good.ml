@@ -5,4 +5,4 @@
 let peek t l =
   let cur = Link.get t.head in
   S.protect l.hp cur;
-  if S.protection_valid l.handle then Tagged.ptr cur else None
+  if S.protection_valid l.handle then cur else Tagged.null

@@ -8,4 +8,4 @@ let push t l v =
   let n = { value = v; next = Link.make Tagged.null } in
   let h = Link.get t.head in
   Link.set n.next h;
-  if Link.cas t.head h (Tagged.make (Some n)) then S.retire l.handle n
+  if Link.cas t.head h (Tagged.make n) then S.retire l.handle n

@@ -5,14 +5,17 @@
    this domain still holds the validated protection. *)
 
 let pop t l =
-  match C.try_protect ~src:None ~node_header l.hp t.head (Link.get t.head) with
-  | C.Invalid -> None
-  | C.Ok cur -> (
-      match Tagged.ptr cur with
-      | None -> None
-      | Some n ->
-          if Link.cas t.head cur (Link.get n.next) then begin
-            S.retire l.handle cur;
-            Some n.value
-          end
-          else None)
+  let cur =
+    C.try_protect ~src:Mem.phantom ~node_header l.hp l.handle ~src_link:t.head
+      (Link.get t.head)
+  in
+  if Tagged.is_invalid cur then None
+  else
+    match cur with
+    | Tagged.Null _ -> None
+    | Tagged.Ptr (n, _) ->
+        if Link.cas t.head cur (Link.get n.next) then begin
+          S.retire l.handle cur;
+          Some n.value
+        end
+        else None

@@ -5,8 +5,8 @@
 
 let length t =
   let rec go acc l =
-    match Tagged.ptr (Link.get_quiescent l) with
-    | None -> acc
-    | Some n -> go (acc + 1) n.next
+    match Link.get_quiescent l with
+    | Tagged.Null _ -> acc
+    | Tagged.Ptr (n, _) -> go (acc + 1) n.next
   in
   go 0 t.head

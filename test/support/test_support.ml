@@ -38,6 +38,35 @@ struct
     in
     Fun.protect ~finally (fun () -> f scheme t h lo)
 
+  (* Minor-heap words allocated per [get] on one domain, after inserting
+     keys [1 .. size]; lookups cycle through every key. Single-domain only:
+     [Gc.minor_words] would count other domains' allocation too. *)
+  let minor_words_per_get ~size =
+    with_list (fun _ t _ lo ->
+        for k = 1 to size do
+          assert (L.insert t lo k k)
+        done;
+        let ops = 4 * size in
+        ignore (L.get t lo 1);
+        let before = Gc.minor_words () in
+        for i = 1 to ops do
+          ignore (Sys.opaque_identity (L.get t lo (1 + (i mod size))))
+        done;
+        (Gc.minor_words () -. before) /. float_of_int ops)
+
+  (* A traversal step (protect, validate, step) allocates nothing, so a get
+     costs a fixed handful of words per operation — the crit-section
+     closure, its backoff and the result — however many nodes it walks. *)
+  let test_alloc_per_get ~size ~bound () =
+    let words = minor_words_per_get ~size in
+    Printf.printf "%s: %.1f minor words per get over %d entries\n%!" S.name
+      words size;
+    if words > bound then
+      Alcotest.failf
+        "%s: %.1f minor words per get over %d entries exceeds %.0f: the \
+         traversal allocates per step"
+        S.name words size bound
+
   let test_sequential_basics () =
     with_list (fun _ t _ lo ->
         Alcotest.(check bool) "insert 5" true (L.insert t lo 5 50);

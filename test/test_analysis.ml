@@ -43,9 +43,9 @@ let r1_bad =
   {|
 let lookup t key =
   let rec go l =
-    match Tagged.ptr (Link.get l) with
-    | None -> None
-    | Some n -> if n.key = key then Some n.value else go n.next
+    match Link.get l with
+    | Tagged.Null _ -> None
+    | Tagged.Ptr (n, _) -> if n.key = key then Some n.value else go n.next
   in
   go t.head
 |}
@@ -55,14 +55,18 @@ let r1_good_protected =
   {|
 let lookup t l key =
   let rec go src link expected =
-    match C.try_protect ~src ~node_header l.hp link expected with
-    | C.Invalid -> None
-    | C.Ok cur -> (
-        match Tagged.ptr cur with
-        | None -> None
-        | Some n -> if n.key = key then Some n.value else go None n.next cur)
+    let cur =
+      C.try_protect ~src ~node_header l.hp l.handle ~src_link:link expected
+    in
+    if Tagged.is_invalid cur then None
+    else
+      match cur with
+      | Tagged.Null _ -> None
+      | Tagged.Ptr (n, _) ->
+          if n.key = key then Some n.value
+          else go n.hdr n.next (Link.get n.next)
   in
-  go None t.head (Link.get t.head)
+  go Mem.phantom t.head (Link.get t.head)
 |}
 
 (* Raw read without dereferencing the fetched node (Treiber push). *)
@@ -73,7 +77,7 @@ let push t v =
   let rec loop () =
     let h = Link.get t.head in
     Link.set n.next h;
-    if not (Link.cas t.head h (Tagged.make (Some n))) then loop ()
+    if not (Link.cas t.head h (Tagged.make n)) then loop ()
   in
   loop ()
 |}
@@ -85,9 +89,9 @@ let test_r1 () =
     {|
 let to_list t =
   let rec walk acc tg =
-    match Tagged.ptr tg with
-    | None -> List.rev acc
-    | Some n -> walk (n.value :: acc) (Link.get n.next)
+    match tg with
+    | Tagged.Null _ -> List.rev acc
+    | Tagged.Ptr (n, _) -> walk (n.value :: acc) (Link.get n.next)
   in
   walk [] (Link.get t.head)
 |};
@@ -205,13 +209,36 @@ let test_f1_basics () =
   check_silent "protected traversal" ~path:ds_path r1_good_protected;
   check_silent "no deref of fetched node" ~path:ds_path r1_good_no_deref;
   check_silent "out of ds scope" ~path:scheme_path r1_bad;
+  (* a try_protect result is Validated only on its not-invalid branch:
+     matching it directly, or after rebinding its name, validates nothing *)
+  check_fires "try_protect result matched unchecked" "F1" ~path:ds_path
+    {|
+let peek t l =
+  match
+    C.try_protect ~src:Mem.phantom ~node_header l.hp l.handle ~src_link:t.head
+      (Link.get t.head)
+  with
+  | Tagged.Ptr (n, _) -> n.key
+  | Tagged.Null _ -> 0
+|};
+  check_fires "rebound name loses the refinement" "F1" ~path:ds_path
+    {|
+let peek t l =
+  let r =
+    C.try_protect ~src:Mem.phantom ~node_header l.hp l.handle ~src_link:t.head
+      (Link.get t.head)
+  in
+  let r = Link.get t.head in
+  if Tagged.is_invalid r then 0
+  else match r with Tagged.Ptr (n, _) -> n.key | Tagged.Null _ -> 0
+|};
   (* announced but never validated: still F1 *)
   check_fires "protected but never validated" "F1" ~path:ds_path
     {|
 let peek t l =
   let cur = Link.get t.head in
   S.protect l.hp cur;
-  match Tagged.ptr cur with Some n -> n.key | None -> 0
+  match cur with Tagged.Ptr (n, _) -> n.key | Tagged.Null _ -> 0
 |}
 
 (* Must-dominate at a join: one branch validates, the other does not, so
@@ -224,7 +251,7 @@ let lookup t l b =
   let cur = Link.get t.head in
   S.protect l.hp cur;
   (if b then if not (S.protection_valid l.handle) then raise Exit);
-  match Tagged.ptr cur with Some n -> n.key | None -> 0
+  match cur with Tagged.Ptr (n, _) -> n.key | Tagged.Null _ -> 0
 |};
   check_silent "unconditional validation" ~path:ds_path
     {|
@@ -232,7 +259,7 @@ let lookup t l =
   let cur = Link.get t.head in
   S.protect l.hp cur;
   if not (S.protection_valid l.handle) then raise Exit;
-  match Tagged.ptr cur with Some n -> n.key | None -> 0
+  match cur with Tagged.Ptr (n, _) -> n.key | Tagged.Null _ -> 0
 |}
 
 (* CFG corner cases: the deref lives in a while-loop condition, in a try
@@ -241,7 +268,7 @@ let test_f1_cfg_corners () =
   check_fires "deref in while condition" "F1" ~path:ds_path
     {|
 let spin t =
-  while (match Tagged.ptr (Link.get t.head) with Some n -> n.key = 0 | None -> false) do
+  while (match Link.get t.head with Tagged.Ptr (n, _) -> n.key = 0 | Tagged.Null _ -> false) do
     ignore (Link.get t.head)
   done
 |};
@@ -249,7 +276,7 @@ let spin t =
     {|
 let risky t =
   try find t with Not_found ->
-    (match Tagged.ptr (Link.get t.head) with Some n -> n.key | None -> 0)
+    (match Link.get t.head with Tagged.Ptr (n, _) -> n.key | Tagged.Null _ -> 0)
 |};
   check_silent "validate-or-raise with local handler" ~path:ds_path
     {|
@@ -258,7 +285,7 @@ let safe t l =
     let cur = Link.get t.head in
     S.protect l.hp cur;
     if not (S.protection_valid l.handle) then raise Restart;
-    match Tagged.ptr cur with Some n -> Some n.key | None -> None
+    match cur with Tagged.Ptr (n, _) -> Some n.key | Tagged.Null _ -> None
   with Restart -> None
 |}
 
@@ -270,19 +297,21 @@ let test_f1_interprocedural () =
 let read_key n = n.key
 
 let lookup t =
-  match Tagged.ptr (Link.get t.head) with
-  | None -> 0
-  | Some n -> read_key n
+  match Link.get t.head with
+  | Tagged.Null _ -> 0
+  | Tagged.Ptr (n, _) -> read_key n
 |};
   check_silent "validated arg into deref-ing helper" ~path:ds_path
     {|
 let read_key n = n.key
 
 let lookup t l =
-  match C.try_protect ~src:None ~node_header l.hp t.head (Link.get t.head) with
-  | C.Invalid -> 0
-  | C.Ok cur -> (
-      match Tagged.ptr cur with None -> 0 | Some n -> read_key n)
+  let cur =
+    C.try_protect ~src:Mem.phantom ~node_header l.hp l.handle ~src_link:t.head
+      (Link.get t.head)
+  in
+  if Tagged.is_invalid cur then 0
+  else match cur with Tagged.Null _ -> 0 | Tagged.Ptr (n, _) -> read_key n
 |}
 
 let test_f2 () =
@@ -291,14 +320,14 @@ let test_f2 () =
 let peek t l =
   let cur = Link.get t.head in
   S.protect l.hp cur;
-  Tagged.ptr cur
+  cur
 |};
   check_silent "validated before escape" ~path:ds_path
     {|
 let peek t l =
   let cur = Link.get t.head in
   S.protect l.hp cur;
-  if S.protection_valid l.handle then Tagged.ptr cur else None
+  if S.protection_valid l.handle then cur else Tagged.null
 |}
 
 (* --- F3: retire discipline -------------------------------------------------- *)
@@ -310,7 +339,7 @@ let push t l v =
   let n = { value = v; next = Link.make Tagged.null } in
   let h = Link.get t.head in
   Link.set n.next h;
-  if Link.cas t.head h (Tagged.make (Some n)) then S.retire l.handle n
+  if Link.cas t.head h (Tagged.make n) then S.retire l.handle n
 |};
   check_fires "deref of retired param" "F3" ~path:ds_path
     {|
@@ -323,17 +352,20 @@ let drop l cur =
   check_silent "unlink then retire" ~path:ds_path
     {|
 let pop t l =
-  match C.try_protect ~src:None ~node_header l.hp t.head (Link.get t.head) with
-  | C.Invalid -> None
-  | C.Ok cur -> (
-      match Tagged.ptr cur with
-      | None -> None
-      | Some n ->
-          if Link.cas t.head cur (Link.get n.next) then begin
-            S.retire l.handle cur;
-            Some n.value
-          end
-          else None)
+  let cur =
+    C.try_protect ~src:Mem.phantom ~node_header l.hp l.handle ~src_link:t.head
+      (Link.get t.head)
+  in
+  if Tagged.is_invalid cur then None
+  else
+    match cur with
+    | Tagged.Null _ -> None
+    | Tagged.Ptr (n, _) ->
+        if Link.cas t.head cur (Link.get n.next) then begin
+          S.retire l.handle cur;
+          Some n.value
+        end
+        else None
 |}
 
 (* --- F4: collector handoff -------------------------------------------------- *)
@@ -392,9 +424,9 @@ let rotate t =
     {|
 let length t =
   let rec go acc l =
-    match Tagged.ptr (Link.get_quiescent l) with
-    | None -> acc
-    | Some n -> go (acc + 1) n.next
+    match Link.get_quiescent l with
+    | Tagged.Null _ -> acc
+    | Tagged.Ptr (n, _) -> go (acc + 1) n.next
   in
   go 0 t.head
 |}
@@ -479,14 +511,16 @@ let test_fact_laws () =
 let mutual_src =
   {|
 let rec walk t l link expected =
-  match C.try_protect ~src:None ~node_header l.hp link expected with
-  | C.Invalid -> None
-  | C.Ok cur -> step t l cur
+  let cur =
+    C.try_protect ~src:Mem.phantom ~node_header l.hp l.handle ~src_link:link
+      expected
+  in
+  if Tagged.is_invalid cur then None else step t l cur
 
 and step t l cur =
-  match Tagged.ptr cur with
-  | None -> None
-  | Some n -> walk t l n.next (Link.get n.next)
+  match cur with
+  | Tagged.Null _ -> None
+  | Tagged.Ptr (n, _) -> walk t l n.next (Link.get n.next)
 |}
 
 let converge_summaries src =
@@ -539,14 +573,16 @@ let test_mutual_behavior () =
   check_fires "raw arg into recursive cycle" "F1" ~path:ds_path
     {|
 let rec walk t l link expected =
-  match C.try_protect ~src:None ~node_header l.hp link expected with
-  | C.Invalid -> step t l (Link.get link)
-  | C.Ok cur -> step t l cur
+  let cur =
+    C.try_protect ~src:Mem.phantom ~node_header l.hp l.handle ~src_link:link
+      expected
+  in
+  if Tagged.is_invalid cur then step t l (Link.get link) else step t l cur
 
 and step t l cur =
-  match Tagged.ptr cur with
-  | None -> None
-  | Some n -> walk t l n.next (Link.get n.next)
+  match cur with
+  | Tagged.Null _ -> None
+  | Tagged.Ptr (n, _) -> walk t l n.next (Link.get n.next)
 |}
 
 (* --- Engine internals: sidecar round trip ------------------------------------ *)
@@ -619,10 +655,10 @@ let test_pragma_suppression () =
     {|
 let lookup t key =
   let rec go l =
-    match Tagged.ptr (Link.get l) with
-    | None -> None
+    match Link.get l with
+    | Tagged.Null _ -> None
     (* smr-lint: allow F1 — fixture: reads run quiescently *)
-    | Some n -> if n.key = key then Some n.value else go n.next
+    | Tagged.Ptr (n, _) -> if n.key = key then Some n.value else go n.next
   in
   go t.head
 |}
@@ -655,9 +691,9 @@ let test_pragma_wrong_line_does_not_suppress () =
      let a = 0\n\
      let b = 0\n\
      let lookup t =\n\
-    \  match Tagged.ptr (Link.get t.head) with\n\
-     | Some n -> Some n.value\n\
-     | None -> None\n"
+    \  match Link.get t.head with\n\
+     | Tagged.Ptr (n, _) -> Some n.value\n\
+     | Tagged.Null _ -> None\n"
   in
   let findings, _ = analyze ~path:ds_path text in
   let ids = rule_ids findings in

@@ -303,6 +303,68 @@ let test_hp_collector_kill_salvage () =
   Hp.unregister survivor;
   Fault.reset ()
 
+(* --- HP++: the mutator assist keeps a stalled collector's queue short ----- *)
+
+module Hhs = Smr_ds.Hhslist.Make (Hp_plus)
+
+(* One-domain HHSList churn (insert then remove, keys cycling over 64):
+   the largest unreclaimed count seen after any operation. With [stall] the
+   collector is parked for the whole run. *)
+let hhs_churn_peak ?(stall = false) cfg =
+  Fault.reset ();
+  let t = Hp_plus.create ~config:cfg () in
+  let l = Hhs.create t in
+  let h = Hp_plus.register t in
+  let lo = Hhs.make_local h in
+  if stall then begin
+    Fault.arm ~point:Fault.Collector ~action:Fault.Stall ();
+    Fault.await_stalled ()
+  end;
+  let peak = ref 0 in
+  for i = 1 to 5_000 do
+    let k = i mod 64 in
+    ignore (Hhs.insert l lo k k);
+    ignore (Hhs.remove l lo k);
+    peak := max !peak (Stats.unreclaimed (Hp_plus.stats t))
+  done;
+  let steals =
+    match Hp_plus.collector_counters t with
+    | Some k -> k.Collector.steals
+    | None -> 0
+  in
+  if stall then Fault.release ();
+  Hhs.clear_local lo;
+  Hp_plus.flush h;
+  Hp_plus.unregister h;
+  Hp_plus.shutdown t;
+  let survivor = Hp_plus.register t in
+  Hp_plus.flush survivor;
+  Hp_plus.flush survivor;
+  Alcotest.(check int) "drains to zero once released" 0
+    (Stats.unreclaimed (Hp_plus.stats t));
+  Hp_plus.unregister survivor;
+  Fault.reset ();
+  (!peak, steals)
+
+(* A stalled collector must not let garbage grow past the inline envelope
+   plus two handed-off bags: once two bags sit in the ring, the mutator
+   absorbs them into its own pass instead of queueing more (without the
+   rule the ring fills to capacity and then the mutator's own bag grows to
+   the inline baseline on top). *)
+let test_hpp_assist_bounds_stalled_churn () =
+  let inline_peak, _ = hhs_churn_peak base in
+  let async_cfg = { base with async_reclaim = true } in
+  let bag = max 16 (base.reclaim_threshold / 8) in
+  let stalled_peak, steals = hhs_churn_peak ~stall:true async_cfg in
+  Printf.printf "inline peak %d, stalled async peak %d, bag %d, steals %d\n%!"
+    inline_peak stalled_peak bag steals;
+  Alcotest.(check bool) "queued bags absorbed by the mutator" true (steals > 0);
+  if stalled_peak > inline_peak + (2 * bag) then
+    Alcotest.failf
+      "stalled collector: peak garbage %d exceeds the inline envelope %d plus \
+       two bags (%d)"
+      stalled_peak inline_peak (2 * bag)
+
 (* --- every scheme: async smoke, multi-domain churn drains to zero -------- *)
 
 let async_smoke (module S : Smr.Smr_intf.S) () =
@@ -481,6 +543,11 @@ let () =
             test_collector_stats_after_drains;
           Alcotest.test_case "flag off: no collector, inline unchanged" `Quick
             test_flag_off_no_collector;
+        ] );
+      ( "hp++",
+        [
+          Alcotest.test_case "stalled collector: assist keeps inline envelope"
+            `Quick test_hpp_assist_bounds_stalled_churn;
         ] );
       ( "schemes",
         [

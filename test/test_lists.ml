@@ -97,4 +97,11 @@ let () =
           Alcotest.test_case "lazylist HP++ churn" `Quick
             Lz_hpp.test_tight_churn;
         ] );
+      ( "alloc per step",
+        [
+          Alcotest.test_case "hhslist get over 512 nodes HP++" `Quick
+            (Hhs_hpp.test_alloc_per_get ~size:512 ~bound:48.);
+          Alcotest.test_case "hhslist get over 512 nodes EBR" `Quick
+            (Hhs_ebr.test_alloc_per_get ~size:512 ~bound:48.);
+        ] );
     ]

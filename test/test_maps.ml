@@ -88,4 +88,11 @@ let () =
           Alcotest.test_case "skiplist HP++ churn" `Quick
             Sk_hpp.test_tight_churn;
         ] );
+      ( "alloc per step",
+        [
+          Alcotest.test_case "hashmap get HP++" `Quick
+            (Map_hpp.test_alloc_per_get ~size:16384 ~bound:48.);
+          Alcotest.test_case "hashmap get EBR" `Quick
+            (Map_ebr.test_alloc_per_get ~size:16384 ~bound:48.);
+        ] );
     ]

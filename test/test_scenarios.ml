@@ -31,9 +31,10 @@ let build_list scheme t lo =
   ignore scheme;
   let node k =
     let rec find tg =
-      match Tagged.ptr tg with
-      | None -> Alcotest.failf "node %d not found" k
-      | Some n -> if n.L.key = k then n else find (Link.get n.L.next)
+      match tg with
+      | Tagged.Null _ -> Alcotest.failf "node %d not found" k
+      | Tagged.Ptr (n, _) ->
+          if n.L.key = k then n else find (Link.get n.L.next)
     in
     find (Link.get t.L.head)
   in
@@ -62,11 +63,11 @@ let test_scenario_one () =
   (* T1 walks h->p and validates protection of p. *)
   let hp_prev = Hp_plus.guard t1 and hp_cur = Hp_plus.guard t1 in
   (match
-     C.try_protect ~node_header:L.node_header hp_cur t1 ~src_link:t.L.head
-       (Link.get t.L.head)
+     C.try_protect ~src:Mem.phantom ~node_header:L.node_header hp_cur t1
+       ~src_link:t.L.head (Link.get t.L.head)
    with
-  | C.Ok tg -> assert (Tagged.ptr tg = Some p)
-  | C.Invalid -> Alcotest.fail "protection of p must succeed");
+  | Tagged.Ptr (n, 0) when n == p -> ()
+  | _ -> Alcotest.fail "protection of p must succeed");
   (* A stalled remover marked p and q; T2's traversal (any operation
      passing by) unlinks the whole chain with one CAS. *)
   mark p;
@@ -84,14 +85,13 @@ let test_scenario_one () =
     (Mem.is_freed q.L.hdr);
   (* T1 now tries the optimistic step p -> q. p is not invalidated yet, so
      the step is allowed — and it is SAFE, because q is not freed. *)
-  (match
-     C.try_protect ~node_header:L.node_header hp_prev t1 ~src_link:p.L.next
-       (Link.get p.L.next)
-   with
-  | C.Ok tg ->
-      assert (Tagged.same_ptr tg (Tagged.make (Some q)));
-      Mem.check_access q.L.hdr (* would raise on a use-after-free *)
-  | C.Invalid -> Alcotest.fail "p is not invalidated yet");
+  (let tg =
+     C.try_protect ~src:p.L.hdr ~node_header:L.node_header hp_prev t1
+       ~src_link:p.L.next (Link.get p.L.next)
+   in
+   if Tagged.is_invalid tg then Alcotest.fail "p is not invalidated yet";
+   assert (Tagged.same_ptr tg (Tagged.make q));
+   Mem.check_access q.L.hdr (* would raise on a use-after-free *));
   (* T1 releases q and moves on; T2 completes its deferred invalidation. *)
   Hp_plus.release hp_prev;
   Hp_plus.release hp_cur;
@@ -108,12 +108,14 @@ let test_scenario_one () =
     (Mem.Use_after_free (Mem.uid q.L.hdr)) (fun () ->
       Mem.check_access q.L.hdr);
   (* And the HP++ traverser is told to restart instead: *)
-  (match
-     C.try_protect ~node_header:L.node_header hp_cur t1 ~src_link:p.L.next
-       (Link.get p.L.next)
-   with
-  | C.Invalid -> ()
-  | C.Ok _ -> Alcotest.fail "step from invalidated p must fail");
+  (let tg =
+     C.try_protect ~src:p.L.hdr ~node_header:L.node_header hp_cur t1
+       ~src_link:p.L.next (Link.get p.L.next)
+   in
+   if not (Tagged.is_invalid tg) then
+     Alcotest.fail "step from invalidated p must fail";
+   Alcotest.(check bool) "a failed protect hands out no node" true
+     (Tagged.is_null tg));
   Hp_plus.unregister t1;
   Hp_plus.unregister t2
 
@@ -143,18 +145,18 @@ let test_scenario_two () =
   (* T1 (stale) walks p -> q -> r optimistically; every step validates
      against invalidation and succeeds because T2 has not invalidated. *)
   let g1 = Hp_plus.guard t1 and g2 = Hp_plus.guard t1 in
-  (match
-     C.try_protect ~node_header:L.node_header g1 t1 ~src_link:p.L.next
-       (Link.get p.L.next)
-   with
-  | C.Ok tg -> assert (Tagged.same_ptr tg (Tagged.make (Some q)))
-  | C.Invalid -> Alcotest.fail "q step");
-  (match
-     C.try_protect ~node_header:L.node_header g2 t1 ~src_link:q.L.next
-       (Link.get q.L.next)
-   with
-  | C.Ok tg -> assert (Tagged.same_ptr tg (Tagged.make (Some r)))
-  | C.Invalid -> Alcotest.fail "r step");
+  (let tg =
+     C.try_protect ~src:p.L.hdr ~node_header:L.node_header g1 t1
+       ~src_link:p.L.next (Link.get p.L.next)
+   in
+   if Tagged.is_invalid tg then Alcotest.fail "q step";
+   assert (Tagged.same_ptr tg (Tagged.make q)));
+  (let tg =
+     C.try_protect ~src:q.L.hdr ~node_header:L.node_header g2 t1
+       ~src_link:q.L.next (Link.get q.L.next)
+   in
+   if Tagged.is_invalid tg then Alcotest.fail "r step";
+   assert (Tagged.same_ptr tg (Tagged.make r)));
   (* T3 deletes r and reclaims hard. *)
   assert (L.remove t lo3 3);
   Hp_plus.do_invalidation t3;

@@ -133,7 +133,7 @@ let make_node stats =
   (* A minimal "node": header plus a next link whose invalid bit stands in
      for the data structure's invalidation flag. *)
   let hdr = Mem.make stats in
-  (hdr, Link.make (Tagged.make ~tag:0 (Some ())))
+  (hdr, Link.make (Tagged.make ~tag:0 ()))
 
 let node_header (hdr, _) = hdr
 let node_link (_, link) = link

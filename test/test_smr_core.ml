@@ -83,6 +83,126 @@ let test_mem_uid_unique () =
   let uids = List.sort_uniq compare (List.map Mem.uid hs) in
   Alcotest.(check int) "unique uids" 100 (List.length uids)
 
+(* --- the one-word header: uid | incoming-link count | state --------------- *)
+
+(* Run [f] on a fresh domain (its uid cursor starts empty) with the global
+   uid counter moved to [at], restoring the counter afterwards. *)
+let with_uid_counter at f =
+  let saved = Mem.uid_counter_value () in
+  Fun.protect
+    ~finally:(fun () -> Mem.set_uid_counter saved)
+    (fun () ->
+      Mem.set_uid_counter at;
+      Domain.join (Domain.spawn f))
+
+let test_header_uid_round_trip () =
+  Alcotest.(check int) "phantom" Mem.phantom_uid (Mem.uid Mem.phantom);
+  Alcotest.(check int) "phantom count" 1 (Mem.ref_count Mem.phantom);
+  let stats = Stats.create () in
+  let base = Mem.max_uid - 1023 in
+  let hs = with_uid_counter base (fun () -> Array.init 1024 (fun _ -> Mem.make stats)) in
+  Alcotest.(check int) "first of the last block" base (Mem.uid hs.(0));
+  let last = hs.(1023) in
+  Alcotest.(check int) "the largest packable uid" Mem.max_uid (Mem.uid last);
+  (* the count and state bits never bleed into the uid *)
+  Mem.incr_ref last;
+  Mem.incr_ref last;
+  Alcotest.(check int) "count" 3 (Mem.ref_count last);
+  Mem.retire_mark last;
+  Alcotest.(check bool) "drop to 2" false (Mem.decr_ref last);
+  Alcotest.(check bool) "drop to 1" false (Mem.decr_ref last);
+  Alcotest.(check bool) "last link" true (Mem.decr_ref last);
+  Mem.free_mark last;
+  Alcotest.(check bool) "freed" true (Mem.is_freed last);
+  Alcotest.(check int) "uid survives" Mem.max_uid (Mem.uid last);
+  Alcotest.check_raises "UAF names the packed uid"
+    (Mem.Use_after_free Mem.max_uid) (fun () -> Mem.check_access last);
+  Alcotest.check_raises "count cannot go below zero"
+    (Invalid_argument "Mem.decr_ref: incoming-link count already zero")
+    (fun () -> ignore (Mem.decr_ref last));
+  Alcotest.(check int) "count restored after the rejected drop" 0
+    (Mem.ref_count last);
+  Alcotest.(check int) "uid intact after the rejected drop" Mem.max_uid
+    (Mem.uid last)
+
+(* State CASes retry when only the count bits moved: one domain churns the
+   counts of a small batch of headers in a tight loop while the other
+   retires and then frees each of them, batch after batch. *)
+let test_header_state_races_count () =
+  let stats = Stats.create () in
+  let batch () = Array.init 8 (fun _ -> Mem.make stats) in
+  let current = Atomic.make (batch ()) in
+  let passes = Atomic.make 0 and stop = Atomic.make false in
+  let lost_update = Atomic.make false in
+  let churn =
+    Domain.spawn (fun () ->
+        while not (Atomic.get stop) do
+          Array.iter
+            (fun h ->
+              Mem.incr_ref h;
+              match Mem.decr_ref h with
+              | false -> ()
+              | true | (exception Invalid_argument _) ->
+                  Atomic.set lost_update true)
+            (Atomic.get current);
+          Atomic.incr passes
+        done)
+  in
+  let all = ref [] in
+  for _ = 1 to 500 do
+    let hs = batch () in
+    Atomic.set current hs;
+    (* let the churn domain reach this batch before the transitions *)
+    let seen = Atomic.get passes in
+    while Atomic.get passes < seen + 2 do
+      Domain.cpu_relax ()
+    done;
+    Array.iter Mem.retire_mark hs;
+    Array.iter Mem.free_mark hs;
+    all := hs :: !all
+  done;
+  Atomic.set stop true;
+  Domain.join churn;
+  Alcotest.(check bool) "no count update lost to a state change" false
+    (Atomic.get lost_update);
+  List.iter
+    (Array.iter (fun h ->
+         Alcotest.(check bool) "freed" true (Mem.is_freed h);
+         Alcotest.(check int) "count back to 1" 1 (Mem.ref_count h)))
+    !all;
+  let uids = List.concat_map (fun hs -> Array.to_list (Array.map Mem.uid hs)) !all in
+  Alcotest.(check int) "uids intact and distinct" (List.length uids)
+    (List.length (List.sort_uniq compare uids))
+
+(* The packed-range check runs once per 1024-uid block: a block that fits
+   hands out all its uids, the next block fails loudly. *)
+let test_header_uid_range_exhaustion () =
+  let stats = Stats.create () in
+  let made = ref 0 in
+  let outcome =
+    with_uid_counter (Mem.max_uid - 1023) (fun () ->
+        match
+          for _ = 1 to 1025 do
+            ignore (Mem.make stats);
+            incr made
+          done
+        with
+        | () -> Ok ()
+        | exception Failure msg -> Error msg)
+  in
+  Alcotest.(check int) "the whole last block" 1024 !made;
+  (match outcome with
+  | Ok () -> Alcotest.fail "a uid past the packed range was handed out"
+  | Error _ -> ());
+  let straddling =
+    with_uid_counter (Mem.max_uid - 1022) (fun () ->
+        match Mem.make stats with
+        | _ -> false
+        | exception Failure _ -> true)
+  in
+  Alcotest.(check bool) "a block straddling the limit fails at once" true
+    straddling
+
 let test_stats_counters () =
   let s = Stats.create () in
   Stats.on_alloc s;
@@ -183,7 +303,7 @@ let test_stats_peak_upper_bound () =
     (p2 >= Stats.unreclaimed s)
 
 let test_tagged_basics () =
-  let t = Tagged.make ~tag:0 (Some 42) in
+  let t = Tagged.make ~tag:0 42 in
   Alcotest.(check bool) "not deleted" false (Tagged.is_deleted t);
   let d = Tagged.set_bits t Tagged.deleted_bit in
   Alcotest.(check bool) "deleted" true (Tagged.is_deleted d);
@@ -197,9 +317,9 @@ let test_tagged_basics () =
 
 let test_tagged_same_ptr () =
   let a = ref 1 and b = ref 1 in
-  let ta = Tagged.make (Some a) in
-  let ta' = Tagged.make ~tag:3 (Some a) in
-  let tb = Tagged.make (Some b) in
+  let ta = Tagged.make a in
+  let ta' = Tagged.make ~tag:3 a in
+  let tb = Tagged.make b in
   Alcotest.(check bool) "same target, tags differ" true
     (Tagged.same_ptr ta ta');
   Alcotest.(check bool) "equal but distinct refs" false (Tagged.same_ptr ta tb);
@@ -209,23 +329,23 @@ let test_tagged_same_ptr () =
 
 let test_link_cas_physical () =
   let n1 = ref 1 and n2 = ref 2 in
-  let t1 = Tagged.make (Some n1) in
+  let t1 = Tagged.make n1 in
   let link = Link.make t1 in
-  let t1_lookalike = Tagged.make (Some n1) in
+  let t1_lookalike = Tagged.make n1 in
   Alcotest.(check bool) "CAS with a re-made record fails" false
-    (Link.cas link t1_lookalike (Tagged.make (Some n2)));
+    (Link.cas link t1_lookalike (Tagged.make n2));
   Alcotest.(check bool) "CAS with the read record succeeds" true
-    (Link.cas link t1 (Tagged.make (Some n2)))
+    (Link.cas link t1 (Tagged.make n2))
 
 let test_link_mark_invalid () =
   let n = ref 0 in
-  let link = Link.make (Tagged.make ~tag:Tagged.deleted_bit (Some n)) in
+  let link = Link.make (Tagged.make ~tag:Tagged.deleted_bit n) in
   Link.mark_invalid link;
   let v = Link.get link in
   Alcotest.(check bool) "keeps deleted bit" true (Tagged.is_deleted v);
   Alcotest.(check bool) "gains invalid bit" true (Tagged.is_invalid v);
   Alcotest.(check bool) "keeps pointer" true
-    (match Tagged.ptr v with Some p -> p == n | None -> false)
+    (match v with Tagged.Ptr (p, _) -> p == n | Tagged.Null _ -> false)
 
 let test_backoff_caps () =
   let b = Smr_core.Backoff.create ~min_spins:2 ~max_spins:8 () in
@@ -310,7 +430,7 @@ let prop_tagged_bits =
     QCheck2.Gen.(pair (int_range 0 7) bool)
     (fun (tag, with_ptr) ->
       let ptr = if with_ptr then Some (ref 0) else None in
-      let t = Tagged.make ~tag ptr in
+      let t = Tagged.of_option ~tag ptr in
       Tagged.tag (Tagged.untagged t) = 0
       && Tagged.is_deleted (Tagged.set_bits t Tagged.deleted_bit)
       && Tagged.is_invalid (Tagged.set_bits t Tagged.invalid_bit)
@@ -329,6 +449,12 @@ let () =
             test_mem_phantom_sentinel;
           Alcotest.test_case "checking toggle" `Quick test_mem_checking_toggle;
           Alcotest.test_case "uid uniqueness" `Quick test_mem_uid_unique;
+          Alcotest.test_case "header uid round trip" `Quick
+            test_header_uid_round_trip;
+          Alcotest.test_case "header state races count" `Quick
+            test_header_state_races_count;
+          Alcotest.test_case "header uid range exhaustion" `Quick
+            test_header_uid_range_exhaustion;
           QCheck_alcotest.to_alcotest prop_mem_state_machine;
         ] );
       ( "stats",

@@ -82,7 +82,7 @@ let test_nmtree_splice_keeps_sibling_flag () =
   | `Done sr ->
       assert (
         Smr_core.Link.cas_clean sr.T.sr_parent_link sr.T.sr_parent_rec
-          (Smr_core.Tagged.make ~tag:T.flag_bit (Some sr.T.sr_leaf)))
+          (Smr_core.Tagged.make ~tag:T.flag_bit sr.T.sr_leaf))
   | `Prot | `Retry -> Alcotest.fail "seek 2");
   Alcotest.(check bool) "remove the sibling" true (T.remove t lo 1);
   Alcotest.(check (option int)) "2 stays deleted" None (T.get t lo 2);
