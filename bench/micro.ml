@@ -98,6 +98,14 @@ let test_try_unlink_plain =
     (Staged.stage
        (unlink_cycle { Smr.Smr_intf.default_config with epoched_fence = false }))
 
+(* The reclaimer's price per hazard snapshot: one membarrier. Measured on
+   one domain, so it leaves out the interrupt every other running thread of
+   the process pays. *)
+let test_fence_heavy =
+  let stats = Smr_core.Stats.create () in
+  Test.make ~name:"fence/heavy (membarrier)"
+    (Staged.stage (fun () -> Smr_core.Fence.heavy stats))
+
 let test_rc_counts =
   let hdr = Mem.make (Smr_core.Stats.create ()) in
   Test.make ~name:"rc/incr_ref+decr"
@@ -111,6 +119,7 @@ let tests =
       test_hp_protect;
       test_hpp_protect;
       test_hpp_hhslist_get;
+      test_fence_heavy;
       test_ebr_crit;
       test_pebr_crit;
       test_retire "hp" (module Hp);

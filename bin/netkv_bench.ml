@@ -267,11 +267,11 @@ open Cmdliner
 
 let schemes_arg =
   let doc = "Comma-separated schemes for in-process servers." in
-  Arg.(value & opt string "HP,EBR" & info [ "schemes" ] ~doc)
+  Arg.(value & opt Bench_cli.schemes [ "HP"; "EBR" ] & info [ "schemes" ] ~doc)
 
 let rates_arg =
   let doc = "Comma-separated offered loads, requests/sec across all conns." in
-  Arg.(value & opt string "20000" & info [ "rates" ] ~doc)
+  Arg.(value & opt (list float) [ 20000. ] & info [ "rates" ] ~doc)
 
 let connect_arg =
   let doc =
@@ -306,11 +306,11 @@ let read_pct_arg =
 
 let dist_arg =
   let doc = "Key distribution: uniform or zipfian." in
-  Arg.(value & opt string "uniform" & info [ "dist" ] ~doc)
+  Arg.(value & opt Bench_cli.dist "uniform" & info [ "dist" ] ~doc)
 
 let theta_arg =
-  let doc = "Zipfian skew parameter." in
-  Arg.(value & opt float 0.99 & info [ "theta" ] ~doc)
+  let doc = "Zipfian skew parameter (0 < theta < 1)." in
+  Arg.(value & opt Bench_cli.theta 0.99 & info [ "theta" ] ~doc)
 
 let prefill_arg =
   let doc = "PUTs sent over the wire before measurement (windowed)." in
@@ -360,12 +360,8 @@ let trace_depth_arg =
   Arg.(value & opt int 65536 & info [ "trace-depth" ] ~doc)
 
 let json_arg =
-  let doc = "Write harness Collector rows to $(docv)." in
-  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
-
-let split_commas s =
-  String.split_on_char ',' s |> List.map String.trim
-  |> List.filter (fun x -> x <> "")
+  let doc = "Write harness Collector rows to $(docv) (opened before the run)." in
+  Arg.(value & opt (some Bench_cli.json_out) None & info [ "json" ] ~doc)
 
 let main schemes rates connect conns duration drain seed keys read_pct dist
     theta prefill reactors shards queue_bound async fault_seed fault_release
@@ -395,7 +391,6 @@ let main schemes rates connect conns duration drain seed keys read_pct dist
     Obs.Trace.set_clock (fun () -> Int64.to_int (Monotonic_clock.now ()));
     Obs.Trace.enable ~capacity:p.trace_depth ()
   end;
-  let rates = List.map float_of_string (split_commas rates) in
   Printf.printf
     "netkv open-loop bench: %d conn(s), %.2fs/cell + %.2fs drain, %d keys \
      (%s), %d%% reads, prefill %d, seed %#x, reclaim=%s\n%!"
@@ -421,7 +416,7 @@ let main schemes rates connect conns duration drain seed keys read_pct dist
                 print_cell c;
                 c)
               rates)
-          (split_commas schemes)
+          schemes
   in
   (match p.trace_raw with
   | None -> ()
@@ -442,7 +437,12 @@ let main schemes rates connect conns duration drain seed keys read_pct dist
         ~workload:(Printf.sprintf "openloop-read%d" p.read_pct)
         c.result)
     cells;
-  Option.iter Bench_harness.Collector.write json
+  Option.iter
+    (fun out ->
+      Bench_cli.write_json out (Bench_harness.Collector.to_json ());
+      Printf.printf "wrote %d benchmark rows to %s\n%!" (List.length cells)
+        out.Bench_cli.path)
+    json
 
 let cmd =
   let doc = "Open-loop load generator for the networked shardkv server" in

@@ -191,7 +191,7 @@ open Cmdliner
 
 let shards_arg =
   let doc = "Comma-separated shard counts to sweep." in
-  Arg.(value & opt string "1,4,8" & info [ "shards" ] ~doc)
+  Arg.(value & opt (list int) [ 1; 4; 8 ] & info [ "shards" ] ~doc)
 
 let domains_arg =
   let doc = "Worker domains issuing requests." in
@@ -219,11 +219,11 @@ let batch_arg =
 
 let dist_arg =
   let doc = "Key distribution: uniform or zipfian." in
-  Arg.(value & opt string "uniform" & info [ "dist" ] ~doc)
+  Arg.(value & opt Bench_cli.dist "uniform" & info [ "dist" ] ~doc)
 
 let theta_arg =
   let doc = "Zipfian skew parameter (0 < theta < 1)." in
-  Arg.(value & opt float 0.99 & info [ "theta" ] ~doc)
+  Arg.(value & opt Bench_cli.theta 0.99 & info [ "theta" ] ~doc)
 
 let prefill_arg =
   let doc = "Fraction of the key space inserted before load." in
@@ -231,11 +231,13 @@ let prefill_arg =
 
 let schemes_arg =
   let doc = "Comma-separated reclamation schemes (HP++,EBR,PEBR,HP,NR,RC)." in
-  Arg.(value & opt string "HP++,EBR" & info [ "schemes" ] ~doc)
+  Arg.(value & opt Bench_cli.schemes [ "HP++"; "EBR" ] & info [ "schemes" ] ~doc)
 
 let json_arg =
-  let doc = "Write machine-readable results to $(docv)." in
-  Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
+  let doc =
+    "Write machine-readable results to $(docv) (opened before the run)."
+  in
+  Arg.(value & opt (some Bench_cli.json_out) None & info [ "json" ] ~doc)
 
 let no_uaf_arg =
   let doc = "Disable the use-after-free detector during load." in
@@ -272,10 +274,6 @@ let metrics_arg =
      $(docv)."
   in
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
-
-let split_commas s =
-  String.split_on_char ',' s |> List.map String.trim
-  |> List.filter (fun x -> x <> "")
 
 let span_name =
   let names = Array.of_list (List.map St.op_name St.all_ops) in
@@ -322,8 +320,6 @@ let main shards domains duration keys read_pct mg_pct batch dist theta prefill
       async;
     }
   in
-  let shard_counts = List.map int_of_string (split_commas shards) in
-  let schemes = split_commas schemes in
   Printf.printf
     "shardkv closed-loop bench: %d domain(s), %.2fs/cell, %d keys (%s), \
      %d%% reads (%d%% of them multi_get x%d), uaf-check=%b, reclaim=%s\n%!"
@@ -343,13 +339,13 @@ let main shards domains duration keys read_pct mg_pct batch dist theta prefill
                  withdraws protection\n%!"
                 cell.anomalies scheme;
             cell)
-          shard_counts)
+          shards)
       schemes
   in
   summary_table cells;
   Option.iter
-    (fun path ->
-      Json.write_file path
+    (fun out ->
+      Bench_cli.write_json out
         (Json.Obj
            [
              ("bench", Json.String "shardkv");
@@ -365,7 +361,8 @@ let main shards domains duration keys read_pct mg_pct batch dist theta prefill
              ("async_reclaim", Json.Bool async);
              ("cells", Json.List (List.map (cell_json p) cells));
            ]);
-      Printf.printf "wrote %d cells to %s\n%!" (List.length cells) path)
+      Printf.printf "wrote %d cells to %s\n%!" (List.length cells)
+        out.Bench_cli.path)
     json;
   let trace_violations = ref 0 in
   if tracing then begin

@@ -1,5 +1,6 @@
 module Mem = Smr_core.Mem
 module Stats = Smr_core.Stats
+module Fence = Smr_core.Fence
 module Slots = Smr.Slots
 module Orphanage = Smr.Orphanage
 module Retire_bag = Smr.Retire_bag
@@ -64,17 +65,25 @@ let crit_refresh _ = ()
 let protection_valid _ = true
 
 let guard h = { slot = Slots.acquire h.local }
-let protect g hdr = Slots.set g.slot hdr
+let[@inline] protect g hdr = Slots.set g.slot hdr
 let release g = Slots.clear g.slot
 
-(* Algorithm 5 FenceEpoch: a heavy fence wrapped in an epoch increment. Our
-   atomics are SC, so the fence itself is subsumed; the epoch movement, which
-   drives piggybacked hazard revocation, is implemented literally. *)
+(* Algorithm 5 FenceEpoch: a heavy fence, then the epoch increment that
+   drives piggybacked hazard revocation. The fence must come first (Lemma
+   A.2): DoInvalidation releases a batch tagged with epoch [e] once it
+   reads [e + 2], and only fence-then-CAS guarantees that a heavy fence
+   completed between the batch's invalidation and that release. *)
 let heavy_fence t =
+  Fence.heavy t.stats;
   let epoch = Atomic.get t.fence_epoch in
   if Atomic.compare_and_set t.fence_epoch epoch (epoch + 1) then
-    Trace.emit Trace.Epoch_advance (-1) (epoch + 1) 0;
-  Stats.on_heavy_fence t.stats
+    Trace.emit Trace.Epoch_advance (-1) (epoch + 1) 0
+
+(* The fence owed before a hazard snapshot: FenceEpoch under Algorithm 5; a
+   bare heavy fence under Algorithm 3, whose DoInvalidation fence does not
+   cover blocks retired through plain [retire] (Treiber stack, MS queue). *)
+let fence_before_scan t =
+  if t.config.epoched_fence then heavy_fence t else Fence.heavy t.stats
 
 (* Algorithm 5 ReadEpoch: a light fence bracketed by two reads that must
    agree, guaranteeing a heavy fence separates any two reads two epochs
@@ -132,7 +141,7 @@ let do_invalidation h =
       end
       else begin
         (* Algorithm 3: one fence per batch, then revoke immediately. *)
-        Stats.on_heavy_fence t.stats;
+        Fence.heavy t.stats;
         List.iter (Slots.release h.local) slots
       end;
       List.iter (Retire_bag.push h.retireds) hdrs
@@ -169,10 +178,8 @@ let reclaim h =
   Orphanage.adopt_into t.orphans ~dst:h.retireds;
   h.unlinks_since_reclaim <- 0;
   Stats.note_peaks t.stats;
-  if t.config.epoched_fence then begin
-    heavy_fence t;
-    release_epoched h
-  end;
+  fence_before_scan t;
+  if t.config.epoched_fence then release_epoched h;
   scan_and_free t ~scan:h.scan h.retireds
 
 (* Collector drain: one fence-epoch advance and one hazard snapshot
@@ -186,7 +193,7 @@ let drain t bags n =
   Orphanage.adopt_into t.orphans ~dst:t.pending;
   if not (Retire_bag.is_empty t.pending) then begin
     Stats.note_peaks t.stats;
-    if t.config.epoched_fence then heavy_fence t;
+    fence_before_scan t;
     scan_and_free t ~scan:t.cscan t.pending
   end;
   let left = Retire_bag.length t.pending in

@@ -1,5 +1,6 @@
 module Mem = Smr_core.Mem
 module Stats = Smr_core.Stats
+module Fence = Smr_core.Fence
 module Slots = Smr.Slots
 module Orphanage = Smr.Orphanage
 module Retire_bag = Smr.Retire_bag
@@ -48,7 +49,7 @@ let crit_refresh _ = ()
 let protection_valid _ = true
 
 let guard h = { slot = Slots.acquire h.local }
-let protect g hdr = Slots.set g.slot hdr
+let[@inline] protect g hdr = Slots.set g.slot hdr
 let release g = Slots.clear g.slot
 
 let skip_in_salvage hdr = Mem.uid hdr = Mem.phantom_uid || Mem.is_freed hdr
@@ -56,9 +57,10 @@ let skip_in_salvage hdr = Mem.uid hdr = Mem.phantom_uid || Mem.is_freed hdr
 (* One scan-and-free pass over [bag]: the core of both the inline reclaim
    (per-handle bag and scan scratch) and the collector drain (shared
    pending bag and [cscan]). The caller has already adopted orphans and
-   noted peaks. *)
+   noted peaks. The heavy fence makes every slot store issued before it
+   visible to the snapshot; everything in [bag] was unlinked before it. *)
 let scan_and_free t ~scan bag =
-  Stats.on_heavy_fence t.stats;
+  Fence.heavy t.stats;
   Slots.scan_snapshot t.registry scan;
   let before = Retire_bag.length bag in
   Retire_bag.filter_in_place
@@ -80,8 +82,8 @@ let scan_and_free t ~scan bag =
       (Slots.scan_size scan)
 
 (* Paper Algorithm 2 Reclaim, inline flavour. The asymmetric-fence
-   optimization makes the reclaimer pay the (counted) heavy fence so that
-   TryProtect pays none. The hazard snapshot is sorted once and each
+   optimization makes the reclaimer pay the heavy fence (a membarrier) so
+   that TryProtect pays none. The hazard snapshot is sorted once and each
    retired uid binary-searched (Michael's amortized scan); survivors
    compact in place, so the pass allocates nothing at steady state. *)
 let reclaim h =

@@ -1,5 +1,6 @@
 module Mem = Smr_core.Mem
 module Stats = Smr_core.Stats
+module Fence = Smr_core.Fence
 module Slots = Smr.Slots
 module Orphanage = Smr.Orphanage
 module Retire_bag = Smr.Retire_bag
@@ -79,7 +80,7 @@ let crit_exit h = Atomic.set h.me.status quiescent
 let crit_refresh h = crit_enter h
 
 let guard h = { slot = Slots.acquire h.local }
-let protect g hdr = Slots.set g.slot hdr
+let[@inline] protect g hdr = Slots.set g.slot hdr
 let release g = Slots.clear g.slot
 
 let neutralized h = Atomic.get h.me.neutralized
@@ -123,13 +124,13 @@ let entry_uid (_, hdr) = Mem.uid hdr
 
 (* Free blocks that are both epoch-ripe (grace period passed wrt
    non-neutralized threads) and unshielded. The neutralization writes in
-   [try_advance] precede this shield snapshot, which is what makes the
-   shield-then-validate pattern of clients sound. Shared by the inline pass
-   and the collector drain; the caller has advanced the epoch and adopted
-   orphans already. *)
+   [try_advance] precede the heavy fence, which precedes this shield
+   snapshot: that is what makes the shield-then-validate pattern of clients
+   sound. Shared by the inline pass and the collector drain; the caller has
+   advanced the epoch and adopted orphans already. *)
 let scan_and_free t ~scan bag =
   let epoch = Atomic.get t.global_epoch in
-  Stats.on_heavy_fence t.stats;
+  Fence.heavy t.stats;
   Slots.scan_snapshot t.registry scan;
   let before = Retire_bag.length bag in
   Retire_bag.filter_in_place

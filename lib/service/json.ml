@@ -71,10 +71,10 @@ let to_string j =
   add buf j;
   Buffer.contents buf
 
+let output oc j =
+  output_string oc (to_string j);
+  output_char oc '\n'
+
 let write_file path j =
   let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (to_string j);
-      output_char oc '\n')
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output oc j)

@@ -2,8 +2,15 @@ module Mem = Smr_core.Mem
 
 (* A slot holds the protected block's uid, an immediate, or [empty]. An
    immediate store skips the write barrier that a header pointer would pay
-   (darkening the old major-heap block on every protect). *)
-type slot = int Atomic.t
+   (darkening the old major-heap block on every protect), and a plain store
+   skips the C call and locked exchange of [Atomic.set]. The owner's store
+   followed by its validating link load is the paper's light fence (program
+   order only); every reclaimer issues [Fence.heavy] between unlinking what
+   it may free and the snapshot that reads these fields (DESIGN.md §8). *)
+type slot = {
+  (* smr-lint: allow R3 — intended single-writer race: the owner's plain store is ordered before any hazard snapshot by the reclaimer's Fence.heavy (membarrier) under x86-64 TSO *)
+  mutable uid : int;
+}
 
 let empty = -1
 
@@ -36,7 +43,7 @@ let rec push_chunk registry chunk =
 
 let new_chunk () =
   {
-    slots = Array.init chunk_size (fun _ -> Atomic.make empty);
+    slots = Array.init chunk_size (fun _ -> { uid = empty });
     active = Atomic.make true;
   }
 
@@ -90,22 +97,23 @@ module Trace = Obs.Trace
    free) draws its Free sequence number after ours, so the trace-replay
    checker never sees a Free inside a protection window of a correct run
    (see Obs.Trace on emission-order discipline). *)
-let trace_unprotect slot =
-  if Trace.enabled () then
-    let prev = Atomic.get slot in
-    if prev <> empty then Trace.emit Trace.Unprotect prev 0 0
+let[@inline never] emit_unprotect slot =
+  let prev = slot.uid in
+  if prev <> empty then Trace.emit Trace.Unprotect prev 0 0
 
-let set slot hdr =
+let[@inline] trace_unprotect slot = if Trace.enabled () then emit_unprotect slot
+
+let[@inline] set slot hdr =
   trace_unprotect slot;
-  Atomic.set slot (Mem.uid hdr);
+  slot.uid <- Mem.uid hdr;
   (* Crash window: the protection is published, nothing has been validated
      or released. A kill leaves the slot set until a reaper clears it; a
      stall parks the victim with the hazard held. *)
   if Fault.enabled () then Fault.hit Fault.Protect
 
-let clear slot =
+let[@inline] clear slot =
   trace_unprotect slot;
-  Atomic.set slot empty
+  slot.uid <- empty
 
 let release local slot =
   clear slot;
@@ -210,7 +218,7 @@ let scan_snapshot registry scan =
       if Atomic.get chunk.active then
         Array.iter
           (fun slot ->
-            let uid = Atomic.get slot in
+            let uid = slot.uid in
             if uid <> empty then scan_push scan uid)
           chunk.slots)
     (Atomic.get registry.chunks);

@@ -42,7 +42,10 @@ val acquire : local -> slot
 (** Get an empty slot (paper's MakeHazptr). *)
 
 val set : slot -> Smr_core.Mem.header -> unit
-(** Announce protection of a block: stores its uid, an immediate. *)
+(** Announce protection of a block: a plain store of its uid, an
+    immediate. The caller's next load (the validation) is the light fence;
+    a reclaimer must issue {!Smr_core.Fence.heavy} before {!scan_snapshot}
+    for the store to be guaranteed visible to it. *)
 
 val clear : slot -> unit
 
@@ -59,7 +62,9 @@ val scan_create : unit -> scan
 
 val scan_snapshot : registry -> scan -> unit
 (** Snapshot the uids of all currently protected blocks into [scan] and
-    sort them. Linear in the number of active slots; allocates only when
+    sort them. The slots are read plainly: call it only after a
+    {!Smr_core.Fence.heavy} issued after the blocks to be tested were
+    unlinked. Linear in the number of active slots; allocates only when
     the buffer must grow. *)
 
 val scan_mem : scan -> int -> bool

@@ -21,7 +21,7 @@ let max_uid = max_int asr uid_shift
 let pack ~uid ~count ~state =
   (uid lsl uid_shift) lor (count lsl count_shift) lor state
 
-let uid_of_word w = w asr uid_shift
+let[@inline] uid_of_word w = w asr uid_shift
 let count_of_word w = (w lsr count_shift) land count_max
 
 let enabled = Atomic.make true
@@ -73,7 +73,7 @@ let make stats =
 let phantom_uid = -2
 let phantom = Atomic.make (pack ~uid:phantom_uid ~count:1 ~state:state_live)
 
-let uid h = uid_of_word (Atomic.get h)
+let[@inline] uid h = uid_of_word (Atomic.get h)
 
 let reject_phantom op h =
   if uid h = phantom_uid then
@@ -133,9 +133,13 @@ let free_mark_cascade h =
   then raise (Invalid_free (uid h));
   if Trace.enabled () then Trace.emit Trace.Free (uid h) 1 0
 
-let check_access h =
+(* The dereference check inlines into every traversal step; the raise
+   stays out of line so the step carries one call only on its cold path. *)
+let[@inline never] use_after_free h = raise (Use_after_free (uid h))
+
+let[@inline] check_access h =
   if Atomic.get enabled && Atomic.get h land state_mask = state_freed then
-    raise (Use_after_free (uid h))
+    use_after_free h
 
 let set_checking b = Atomic.set enabled b
 let checking () = Atomic.get enabled

@@ -36,6 +36,9 @@ val on_discard : t -> unit
     through retirement. *)
 
 val on_heavy_fence : t -> unit
+(** Count one heavy fence. Only {!Fence.heavy} calls this, right after
+    issuing the fence, so the count equals the fences issued. *)
+
 val on_protection_failure : t -> unit
 (** A [try_protect]-style validation failed and the caller must recover. *)
 

@@ -1,0 +1,85 @@
+(* The bench binaries reject bad flag values with a cmdliner usage error
+   (exit 124, a message naming the option) while parsing, before any cell
+   runs, and open --json before the run so an unwritable path fails first. *)
+
+let binaries =
+  [ ("shardkv_bench", "../bin/shardkv_bench.exe");
+    ("netkv_bench", "../bin/netkv_bench.exe") ]
+
+(* Run [exe args], returning (exit code, stderr, wall seconds). *)
+let run exe args =
+  let err = Filename.temp_file "test_cli" ".err" in
+  let fd = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let t0 = Unix.gettimeofday () in
+  let pid =
+    Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin null fd
+  in
+  let _, status = Unix.waitpid [] pid in
+  let wall = Unix.gettimeofday () -. t0 in
+  Unix.close fd;
+  Unix.close null;
+  let text = In_channel.with_open_text err In_channel.input_all in
+  Sys.remove err;
+  let code =
+    match status with
+    | Unix.WEXITED c -> c
+    | Unix.WSIGNALED s | Unix.WSTOPPED s -> 1000 + s
+  in
+  (code, text, wall)
+
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+let check_usage_error exe args ~option =
+  let code, err, _ = run exe args in
+  let what = String.concat " " args in
+  Alcotest.(check int) (what ^ ": usage-error exit") 124 code;
+  Alcotest.(check bool) (what ^ ": names " ^ option) true (contains err option);
+  Alcotest.(check bool)
+    (what ^ ": no uncaught exception")
+    false
+    (contains err "internal error")
+
+let test_bad_values exe () =
+  check_usage_error exe [ "--schemes"; "HP,XYZ" ] ~option:"--schemes";
+  check_usage_error exe [ "--dist"; "gaussian" ] ~option:"--dist";
+  check_usage_error exe [ "--theta"; "1.5" ] ~option:"--theta";
+  check_usage_error exe [ "--theta"; "0" ] ~option:"--theta";
+  check_usage_error exe [ "--theta"; "abc" ] ~option:"--theta"
+
+(* A long run requested with an unwritable --json path must fail at once. *)
+let test_json_opened_first exe () =
+  let path = Filename.concat (Filename.get_temp_dir_name ()) "no-such-dir/out.json" in
+  check_usage_error exe [ "--duration"; "30"; "--json"; path ] ~option:"--json";
+  let _, _, wall = run exe [ "--duration"; "30"; "--json"; path ] in
+  Alcotest.(check bool) "fails before the run" true (wall < 10.0)
+
+let test_json_written () =
+  let path = Filename.temp_file "test_cli" ".json" in
+  let code, err, _ =
+    run "../bin/shardkv_bench.exe"
+      [ "--schemes"; "NR"; "--shards"; "1"; "--domains"; "1";
+        "--duration"; "0.02"; "--keys"; "64"; "--json"; path ]
+  in
+  Alcotest.(check int) ("exit 0 (" ^ err ^ ")") 0 code;
+  let text = In_channel.with_open_text path In_channel.input_all in
+  Sys.remove path;
+  Alcotest.(check bool) "json carries the cell" true
+    (contains text "\"cells\":[{")
+
+let () =
+  Alcotest.run "cli"
+    (List.map
+       (fun (name, exe) ->
+         ( name,
+           [
+             Alcotest.test_case "bad values are usage errors" `Quick
+               (test_bad_values exe);
+             Alcotest.test_case "--json opened before the run" `Quick
+               (test_json_opened_first exe);
+           ] ))
+       binaries
+    @ [ ("json", [ Alcotest.test_case "written through the early channel" `Quick test_json_written ]) ])

@@ -2,6 +2,7 @@
 
 module Mem = Smr_core.Mem
 module Stats = Smr_core.Stats
+module Fence = Smr_core.Fence
 module Tagged = Smr_core.Tagged
 module Link = Smr_core.Link
 module Rng = Smr_core.Rng
@@ -302,6 +303,73 @@ let test_stats_peak_upper_bound () =
   Alcotest.(check bool) "peak bounds the final backlog" true
     (p2 >= Stats.unreclaimed s)
 
+(* Store buffering, the shape of protect vs. reclaim. Each round the
+   reader makes a plain store (the hazard slot) then loads a flag (the
+   validating link read); the reclaimer sets the flag (the unlink), issues
+   [Fence.heavy], then loads the reader's cell (the snapshot). x86-64 lets
+   the reader's store sit in its store buffer past its load, so without
+   the heavy fence some rounds see both sides miss the other's write; the
+   fence must rule that out. Both domains rendezvous before every round so
+   the two halves overlap. The run stops at [rounds] or after [budget_s],
+   whichever comes first, so a loaded machine only shortens it. *)
+type cell = { mutable uid : int }
+
+let test_fence_store_buffering () =
+  let rounds = 200_000 and budget_s = 5.0 in
+  let stats = Stats.create () in
+  let cell = { uid = -1 } in
+  let flag = Atomic.make (-1) in
+  let ready = [| Atomic.make (-1); Atomic.make (-1) |] in
+  (* first round neither side runs; set only by the reader, before it
+     announces that round, so both sides complete the same rounds *)
+  let stop = Atomic.make max_int in
+  let saw_flag = Array.make rounds false and saw_uid = Array.make rounds false in
+  let rendezvous me i =
+    Atomic.set ready.(me) i;
+    while Atomic.get ready.(1 - me) < i && i < Atomic.get stop do
+      Domain.cpu_relax ()
+    done;
+    i < Atomic.get stop
+  in
+  let deadline = Unix.gettimeofday () +. budget_s in
+  let reader () =
+    let rec go i =
+      if i = rounds then ()
+      else if i land 1023 = 0 && Unix.gettimeofday () > deadline then
+        Atomic.set stop i
+      else if rendezvous 0 i then begin
+        cell.uid <- i;
+        saw_flag.(i) <- Atomic.get flag >= i;
+        go (i + 1)
+      end
+    in
+    go 0
+  in
+  let reclaimer () =
+    let rec go i =
+      if i < rounds && rendezvous 1 i then begin
+        Atomic.set flag i;
+        Fence.heavy stats;
+        saw_uid.(i) <- cell.uid >= i;
+        go (i + 1)
+      end
+    in
+    go 0
+  in
+  let d = Domain.spawn reader in
+  reclaimer ();
+  Domain.join d;
+  let n = min rounds (Atomic.get stop) in
+  let both_missed = ref 0 in
+  for i = 0 to n - 1 do
+    if not (saw_flag.(i) || saw_uid.(i)) then incr both_missed
+  done;
+  Alcotest.(check bool) "ran some rounds" true (n > 0);
+  Alcotest.(check int) "fences counted" n (Stats.heavy_fences stats);
+  Alcotest.(check int)
+    (Printf.sprintf "rounds where both sides missed (of %d)" n)
+    0 !both_missed
+
 let test_tagged_basics () =
   let t = Tagged.make ~tag:0 42 in
   Alcotest.(check bool) "not deleted" false (Tagged.is_deleted t);
@@ -465,6 +533,11 @@ let () =
           Alcotest.test_case "striped sums" `Quick test_stats_striped_sum;
           Alcotest.test_case "peak upper bound" `Quick
             test_stats_peak_upper_bound;
+        ] );
+      ( "fence",
+        [
+          Alcotest.test_case "heavy fence orders store buffering" `Quick
+            test_fence_store_buffering;
         ] );
       ( "tagged",
         [
