@@ -7,7 +7,7 @@
    BENCH_pr2.json and EXPERIMENTS.md.
 
    Wired as [bench/main.exe exp hotpath]; rows flow into [--json] via
-   {!Bench_harness.Collector}. The run fails loudly (nonzero exit) if any
+   {!Bench_harness.Results}. The run fails loudly (nonzero exit) if any
    scheme trips the UAF detector or records a protection failure, which is
    what the CI hotpath-smoke job asserts. *)
 
@@ -16,7 +16,7 @@ module Stats = Smr_core.Stats
 module Slots = Smr.Slots
 module Retire_bag = Smr.Retire_bag
 module Domain_pool = Smr_core.Domain_pool
-module Collector = Bench_harness.Collector
+module Results = Bench_harness.Results
 module Bench_types = Bench_harness.Bench_types
 module Histogram = Service.Histogram
 module Json = Service.Json
@@ -59,7 +59,7 @@ let result_of ~ops ~wall ?(stats : Stats.t option) () : Bench_types.result =
   }
 
 let report ?extra ?(workload = "hotpath") ~ds ~scheme ~threads ~key_range r =
-  Collector.add ?extra ~ds ~scheme ~threads ~key_range ~workload r;
+  Results.add ?extra ~ds ~scheme ~threads ~key_range ~workload r;
   Printf.printf "  %-14s %-22s threads=%d n=%-6d  %8.3f Mops/s\n%!" ds scheme
     threads key_range r.Bench_types.throughput_mops
 
@@ -132,10 +132,10 @@ module Rc_loop = Retire_loop (Rc)
    the asynchronous pipeline ([workload = "hotpath-async"]) over the
    identical loop, so the JSON carries the p99 comparison the
    collector-smoke CI job gates on. The async rows use a short (2-bag)
-   ring: handed-off bags are capped at half the baseline by the adaptive
-   policy and a starved ring is stolen back into the mutator's own
-   baseline scans, so worst-case garbage (own bag + stolen ring, 128 +
-   2*64) stays within the epoch schemes' inline envelope while the common
+   ring: handed-off bags are capped at twice the handoff grain (32 at the
+   default threshold) and a starved ring is stolen back into the mutator's
+   own baseline scans, so worst-case garbage (own bag + stolen ring, 128 +
+   2*32) stays within the epoch schemes' inline envelope while the common
    case sheds the snapshot+scan from the mutator path entirely. *)
 let async_config =
   { Smr.Smr_intf.default_config with async_reclaim = true; handoff_capacity = 2 }

@@ -29,7 +29,7 @@ let run_exps settings exps with_micro =
   List.iter
     (fun exp ->
       if exp = "hotpath" then begin
-        Bench_harness.Collector.set_experiment "hotpath";
+        Bench_harness.Results.set_experiment "hotpath";
         Hotpath.run ~threads_list:settings.E.threads_list
           ~duration:settings.E.duration
       end
@@ -89,7 +89,7 @@ let main threads duration paper_scale micro no_uaf json exps =
   (* strip a leading "exp" subcommand word if present *)
   let exps = List.filter (fun e -> e <> "exp") exps in
   run_exps settings exps micro;
-  Option.iter Bench_harness.Collector.write json
+  Option.iter Bench_harness.Results.write json
 
 let cmd =
   let doc = "Regenerate the tables and figures of the HP++ paper" in

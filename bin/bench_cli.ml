@@ -1,12 +1,14 @@
-(* Command-line converters shared by shardkv_bench and netkv_bench. A bad
-   value becomes a cmdliner usage error (exit 124) while the command line
-   is parsed, before any cell runs, instead of an uncaught exception. *)
+(* Command-line converters shared by shardkv_bench, netkv_bench and
+   netkv_server. A bad value becomes a cmdliner usage error (exit 124)
+   while the command line is parsed, before any work starts, instead of an
+   uncaught exception. *)
 
 open Cmdliner
 
 let scheme_names = [ "HP++"; "HP"; "EBR"; "PEBR"; "NR"; "RC" ]
 
-let schemes = Arg.list (Arg.enum (List.map (fun s -> (s, s)) scheme_names))
+let scheme = Arg.enum (List.map (fun s -> (s, s)) scheme_names)
+let schemes = Arg.list scheme
 
 let dist = Arg.enum [ ("uniform", "uniform"); ("zipfian", "zipfian") ]
 

@@ -9,7 +9,8 @@
      model_check show FILE.case
 
    Exits 0 when clean / all expectations met, 1 on a violation (or a
-   missed expected violation), 2 on usage errors. *)
+   missed expected violation), 124 on a malformed command line, 2 when
+   replay is given no files. *)
 
 open Cmdliner
 module Gen = Check.Gen
@@ -75,9 +76,33 @@ let traced_arg =
     & info [ "traced" ]
         ~doc:"Record traces and replay them through the protocol checker.")
 
+(* POINT:AFTER, checked while the command line is parsed: a bad value is
+   a usage error naming --kill, not an exception after start-up. *)
+let kill =
+  let names = List.map Fault.point_name Fault.all_points in
+  let parse s =
+    match String.split_on_char ':' s with
+    | [ p; n ] -> (
+        match
+          ( List.find_opt (fun q -> Fault.point_name q = p) Fault.all_points,
+            int_of_string_opt n )
+        with
+        | Some q, Some n -> Ok (q, n)
+        | None, _ ->
+            Error
+              (`Msg
+                 (Printf.sprintf "unknown fault point %S (one of: %s)" p
+                    (String.concat ", " names)))
+        | _, None ->
+            Error (`Msg (Printf.sprintf "AFTER must be an integer, got %S" n)))
+    | _ -> Error (`Msg (Printf.sprintf "%S is not POINT:AFTER" s))
+  in
+  let print ppf (q, n) = Format.fprintf ppf "%s:%d" (Fault.point_name q) n in
+  Arg.conv ~docv:"POINT:AFTER" (parse, print)
+
 let kill_arg =
   let doc = "Arm a kill: POINT:AFTER, e.g. retire:2." in
-  Arg.(value & opt (some string) None & info [ "kill" ] ~docv:"POINT:AFTER" ~doc)
+  Arg.(value & opt (some kill) None & info [ "kill" ] ~docv:"POINT:AFTER" ~doc)
 
 let out_arg =
   let doc = "Directory for shrunk counterexample .case files." in
@@ -85,21 +110,6 @@ let out_arg =
 
 let no_shrink_arg =
   Arg.(value & flag & info [ "no-shrink" ] ~doc:"Skip counterexample minimization.")
-
-let parse_kill = function
-  | None -> None
-  | Some s -> (
-      match String.split_on_char ':' s with
-      | [ p; n ] ->
-          let point =
-            match
-              List.find_opt (fun q -> Fault.point_name q = p) Fault.all_points
-            with
-            | Some q -> q
-            | None -> failwith ("unknown fault point: " ^ p)
-          in
-          Some (point, int_of_string n)
-      | _ -> failwith ("bad --kill (want POINT:AFTER): " ^ s))
 
 let cases ~dss ~schemes ~threads ~ops ~keyspace ~threshold ~seed ~fault ~traced
     =
@@ -162,8 +172,7 @@ let report_violation ~out ~no_shrink case (report : Harness.report) =
   ()
 
 let sweep dss schemes threads ops keyspace threshold preemptions seed max_runs
-    max_wall traced kill out no_shrink =
-  let fault = parse_kill kill in
+    max_wall traced fault out no_shrink =
   let found = ref 0 and clean = ref 0 and budget = ref 0 in
   List.iter
     (fun (case : Harness.case) ->
@@ -193,8 +202,7 @@ let sweep dss schemes threads ops keyspace threshold preemptions seed max_runs
   if !found > 0 then 1 else 0
 
 let random dss schemes threads ops keyspace threshold seed schedules traced
-    kill out no_shrink =
-  let fault = parse_kill kill in
+    fault out no_shrink =
   let found = ref 0 in
   List.iter
     (fun (case : Harness.case) ->

@@ -15,7 +15,7 @@
    (one cell per rate, scheme column "remote"). --fault-seed arms a seeded
    client-side fault (Net_read/Net_write, kill or stall) after prefill;
    a stalled connection is released by a watchdog after --fault-release
-   seconds. With --json FILE every cell lands as a harness Collector row
+   seconds. With --json FILE every cell lands as a harness Results row
    with offered_rps/achieved_rps filled in. *)
 
 module Stats = Smr_core.Stats
@@ -360,7 +360,7 @@ let trace_depth_arg =
   Arg.(value & opt int 65536 & info [ "trace-depth" ] ~doc)
 
 let json_arg =
-  let doc = "Write harness Collector rows to $(docv) (opened before the run)." in
+  let doc = "Write harness Results rows to $(docv) (opened before the run)." in
   Arg.(value & opt (some Bench_cli.json_out) None & info [ "json" ] ~doc)
 
 let main schemes rates connect conns duration drain seed keys read_pct dist
@@ -396,7 +396,7 @@ let main schemes rates connect conns duration drain seed keys read_pct dist
      (%s), %d%% reads, prefill %d, seed %#x, reclaim=%s\n%!"
     conns duration drain keys dist read_pct prefill seed
     (if async then "async" else "inline");
-  Bench_harness.Collector.set_experiment "netkv-openloop";
+  Bench_harness.Results.set_experiment "netkv-openloop";
   let cells =
     match connect with
     | Some addr_s ->
@@ -431,7 +431,7 @@ let main schemes rates connect conns duration drain seed keys read_pct dist
   summary_table cells;
   List.iter
     (fun c ->
-      Bench_harness.Collector.add
+      Bench_harness.Results.add
         ~extra:[ ("openloop", openloop_json c.res) ]
         ~ds:"netkv" ~scheme:c.b_scheme ~threads:p.conns ~key_range:p.keys
         ~workload:(Printf.sprintf "openloop-read%d" p.read_pct)
@@ -439,7 +439,7 @@ let main schemes rates connect conns duration drain seed keys read_pct dist
     cells;
   Option.iter
     (fun out ->
-      Bench_cli.write_json out (Bench_harness.Collector.to_json ());
+      Bench_cli.write_json out (Bench_harness.Results.to_json ());
       Printf.printf "wrote %d benchmark rows to %s\n%!" (List.length cells)
         out.Bench_cli.path)
     json

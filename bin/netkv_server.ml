@@ -136,7 +136,7 @@ let listen_arg =
 
 let scheme_arg =
   let doc = "Reclamation scheme (HP++, HP, EBR, PEBR, NR, RC)." in
-  Arg.(value & opt string "HP" & info [ "scheme" ] ~doc)
+  Arg.(value & opt Bench_cli.scheme "HP" & info [ "scheme" ] ~doc)
 
 let shards_arg =
   let doc = "Shard count (rounded up to a power of two)." in

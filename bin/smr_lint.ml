@@ -1,21 +1,20 @@
 (* smr_lint: static SMR-discipline analyzer for the tree.
 
-   Usage: smr_lint [--json|--sarif] [--show-suppressed] [--v1]
-                   [--prune-pragmas] [--summaries-out FILE]
-                   [--summaries-in FILE] [--max-wall-ms N] PATH...
+   Usage: smr_lint [--json|--sarif] [--show-suppressed] [--prune-pragmas]
+                   [--summaries-out FILE] [--summaries-in FILE]
+                   [--max-wall-ms N] PATH...
 
    Exits 1 when any unsuppressed finding remains, 2 when --max-wall-ms is
    exceeded, 0 otherwise. *)
 
 let usage =
-  "smr_lint [--json|--sarif] [--show-suppressed] [--v1] [--prune-pragmas] \
+  "smr_lint [--json|--sarif] [--show-suppressed] [--prune-pragmas] \
    [--summaries-out FILE] [--summaries-in FILE] [--max-wall-ms N] PATH..."
 
 let () =
   let json = ref false in
   let sarif = ref false in
   let show_suppressed = ref false in
-  let v1 = ref false in
   let prune = ref false in
   let summaries_out = ref "" in
   let summaries_in = ref "" in
@@ -28,7 +27,6 @@ let () =
       ( "--show-suppressed",
         Arg.Set show_suppressed,
         " also list pragma-suppressed findings (human mode)" );
-      ("--v1", Arg.Set v1, " additionally run the legacy syntactic R1 rule");
       ( "--prune-pragmas",
         Arg.Set prune,
         " report only stale suppressions (P1 findings)" );
@@ -57,7 +55,7 @@ let () =
       close_in ic;
       Some (Analysis.Summary.table_of_json text)
   in
-  let report = Analysis.Engine.run ~v1:!v1 ?table paths in
+  let report = Analysis.Engine.run ?table paths in
   let elapsed_ms = int_of_float ((Unix.gettimeofday () -. t0) *. 1000.) in
   if !summaries_out <> "" then begin
     let oc = open_out !summaries_out in

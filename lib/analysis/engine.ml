@@ -3,7 +3,7 @@
    v2 layering: the v1 syntactic rules (R2–R5) run as a fast pre-pass —
    they are cheap and their findings are locational in ways the dataflow
    engine does not replicate — then the flow rules (F1–F7, rules_flow.ml)
-   run per scope. R1 is subsumed by F1 and kept only under [v1:true].
+   run per scope.
 
    Cross-file resolution is by summary sidecar: each analyzed file's
    top-level summaries accumulate into a table (keyed "stem.name"), and a
@@ -76,7 +76,7 @@ let ext_of_table table ~qual last =
   | Some q -> Summary.lookup table ~stem:(String.lowercase_ascii q) last
   | None -> None
 
-let raw_findings ~v1 ~table ~path ~mli_exists (src : Source.t) =
+let raw_findings ~table ~path ~mli_exists (src : Source.t) =
   match src.ast with
   | None ->
       let line, msg = Option.value src.parse_failure ~default:(1, "parse error") in
@@ -85,8 +85,6 @@ let raw_findings ~v1 ~table ~path ~mli_exists (src : Source.t) =
       let syntactic =
         List.concat
           [
-            (if v1 && under path ds_scope then Rules.r1_check ~file:path ast
-             else []);
             (if under path scheme_scope then Rules.r2_check ~file:path ast
              else []);
             (if under path shared_state_scope then Rules.r3_check ~file:path ast
@@ -153,20 +151,20 @@ let apply_pragmas (src : Source.t) findings =
   in
   (kept @ unused @ bad, suppressed)
 
-let analyze_source ?(mli_exists = false) ?(v1 = false) ?table ~path text =
+let analyze_source ?(mli_exists = false) ?table ~path text =
   let table = match table with Some t -> t | None -> Summary.empty_table () in
   let src = Source.of_string ~path text in
-  let findings = raw_findings ~v1 ~table ~path ~mli_exists src in
+  let findings = raw_findings ~table ~path ~mli_exists src in
   apply_pragmas src findings
 
-let analyze_file ?(v1 = false) ?table path =
+let analyze_file ?table path =
   let table = match table with Some t -> t | None -> Summary.empty_table () in
   let src = Source.load path in
   let mli_exists =
     Filename.check_suffix path ".ml"
     && Sys.file_exists (Filename.remove_extension path ^ ".mli")
   in
-  let findings = raw_findings ~v1 ~table ~path ~mli_exists src in
+  let findings = raw_findings ~table ~path ~mli_exists src in
   apply_pragmas src findings
 
 let rec ml_files_under path acc =
@@ -180,7 +178,7 @@ let rec ml_files_under path acc =
   else if Filename.check_suffix path ".ml" then path :: acc
   else acc
 
-let run ?(v1 = false) ?table paths =
+let run ?table paths =
   let table = match table with Some t -> t | None -> Summary.empty_table () in
   let files =
     List.concat_map (fun p -> List.rev (ml_files_under p [])) paths
@@ -188,7 +186,7 @@ let run ?(v1 = false) ?table paths =
   let findings, suppressed =
     List.fold_left
       (fun (fs, ss) file ->
-        let f, s = analyze_file ~v1 ~table file in
+        let f, s = analyze_file ~table file in
         (f @ fs, s @ ss))
       ([], []) files
   in

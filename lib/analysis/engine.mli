@@ -8,8 +8,8 @@
     rules.
 
     v2 layering: the v1 syntactic rules (R2–R5) run as a fast pre-pass,
-    then the flow rules (F1–F7, {!Rules_flow}). R1 is subsumed by F1 and
-    runs only under [v1:true]. Each file's top-level summaries accumulate
+    then the flow rules (F1–F7, {!Rules_flow}). Each file's top-level
+    summaries accumulate
     into the run's {!Summary.table} for cross-file call resolution. *)
 
 type report = {
@@ -22,24 +22,21 @@ type report = {
 
 val analyze_source :
   ?mli_exists:bool ->
-  ?v1:bool ->
   ?table:Summary.table ->
   path:string ->
   string ->
   Finding.t list * (Finding.t * string) list
 (** Analyze one compilation unit given as a string; [path] selects rule
-    scopes, [mli_exists] (default [false]) feeds the missing-mli rule,
-    [v1] (default [false]) additionally runs the legacy syntactic R1, and
+    scopes, [mli_exists] (default [false]) feeds the missing-mli rule, and
     [table] supplies/collects cross-file summaries. Returns (unsuppressed
     findings, suppressed findings with reasons). *)
 
 val analyze_file :
-  ?v1:bool ->
   ?table:Summary.table ->
   string ->
   Finding.t list * (Finding.t * string) list
 
-val run : ?v1:bool -> ?table:Summary.table -> string list -> report
+val run : ?table:Summary.table -> string list -> report
 (** Analyze every [.ml] file under the given files/directories (skipping
     [_build] and dot-directories), in sorted order so in-tree summary
     resolution is deterministic. *)

@@ -1,5 +1,5 @@
 (* Rule metadata and findings. Rules are identified both by a short id
-   ("R1") and a slug ("raw-link-deref"); pragmas may use either. A
+   ("R2") and a slug ("invalidate-before-free"); pragmas may use either. A
    [file_scope] rule is about the file as a whole (suppressible by a pragma
    anywhere in it); the others anchor to a line and are suppressible only by
    a pragma on that line or the line above. *)
@@ -11,17 +11,6 @@ type rule = {
   suppressible : bool;
   summary : string;
 }
-
-let r1 =
-  {
-    id = "R1";
-    slug = "raw-link-deref";
-    file_scope = false;
-    suppressible = true;
-    summary =
-      "node fields dereferenced after a raw Link.get/Atomic.get without a \
-       validated protection";
-  }
 
 let r2 =
   {
@@ -64,8 +53,7 @@ let r5 =
   }
 
 (* Flow rules (smr_lint v2): produced by the dataflow engine in
-   rules_flow.ml rather than the syntactic pass. F1 subsumes R1, which is
-   kept only under [--v1]. *)
+   rules_flow.ml rather than the syntactic pass. *)
 
 let f1 =
   {
@@ -172,7 +160,7 @@ let parse_error =
   }
 
 let all_rules =
-  [ r1; r2; r3; r4; r5; f1; f2; f3; f4; f5; f6; f7; unused_pragma; bad_pragma;
+  [ r2; r3; r4; r5; f1; f2; f3; f4; f5; f6; f7; unused_pragma; bad_pragma;
     parse_error ]
 
 let rule_matches rule token =

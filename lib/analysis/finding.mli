@@ -1,7 +1,7 @@
 (** Lint rules and findings. *)
 
 type rule = {
-  id : string;  (** short id, e.g. ["R1"] *)
+  id : string;  (** short id, e.g. ["R2"] *)
   slug : string;  (** kebab-case name, e.g. ["raw-link-deref"] *)
   file_scope : bool;
       (** file-granularity rule: suppressible by a pragma anywhere in the
@@ -11,7 +11,6 @@ type rule = {
   summary : string;
 }
 
-val r1 : rule  (** raw-link-deref *)
 
 val r2 : rule  (** invalidate-before-free *)
 
@@ -21,7 +20,7 @@ val r4 : rule  (** unguarded-trace-alloc *)
 
 val r5 : rule  (** missing-mli *)
 
-val f1 : rule  (** unvalidated-deref (flow; subsumes R1) *)
+val f1 : rule  (** unvalidated-deref (flow) *)
 
 val f2 : rule  (** protected-escape (flow) *)
 

@@ -64,7 +64,8 @@ let contains_app pred e = app_sites pred e <> []
 (* --- Top-level function enumeration -------------------------------------- *)
 
 (* Top-level [let]-bound functions of a file, recursing into (possibly
-   functor) module bodies: the granularity at which R1/R2 reason. Nested
+   functor) module bodies: the granularity at which R2 and the flow rules
+   reason. Nested
    [let ... in] helpers are part of their enclosing top-level binding. *)
 type func = { f_name : string; f_body : expression; f_loc : Location.t }
 
@@ -102,23 +103,7 @@ and funcs_of_structure str acc =
 
 let funcs_of_file ast = List.rev (funcs_of_structure ast [])
 
-(* --- R1: raw-link-deref --------------------------------------------------- *)
-
-(* In [lib/ds], a top-level function that (a) performs a raw shared read
-   ([Link.get] / [Atomic.get]) and (b) dereferences a field of a value
-   *derived from* that read, must (c) establish a validated protection —
-   call [try_protect], [protect_pessimistic] or [protect], directly or
-   through another function of the same module (local call graph,
-   over-approximated by mere mention). Derivation is a function-local taint
-   fixpoint over let- and match-bindings, so a function that raw-reads a
-   link only to CAS it back (Treiber push) stays silent, while one that
-   walks into the fetched node fires. Quiescent helpers that knowingly skip
-   protection carry a pragma. *)
-
-let protect_names = [ "try_protect"; "protect_pessimistic"; "protect" ]
-
-let is_raw_read qual last =
-  last = "get" && (qual = Some "Link" || qual = Some "Atomic")
+(* --- Pattern helpers -------------------------------------------------- *)
 
 let pattern_vars p =
   let acc = ref [] in
@@ -136,158 +121,6 @@ let pattern_vars p =
   in
   it.pat it p;
   !acc
-
-(* Does [e] produce a raw-read-derived value: contain a raw read itself, or
-   mention an already-tainted variable? *)
-let expr_is_tainted tainted e =
-  contains_app is_raw_read e
-  ||
-  let found = ref false in
-  iter_expr
-    (fun e ->
-      match e.pexp_desc with
-      | Pexp_ident { txt = Longident.Lident v; _ } when Hashtbl.mem tainted v ->
-          found := true
-      | _ -> ())
-    e;
-  !found
-
-(* Positional parameter patterns of a lambda chain; a bare [function] is a
-   one-parameter lambda binding its case patterns. *)
-let rec lambda_params e =
-  match e.pexp_desc with
-  | Pexp_fun (_, _, p, body) -> pattern_vars p :: lambda_params body
-  | Pexp_newtype (_, body) -> lambda_params body
-  | Pexp_function cases -> [ List.concat_map (fun c -> pattern_vars c.pc_lhs) cases ]
-  | _ -> []
-
-(* First [v.field] read where [v] is raw-read-derived, as (line, var). *)
-let first_tainted_deref body =
-  let tainted = Hashtbl.create 8 in
-  let taint v changed =
-    if not (Hashtbl.mem tainted v) then begin
-      Hashtbl.add tainted v ();
-      changed := true
-    end
-  in
-  (* Locally-bound helper functions, so taint can flow from a call argument
-     into the callee's parameter (to_list-style [walk acc (Link.get ...)]). *)
-  let fn_params = Hashtbl.create 8 in
-  iter_expr
-    (fun e ->
-      match e.pexp_desc with
-      | Pexp_let (_, vbs, _) ->
-          List.iter
-            (fun vb ->
-              match (vb.pvb_pat.ppat_desc, lambda_params vb.pvb_expr) with
-              | Ppat_var { txt; _ }, (_ :: _ as params) ->
-                  Hashtbl.replace fn_params txt params
-              | _ -> ())
-            vbs
-      | _ -> ())
-    body;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    iter_expr
-      (fun e ->
-        match e.pexp_desc with
-        | Pexp_let (_, vbs, _) ->
-            List.iter
-              (fun vb ->
-                if expr_is_tainted tainted vb.pvb_expr then
-                  List.iter
-                    (fun v -> taint v changed)
-                    (pattern_vars vb.pvb_pat))
-              vbs
-        | Pexp_match (scrut, cases) when expr_is_tainted tainted scrut ->
-            List.iter
-              (fun c ->
-                List.iter (fun v -> taint v changed) (pattern_vars c.pc_lhs))
-              cases
-        | Pexp_apply
-            ({ pexp_desc = Pexp_ident { txt = Longident.Lident fn; _ }; _ }, args)
-          when Hashtbl.mem fn_params fn ->
-            let params = Hashtbl.find fn_params fn in
-            List.iteri
-              (fun i (_, a) ->
-                if expr_is_tainted tainted a then
-                  match List.nth_opt params i with
-                  | Some vs -> List.iter (fun v -> taint v changed) vs
-                  | None -> ())
-              args
-        | _ -> ())
-      body
-  done;
-  let hit = ref None in
-  iter_expr
-    (fun e ->
-      match e.pexp_desc with
-      | Pexp_field
-          ({ pexp_desc = Pexp_ident { txt = Longident.Lident v; _ }; _ }, _)
-        when Hashtbl.mem tainted v -> (
-          let line = line_of_loc e.pexp_loc in
-          match !hit with
-          | Some (l, _) when l <= line -> ()
-          | _ -> hit := Some (line, v))
-      | _ -> ())
-    body;
-  !hit
-
-let mentions_local_names names e =
-  let found = ref [] in
-  iter_expr
-    (fun e ->
-      match e.pexp_desc with
-      | Pexp_ident { txt = Longident.Lident n; _ } when List.mem n names ->
-          if not (List.mem n !found) then found := n :: !found
-      | _ -> ())
-    e;
-  !found
-
-let r1_check ~file ast =
-  let funcs = funcs_of_file ast in
-  let names = List.map (fun f -> f.f_name) funcs in
-  let direct_protect f =
-    contains_app (fun _ last -> List.mem last protect_names) f.f_body
-  in
-  (* Fixpoint: protected if it calls (or even mentions) a protected local. *)
-  let protected = Hashtbl.create 32 in
-  List.iter (fun f -> Hashtbl.replace protected f.f_name (direct_protect f)) funcs;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun f ->
-        if not (Hashtbl.find protected f.f_name) then
-          let mentioned = mentions_local_names names f.f_body in
-          if
-            List.exists
-              (fun n -> try Hashtbl.find protected n with Not_found -> false)
-              mentioned
-          then begin
-            Hashtbl.replace protected f.f_name true;
-            changed := true
-          end)
-      funcs
-  done;
-  List.filter_map
-    (fun f ->
-      if Hashtbl.find protected f.f_name then None
-      else if not (contains_app is_raw_read f.f_body) then None
-      else
-        match first_tainted_deref f.f_body with
-        | None -> None
-        | Some (line, var) ->
-            Some
-              (Finding.make Finding.r1 ~file ~line
-                 (Printf.sprintf
-                    "`%s` dereferences `%s`, derived from a raw \
-                     Link.get/Atomic.get, without validating a protection \
-                     (Ds_common.try_protect / protect_pessimistic); the \
-                     target may be freed concurrently"
-                    f.f_name var)))
-    funcs
 
 (* --- R2: invalidate-before-free ------------------------------------------ *)
 

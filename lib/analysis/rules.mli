@@ -3,12 +3,6 @@
     parsed structure and returns findings; scope selection (which rule runs
     on which directory) lives in {!Engine}. *)
 
-val r1_check : file:string -> Parsetree.structure -> Finding.t list
-(** Raw-link-deref: a top-level function in [lib/ds] that raw-reads a link
-    ([Link.get]/[Atomic.get]) and dereferences record fields without a
-    (transitive, module-local) call to [try_protect] /
-    [protect_pessimistic] / [protect]. *)
-
 val r2_check : file:string -> Parsetree.structure -> Finding.t list
 (** Invalidate-before-free: in scheme code, a free-family call
     ([free_mark], [free_mark_cascade], [reclaim], [collect]) that

@@ -2,10 +2,9 @@ module Mem = Smr_core.Mem
 module Stats = Smr_core.Stats
 module Fence = Smr_core.Fence
 module Slots = Smr.Slots
-module Orphanage = Smr.Orphanage
 module Retire_bag = Smr.Retire_bag
-module Collector = Smr.Collector
 module Trace = Obs.Trace
+module R = Smr.Reclaim.Make (Smr.Reclaim.Header)
 
 let name = "HP++"
 let robust = true
@@ -18,17 +17,11 @@ type t = {
   stats : Stats.t;
   config : Smr.Smr_intf.config;
   fence_epoch : int Atomic.t;
-  orphans : Mem.header Orphanage.t;
   unlink_counter : int Atomic.t; (* globally unique batch ids, trace only *)
-  (* Adaptive reclaim threshold; see lib/hp/hp.ml. The invalidate threshold
-     stays fixed: DoInvalidation is inherently handle-local (it revokes the
-     handle's own frontier slots), so the collector cannot amortize it. *)
-  adaptive : int Atomic.t;
-  (* Collector-domain-private accumulation and scan scratch. *)
-  pending : Mem.header Retire_bag.t;
-  cscan : Slots.scan;
-  (* smr-lint: allow R3 — written once in [create] before [t] escapes; read-only afterwards *)
-  mutable collector : Mem.header Retire_bag.t Collector.t option;
+  (* The invalidate threshold is not part of the pipeline: DoInvalidation
+     is inherently handle-local (it revokes the handle's own frontier
+     slots), so the collector cannot amortize it. *)
+  reclaim : R.t;
 }
 
 (* One successful TryUnlink, awaiting DoInvalidation: the closure invalidates
@@ -48,8 +41,7 @@ type handle = {
   mutable unlinkeds : deferred list;
   mutable unlinks_since_invalidation : int;
   mutable unlinks_since_reclaim : int;
-  (* Single-owner: swaps only on the owning domain's handoff path. *)
-  mutable retireds : Mem.header Retire_bag.t;
+  retireds : R.local;
   scan : Slots.scan;
   mutable epoched_hps : (int * Slots.slot list) list;
 }
@@ -103,8 +95,6 @@ let release_epoched h =
     h.epoched_hps;
   h.epoched_hps <- []
 
-let skip_in_salvage hdr = Mem.uid hdr = Mem.phantom_uid || Mem.is_freed hdr
-
 (* Paper Algorithm 3 lines 22-31 / Algorithm 5 lines 3-10. *)
 let do_invalidation h =
   let t = h.shared in
@@ -144,7 +134,7 @@ let do_invalidation h =
         Fence.heavy t.stats;
         List.iter (Slots.release h.local) slots
       end;
-      List.iter (Retire_bag.push h.retireds) hdrs
+      List.iter (R.push h.retireds) hdrs
 
 (* One scan-and-free pass over [bag]; shared by inline reclaim and the
    collector drain. The caller has adopted orphans, noted peaks, and paid
@@ -175,79 +165,35 @@ let scan_and_free t ~scan bag =
    compact in place, so the pass allocates nothing at steady state. *)
 let reclaim h =
   let t = h.shared in
-  Orphanage.adopt_into t.orphans ~dst:h.retireds;
+  R.begin_pass t.reclaim h.retireds;
   h.unlinks_since_reclaim <- 0;
-  Stats.note_peaks t.stats;
   fence_before_scan t;
   if t.config.epoched_fence then release_epoched h;
-  scan_and_free t ~scan:h.scan h.retireds
-
-(* Collector drain: one fence-epoch advance and one hazard snapshot
-   amortized over every handed-off bag — Algorithm 5's fence amortization
-   extended across domains. The mutators' epoched frontier slots are
-   revoked lazily on their own DoInvalidation calls as this epoch moves. *)
-let drain t bags n =
-  for i = 0 to n - 1 do
-    Retire_bag.transfer ~src:bags.(i) ~dst:t.pending
-  done;
-  Orphanage.adopt_into t.orphans ~dst:t.pending;
-  if not (Retire_bag.is_empty t.pending) then begin
-    Stats.note_peaks t.stats;
-    fence_before_scan t;
-    scan_and_free t ~scan:t.cscan t.pending
-  end;
-  let left = Retire_bag.length t.pending in
-  if Trace.enabled () then Trace.emit Trace.Drain (-1) n left;
-  let garbage = Stats.unreclaimed t.stats in
-  let cur = Atomic.get t.adaptive in
-  let next =
-    (* the handoff grain is pinned: a bigger batch would amortize the
-       snapshot only slightly better, but every queued bag is unreclaimed
-       garbage, and growing the grain also widens the ring and drain-batch
-       terms of the peak — own-bag + queued-ring must fit the inline peak
-       envelope. The clamp still guards the policy arithmetic. *)
-    Collector.adapt_threshold ~cur
-      ~lo:(max 16 (t.config.reclaim_threshold / 8))
-      ~hi:(max 16 (t.config.reclaim_threshold / 8))
-      ~pending:garbage
-  in
-  if next <> cur then begin
-    Atomic.set t.adaptive next;
-    if Trace.enabled () then Trace.emit Trace.Adapt (-1) next garbage
-  end;
-  left
+  scan_and_free t ~scan:h.scan (R.bag h.retireds)
 
 let create ?(config = Smr.Smr_intf.default_config) () =
+  let stats = Stats.create () in
   let t =
     {
       registry = Slots.create ();
-      stats = Stats.create ();
+      stats;
       config;
       fence_epoch = Atomic.make 0;
-      orphans = Orphanage.create ();
       unlink_counter = Atomic.make 0;
-      adaptive =
-        (* async mode starts at the low bound: hand off small bags early
-           and often (a ring push costs nanoseconds), so queued garbage
-           stays near the inline peak; the drain-side policy grows the
-           batch only while garbage stays low *)
-        Atomic.make
-          (if config.async_reclaim then
-             min config.reclaim_threshold
-               (max 16 (config.reclaim_threshold / 8))
-           else config.reclaim_threshold);
-      pending = Retire_bag.create Mem.phantom;
-      cscan = Slots.scan_create ();
-      collector = None;
+      reclaim = R.create config stats;
     }
   in
-  if config.async_reclaim then
-    t.collector <-
-      Some
-        (Collector.spawn ~capacity:config.handoff_capacity ~length:Retire_bag.length
-           ~drain:(drain t)
-           ~dummy:(Retire_bag.create ~capacity:1 Mem.phantom)
-           ());
+  let cscan = Slots.scan_create () in
+  (* Collector drain: one fence-epoch advance and one hazard snapshot
+     amortized over every handed-off bag — Algorithm 5's fence amortization
+     extended across domains. The mutators' epoched frontier slots are
+     revoked lazily on their own DoInvalidation calls as this epoch
+     moves. *)
+  R.start t.reclaim
+    ~drain:(fun bag ->
+      fence_before_scan t;
+      scan_and_free t ~scan:cscan bag)
+    ();
   t
 
 let register shared =
@@ -257,74 +203,16 @@ let register shared =
     unlinkeds = [];
     unlinks_since_invalidation = 0;
     unlinks_since_reclaim = 0;
-    retireds =
-      Retire_bag.create ~capacity:(2 * shared.config.reclaim_threshold)
-        Mem.phantom;
+    retireds = R.register shared.reclaim;
     scan = Slots.scan_create ();
     epoched_hps = [];
   }
 
-(* The retire bag crossed the threshold: hand it to the collector (taking
-   a recycled empty bag back) or keep accumulating until the configured
-   baseline before the inline pass — a starved collector degrades this
-   path to exactly the inline cadence, never a denser one. *)
-(* Fold every queued bag into [dst] so the caller's imminent snapshot
-   covers them too: the ring drains even when the collector is starved of
-   cpu or dead, pinning async peak garbage near the inline envelope. *)
-let absorb_queued c ~dst =
-  let rec go () =
-    match Collector.steal c with
-    | Some b ->
-        Retire_bag.transfer ~src:b ~dst;
-        Collector.recycle c b;
-        go ()
-    | None -> ()
-  in
-  go ()
-
+(* The retire bag crossed the threshold: hand it to the collector or run
+   the inline pass (see {!Smr.Reclaim}). *)
 let reclaim_or_handoff h =
-  let t = h.shared in
-  let baseline = t.config.reclaim_threshold in
-  match t.collector with
-  | Some c when Collector.running c ->
-      let full = h.retireds in
-      let len = Retire_bag.length full in
-      h.unlinks_since_reclaim <- 0;
-      (* Only small bags enter the ring. A bag that grew toward baseline
-         during a ring-full spell — or that carries unripe epoch survivors
-         after an inline pass — would park a near-baseline slug of garbage
-         in the queue behind a starved collector (one ill-timed admission
-         is exactly an inline peak's worth on top of the steady state).
-         Oversized stragglers finish the inline path instead, which
-         absorbs the queue anyway. *)
-      if Collector.late c then begin
-        Collector.note_fallback c;
-        absorb_queued c ~dst:h.retireds;
-        reclaim h
-      end
-      else if len <= 2 * Atomic.get t.adaptive && Collector.offer c full then begin
-        (* the ring owns [full] now; replace it before the next push *)
-        h.retireds <-
-          (match Collector.take_bag c with
-          | Some b -> b
-          | None ->
-              Retire_bag.create ~capacity:(2 * Atomic.get t.adaptive)
-                Mem.phantom);
-        if Trace.enabled () then
-          Trace.emit Trace.Handoff (-1) len (Collector.occupancy c)
-      end
-      else if len >= baseline then begin
-        absorb_queued c ~dst:h.retireds;
-        reclaim h
-      end
-  | Some c ->
-      Collector.note_fallback c;
-      h.unlinks_since_reclaim <- 0;
-      if Retire_bag.length h.retireds >= baseline then begin
-        absorb_queued c ~dst:h.retireds;
-        reclaim h
-      end
-  | None -> reclaim h
+  h.unlinks_since_reclaim <- 0;
+  R.reclaim_or_handoff h.shared.reclaim h.retireds ~pass:reclaim h
 
 let maybe_collect h =
   let c = h.shared.config in
@@ -335,18 +223,18 @@ let maybe_collect h =
      reclaim_threshold, the unlink counter alone used to trip a full pass
      every reclaim_threshold unlinks while every header was still parked in
      [unlinkeds] awaiting invalidation, freeing nothing. *)
-  let threshold = Atomic.get h.shared.adaptive in
+  let threshold = R.threshold h.shared.reclaim in
+  let retired = R.length h.retireds in
   if
-    (h.unlinks_since_reclaim >= threshold
-    || Retire_bag.length h.retireds >= threshold)
-    && not (Retire_bag.is_empty h.retireds)
+    (h.unlinks_since_reclaim >= threshold || retired >= threshold)
+    && retired > 0
   then reclaim_or_handoff h
 
 let retire h hdr =
   Mem.retire_mark hdr;
   Stats.on_retire h.shared.stats;
-  Retire_bag.push h.retireds hdr;
-  if Retire_bag.length h.retireds >= Atomic.get h.shared.adaptive then
+  R.push h.retireds hdr;
+  if R.length h.retireds >= R.threshold h.shared.reclaim then
     reclaim_or_handoff h
 
 let retire_with_children h hdr ~children:_ = retire h hdr
@@ -407,18 +295,10 @@ let unregister h =
   heavy_fence h.shared;
   release_epoched h;
   reclaim h;
-  Orphanage.add h.shared.orphans h.retireds;
+  R.donate h.shared.reclaim h.retireds;
   Slots.unregister h.local
 
-let shutdown t =
-  match t.collector with
-  | None -> ()
-  | Some c ->
-      Collector.shutdown c ~recover:(Orphanage.add t.orphans);
-      (* The pending bag may hold survivors or be torn by a mid-filter
-         collector kill: salvage in place, donate whole. *)
-      Retire_bag.salvage ~uid:Mem.uid ~skip:skip_in_salvage t.pending;
-      Orphanage.add t.orphans t.pending
+let shutdown t = R.shutdown t.reclaim
 
 (* Crash recovery. The dead thread's obligations are discharged in the
    order the protocol demands:
@@ -428,11 +308,12 @@ let shutdown t =
       withdrawal — the fence the dead thread would have paid;
    3. the crash is announced (trace), then its hazard slots — traversal
       guards and frontier protections alike — are reaped;
-   4. its retire bag, possibly torn by a mid-reclaim death, is salvaged
-      in place (dedup by uid, skip already-freed), topped up with the
-      just-invalidated unlinked nodes, and donated whole to the orphanage.
+   4. its retire bag, possibly torn by a mid-reclaim death, is topped up
+      with the just-invalidated unlinked nodes, salvaged in place (dedup by
+      uid, skip already-freed) and donated whole to the orphanage.
    The unlinked headers cannot already sit in the bag: they only enter it
-   through do_invalidation, which had not run for them. *)
+   through do_invalidation, which had not run for them — so salvage keeps
+   every one of them. *)
 let report_crashed h =
   let t = h.shared in
   List.iter
@@ -451,14 +332,13 @@ let report_crashed h =
   Trace.emit Trace.Crash (-1) victim_dom 0;
   h.epoched_hps <- [];
   Slots.reap h.local;
-  Retire_bag.salvage ~uid:Mem.uid ~skip:skip_in_salvage h.retireds;
-  List.iter (Retire_bag.push h.retireds) unlinked;
-  Orphanage.add t.orphans h.retireds
+  List.iter (R.push h.retireds) unlinked;
+  R.report_crashed t.reclaim h.retireds
 
 let pending_unlinked h =
   List.fold_left (fun acc d -> acc + List.length d.hdrs) 0 h.unlinkeds
 
-let pending_retired h = Retire_bag.length h.retireds
+let pending_retired h = R.length h.retireds
 
-let collector_counters t = Option.map Collector.counters t.collector
-let collector_stats t = Option.map Collector.stats t.collector
+let collector_counters t = R.collector_counters t.reclaim
+let collector_stats t = R.collector_stats t.reclaim

@@ -32,7 +32,7 @@ let run_instance s (i : Instances.instance) ~threads ~key_range ~workload =
          prefill_ratio = 0.5;
        } [@warning "-16"])
   in
-  Collector.add ~ds:i.ds ~scheme:i.scheme ~threads ~key_range
+  Results.add ~ds:i.ds ~scheme:i.scheme ~threads ~key_range
     ~workload:workload.Workload.name r;
   r
 
@@ -153,7 +153,7 @@ let fig10 s =
       | "RC" -> Instances.Hhs_rc.run_long_reads ~writer_range:64 c
       | _ -> assert false
     in
-    Collector.add
+    Results.add
       ~ds:(if scheme = "HP" then "HMList" else "HHSList")
       ~scheme ~threads ~key_range ~workload:"long-reads" r;
     r
@@ -292,7 +292,7 @@ let alg5 s =
                     prefill_ratio = 0.5;
                   }
               in
-              Collector.add ~ds:"HHSList"
+              Results.add ~ds:"HHSList"
                 ~scheme:("HP++/" ^ variant)
                 ~threads ~key_range ~workload:"write-only" r;
               r)
@@ -358,7 +358,7 @@ let thresholds s =
               prefill_ratio = 0.5;
             }
         in
-        Collector.add ~ds:"HHSList" ~scheme:("HP++/" ^ name) ~threads
+        Results.add ~ds:"HHSList" ~scheme:("HP++/" ^ name) ~threads
           ~key_range ~workload:"write-only" r;
         (name, r))
       variants
@@ -499,7 +499,7 @@ let known =
     "tab1"; "tab2"; "alg5"; "thresholds"; "stalled" ]
 
 let run s exp =
-  Collector.set_experiment exp;
+  Results.set_experiment exp;
   match exp with
   | "fig8" -> fig8 s
   | "fig9" -> fig9 s

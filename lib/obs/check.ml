@@ -294,7 +294,7 @@ let run ?(complete_from = 0) (events : Trace.event array) =
          transitions: the invariants they could violate (free-under-
          protection, invalidate-before-free) are already enforced on the
          Free/Invalidate events the drain cycle itself emits. *)
-      | Trace.Handoff | Trace.Drain | Trace.Adapt -> ()
+      | Trace.Handoff | Trace.Drain -> ()
       (* Wire-level request spans are timing markers keyed by frame id, not
          block uids: nothing lifecycle-shaped to check. *)
       | Trace.Req_recv | Trace.Req_dispatch | Trace.Req_reply

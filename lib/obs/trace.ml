@@ -14,7 +14,6 @@ type kind =
   | Crash
   | Handoff
   | Drain
-  | Adapt
   | Req_recv
   | Req_dispatch
   | Req_reply
@@ -38,7 +37,8 @@ let kind_code = function
   | Crash -> 12
   | Handoff -> 13
   | Drain -> 14
-  | Adapt -> 15
+  (* 15 is retired (a removed collector event): the request codes keep
+     their values, so raw trace files stay readable across versions *)
   | Req_recv -> 16
   | Req_dispatch -> 17
   | Req_reply -> 18
@@ -62,7 +62,6 @@ let kind_of_code = function
   | 12 -> Crash
   | 13 -> Handoff
   | 14 -> Drain
-  | 15 -> Adapt
   | 16 -> Req_recv
   | 17 -> Req_dispatch
   | 18 -> Req_reply
@@ -87,7 +86,6 @@ let kind_name = function
   | Crash -> "crash"
   | Handoff -> "handoff"
   | Drain -> "drain"
-  | Adapt -> "adapt"
   | Req_recv -> "req_recv"
   | Req_dispatch -> "req_dispatch"
   | Req_reply -> "req_reply"

@@ -42,9 +42,6 @@ type kind =
   | Drain
       (** the collector finished one drain cycle; [a] = bags drained,
           [b] = headers still pending after the cycle *)
-  | Adapt
-      (** the collector adjusted a scheme's adaptive reclaim threshold;
-          [a] = new threshold, [b] = pending garbage that drove it *)
   | Req_recv
       (** server decoded a whole request frame off a socket; [uid] = frame
           id, [a] = request opcode, [b] = session queue depth after the

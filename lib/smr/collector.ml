@@ -395,19 +395,3 @@ let shutdown t ~recover =
     | None -> ()
   in
   drain_leftovers ()
-
-(* Adaptive threshold policy, kept pure so the clamps are unit-testable:
-   halve under pressure (observed pending garbage more than twice the
-   current threshold — scans are not keeping up), double when garbage is
-   low (scans cost a snapshot regardless of batch size, so bigger batches
-   amortize better), hold otherwise. Clamped to [lo, hi] so adaptation can
-   never starve reclamation entirely nor thrash on tiny bags. *)
-let adapt_threshold ~cur ~lo ~hi ~pending =
-  let lo = max 1 lo in
-  let hi = max lo hi in
-  let next =
-    if pending > 2 * cur then cur / 2
-    else if pending < cur / 2 then cur * 2
-    else cur
-  in
-  min hi (max lo next)

@@ -1,7 +1,7 @@
 (** Background collector domain with a bounded MPMC bag-handoff ring.
 
     The asynchronous half of every scheme's reclamation pipeline: mutators
-    whose retire bag crosses the (adaptive) threshold hand the {e whole
+    whose retire bag crosses the handoff grain hand the {e whole
     bag} over — one pointer through a Vyukov-style ring, no per-handoff
     allocation — and take a recycled empty bag back, so the retire hot path
     never pays for a hazard snapshot. The collector dequeues bags in
@@ -130,9 +130,3 @@ val shutdown : 'bag t -> recover:('bag -> unit) -> unit
     (only possible after a kill) are handed to [recover] — schemes donate
     them to their orphanage. Idempotent. A stalled collector must be
     {!Fault.release}d first or the join blocks. *)
-
-val adapt_threshold : cur:int -> lo:int -> hi:int -> pending:int -> int
-(** Pure adaptive-threshold policy: halve when [pending > 2*cur] (reclaim
-    is not keeping up), double when [pending < cur/2] (snapshots amortize
-    better over bigger batches), hold otherwise; always clamped into
-    [\[lo, hi\]]. Exposed for unit tests pinning the clamps. *)

@@ -1,10 +1,10 @@
 (* Tests for the smr_lint static analyzer (lib/analysis), v2 layering:
-   the legacy syntactic rules (R1 under --v1 only, R2-R5 as the fast
-   pre-pass), the flow rules F1-F7 produced by the dataflow engine, the
-   engine internals (lattice laws, CFG corner cases, summary fixpoint on
-   mutual recursion), pinned output formats, the pragma machinery, and the
-   seeded-bug corpus matrix over test/lint_corpus/. Fixtures are parsed,
-   never typed, so they only need to be syntactically valid OCaml. *)
+   the syntactic rules (R2-R5, the fast pre-pass), the flow rules F1-F7
+   produced by the dataflow engine, the engine internals (lattice laws,
+   CFG corner cases, summary fixpoint on mutual recursion), pinned output
+   formats, the pragma machinery, and the seeded-bug corpus matrix over
+   test/lint_corpus/. Fixtures are parsed, never typed, so they only need
+   to be syntactically valid OCaml. *)
 
 module Engine = Analysis.Engine
 module Finding = Analysis.Finding
@@ -21,25 +21,25 @@ let scheme_path = "/virtual/lib/core/fixture.ml"
 let smr_path = "/virtual/lib/smr/fixture.ml"
 let misc_path = "/virtual/lib/misc/fixture.ml"
 
-let analyze ?(mli_exists = true) ?v1 ~path text =
-  Engine.analyze_source ~mli_exists ?v1 ~path text
+let analyze ?(mli_exists = true) ~path text =
+  Engine.analyze_source ~mli_exists ~path text
 
 let rule_ids findings = List.map (fun (f : Finding.t) -> f.rule.id) findings
 
-let check_fires name rule ~path ?mli_exists ?v1 text =
-  let findings, _ = analyze ~path ?mli_exists ?v1 text in
+let check_fires name rule ~path ?mli_exists text =
+  let findings, _ = analyze ~path ?mli_exists text in
   Alcotest.(check bool)
     (name ^ ": " ^ rule ^ " fires")
     true
     (List.mem rule (rule_ids findings))
 
-let check_silent name ~path ?mli_exists ?v1 text =
-  let findings, _ = analyze ~path ?mli_exists ?v1 text in
+let check_silent name ~path ?mli_exists text =
+  let findings, _ = analyze ~path ?mli_exists text in
   Alcotest.(check (list string)) (name ^ ": silent") [] (rule_ids findings)
 
-(* --- R1: raw-link-deref (legacy, --v1 only; subsumed by F1) ---------------- *)
+(* --- raw traversal fixtures, shared by the F1 and pragma tests ------------ *)
 
-let r1_bad =
+let raw_bad =
   {|
 let lookup t key =
   let rec go l =
@@ -51,7 +51,7 @@ let lookup t key =
 |}
 
 (* Same shape, but the traversal validates each step through try_protect. *)
-let r1_good_protected =
+let raw_good_protected =
   {|
 let lookup t l key =
   let rec go src link expected =
@@ -70,7 +70,7 @@ let lookup t l key =
 |}
 
 (* Raw read without dereferencing the fetched node (Treiber push). *)
-let r1_good_no_deref =
+let raw_good_no_deref =
   {|
 let push t v =
   let n = { value = v; next = Link.make Tagged.null } in
@@ -81,30 +81,6 @@ let push t v =
   in
   loop ()
 |}
-
-let test_r1 () =
-  check_fires "raw traversal" "R1" ~path:ds_path ~v1:true r1_bad;
-  (* taint must flow through a helper call argument, not just let/match *)
-  check_fires "flow through local call" "R1" ~path:ds_path ~v1:true
-    {|
-let to_list t =
-  let rec walk acc tg =
-    match tg with
-    | Tagged.Null _ -> List.rev acc
-    | Tagged.Ptr (n, _) -> walk (n.value :: acc) (Link.get n.next)
-  in
-  walk [] (Link.get t.head)
-|};
-  check_silent "protected traversal" ~path:ds_path ~v1:true r1_good_protected;
-  check_silent "no deref of fetched node" ~path:ds_path ~v1:true
-    r1_good_no_deref;
-  (* out of scope: the same raw traversal in scheme code is not R1's business *)
-  check_silent "out of ds scope" ~path:scheme_path ~v1:true r1_bad;
-  (* v2 default: R1 itself stays off, its job is F1's now *)
-  let findings, _ = analyze ~path:ds_path r1_bad in
-  Alcotest.(check bool)
-    "R1 off by default" false
-    (List.mem "R1" (rule_ids findings))
 
 (* --- R2: invalidate-before-free ------------------------------------------ *)
 
@@ -205,10 +181,21 @@ let test_r5 () =
 (* --- F1/F2: must-dominate deref and protected escape ----------------------- *)
 
 let test_f1_basics () =
-  check_fires "raw traversal" "F1" ~path:ds_path r1_bad;
-  check_silent "protected traversal" ~path:ds_path r1_good_protected;
-  check_silent "no deref of fetched node" ~path:ds_path r1_good_no_deref;
-  check_silent "out of ds scope" ~path:scheme_path r1_bad;
+  check_fires "raw traversal" "F1" ~path:ds_path raw_bad;
+  (* the raw read reaches the deref through a local helper's argument *)
+  check_fires "flow through local call" "F1" ~path:ds_path
+    {|
+let to_list t =
+  let rec walk acc tg =
+    match tg with
+    | Tagged.Null _ -> List.rev acc
+    | Tagged.Ptr (n, _) -> walk (n.value :: acc) (Link.get n.next)
+  in
+  walk [] (Link.get t.head)
+|};
+  check_silent "protected traversal" ~path:ds_path raw_good_protected;
+  check_silent "no deref of fetched node" ~path:ds_path raw_good_no_deref;
+  check_silent "out of ds scope" ~path:scheme_path raw_bad;
   (* a try_protect result is Validated only on its not-invalid branch:
      matching it directly, or after rebinding its name, validates nothing *)
   check_fires "try_protect result matched unchecked" "F1" ~path:ds_path
@@ -821,7 +808,6 @@ let () =
     [
       ( "v1 rules",
         [
-          Alcotest.test_case "R1 raw-link-deref (--v1)" `Quick test_r1;
           Alcotest.test_case "R2 invalidate-before-free" `Quick test_r2;
           Alcotest.test_case "R3 shared-mutable-field" `Quick test_r3;
           Alcotest.test_case "R4 unguarded-trace-alloc" `Quick test_r4;

@@ -1,6 +1,7 @@
-(* The bench binaries reject bad flag values with a cmdliner usage error
-   (exit 124, a message naming the option) while parsing, before any cell
-   runs, and open --json before the run so an unwritable path fails first. *)
+(* The command-line binaries reject bad flag values with a cmdliner usage
+   error (exit 124, a message naming the option) while parsing, before any
+   work starts; the bench binaries also open --json before the run so an
+   unwritable path fails first. *)
 
 let binaries =
   [ ("shardkv_bench", "../bin/shardkv_bench.exe");
@@ -57,6 +58,16 @@ let test_json_opened_first exe () =
   let _, _, wall = run exe [ "--duration"; "30"; "--json"; path ] in
   Alcotest.(check bool) "fails before the run" true (wall < 10.0)
 
+let test_model_check_kill () =
+  let exe = "../bin/model_check.exe" in
+  check_usage_error exe [ "sweep"; "--kill"; "nope:3" ] ~option:"--kill";
+  check_usage_error exe [ "random"; "--kill"; "reclaim:x" ] ~option:"--kill";
+  check_usage_error exe [ "sweep"; "--kill"; "reclaim" ] ~option:"--kill"
+
+let test_netkv_server_scheme () =
+  check_usage_error "../bin/netkv_server.exe" [ "--scheme"; "bogus" ]
+    ~option:"--scheme"
+
 let test_json_written () =
   let path = Filename.temp_file "test_cli" ".json" in
   let code, err, _ =
@@ -82,4 +93,10 @@ let () =
                (test_json_opened_first exe);
            ] ))
        binaries
-    @ [ ("json", [ Alcotest.test_case "written through the early channel" `Quick test_json_written ]) ])
+    @ [ ("json", [ Alcotest.test_case "written through the early channel" `Quick test_json_written ]);
+        ( "model_check",
+          [ Alcotest.test_case "bad --kill is a usage error" `Quick
+              test_model_check_kill ] );
+        ( "netkv_server",
+          [ Alcotest.test_case "bad --scheme is a usage error" `Quick
+              test_netkv_server_scheme ] ) ])

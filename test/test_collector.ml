@@ -1,10 +1,11 @@
 (* Tests for the asynchronous reclamation pipeline: the bounded MPSC
-   handoff ring and collector domain (lib/smr/collector.ml), the adaptive
-   threshold policy, retire-bag growth/transfer/salvage, and the
-   scheme-level contracts — clean shutdown drains everything, a stalled or
-   dead collector degrades to inline reclamation with bounded garbage and
-   no lost or double-freed blocks. The fault plan is global, so every test
-   touching it resets on entry. *)
+   handoff ring and collector domain (lib/smr/collector.ml), retire-bag
+   growth/transfer/salvage, and the scheme-level contracts of the shared
+   pipeline (lib/smr/reclaim.ml) on every scheme — clean shutdown drains
+   everything, a stalled or dead collector degrades to inline reclamation
+   at the inline cadence with bounded garbage and no lost or double-freed
+   blocks. The fault plan is global, so every test touching it resets on
+   entry. *)
 
 module Mem = Smr_core.Mem
 module Stats = Smr_core.Stats
@@ -16,30 +17,11 @@ module Check = Obs.Check
 
 let base = Smr.Smr_intf.default_config
 
-(* --- adaptive threshold policy (pure) ----------------------------------- *)
-
-let test_adapt_threshold () =
-  let adapt = Collector.adapt_threshold in
-  Alcotest.(check int) "halve under pressure" 64
-    (adapt ~cur:128 ~lo:16 ~hi:1024 ~pending:300);
-  Alcotest.(check int) "double when garbage is low" 256
-    (adapt ~cur:128 ~lo:16 ~hi:1024 ~pending:10);
-  Alcotest.(check int) "hold inside the band" 128
-    (adapt ~cur:128 ~lo:16 ~hi:1024 ~pending:128);
-  Alcotest.(check int) "halving clamps at lo" 16
-    (adapt ~cur:20 ~lo:16 ~hi:1024 ~pending:1000);
-  Alcotest.(check int) "doubling clamps at hi" 1024
-    (adapt ~cur:1024 ~lo:16 ~hi:1024 ~pending:0);
-  (* degenerate bounds must never drive the threshold to zero (which would
-     retire-collect on every single retire, or worse, never) *)
-  Alcotest.(check int) "lo floor is 1" 1
-    (adapt ~cur:0 ~lo:0 ~hi:0 ~pending:100)
-
 (* --- retire bags: growth, transfer, in-place salvage --------------------- *)
 
-(* Pin: bags grow past their initial capacity. The adaptive threshold can
-   exceed the 2*reclaim_threshold a handle's bag was sized for, and a
-   fallback path can keep pushing into a full bag; neither may drop
+(* Pin: bags grow past their initial capacity. A fallback path can keep
+   pushing past the 2*reclaim_threshold a handle's bag was sized for (and
+   a recycled bag is sized for twice the handoff grain); no push may drop
    entries. *)
 let test_bag_growth () =
   let b = Retire_bag.create ~capacity:4 (-1) in
@@ -220,87 +202,143 @@ let test_hp_async_clean_shutdown () =
       Alcotest.(check bool) "collector saw the handoffs" true
         (k.Collector.handoffs > 0)
 
-(* --- HP: stalled collector degrades to bounded inline reclamation -------- *)
+(* --- every scheme: a stalled collector degrades to bounded inline passes - *)
 
-let test_hp_stalled_collector_inline_fallback () =
+let ctrs_of (type a) (module S : Smr.Smr_intf.S with type t = a) (t : a) =
+  match S.collector_stats t with
+  | None -> Alcotest.failf "async %s has no collector" S.name
+  | Some st -> st.Collector.ctrs
+
+(* After the fault is lifted: flush, unregister, shut the collector down,
+   and let a surviving handle adopt and free every donated block. Three
+   flushes let the epoch schemes push their grace periods past the last
+   retirement. *)
+let drain_to_zero (type a b)
+    (module S : Smr.Smr_intf.S with type t = a and type handle = b) (t : a)
+    (h : b) ~what =
+  S.flush h;
+  S.unregister h;
+  S.shutdown t;
+  let survivor = S.register t in
+  S.flush survivor;
+  S.flush survivor;
+  S.flush survivor;
+  Alcotest.(check int) (S.name ^ ": " ^ what) 0 (Stats.unreclaimed (S.stats t));
+  Alcotest.(check int)
+    (S.name ^ ": no block lost, none freed twice")
+    (Stats.allocated (S.stats t))
+    (Stats.freed (S.stats t));
+  S.unregister survivor
+
+let stalled_collector_inline_fallback (module S : Smr.Smr_intf.S) () =
   Fault.reset ();
   let cfg =
     { base with reclaim_threshold = 8; async_reclaim = true;
       handoff_capacity = 1 }
   in
-  let t = Hp.create ~config:cfg () in
-  let h = Hp.register t in
+  let t = S.create ~config:cfg () in
+  let h = S.register t in
   Fault.arm ~point:Fault.Collector ~action:Fault.Stall ();
   Fault.await_stalled ();
   for _ = 1 to 200 do
-    Hp.retire h (Mem.make (Hp.stats t))
+    S.retire h (Mem.make (S.stats t))
   done;
-  (match Hp.collector_counters t with
-  | None -> Alcotest.fail "async HP has no collector"
-  | Some k ->
-      (* the requested capacity of 1 is clamped to the 2-cell minimum; the
-         stalled ring fills, every further threshold crossing falls back
-         inline, and the baseline scans steal the queued bags back out —
-         so the ring cycles (handoffs keep landing) and no handed-off bag
-         ever waits on the stalled domain *)
-      Alcotest.(check bool) "handoffs landed" true (k.Collector.handoffs >= 2);
-      Alcotest.(check bool) "fallbacks counted" true (k.Collector.fallbacks > 0);
-      Alcotest.(check bool) "queued bags stolen into inline scans" true
-        (k.Collector.steals > 0);
-      Alcotest.(check int) "stall means the collector itself drained nothing"
-        0 k.Collector.drained_bags);
-  let peak = Stats.unreclaimed (Hp.stats t) in
+  let k = ctrs_of (module S) t in
+  (* the requested capacity of 1 is clamped to the 2-cell minimum; the
+     stalled ring fills, every further threshold crossing falls back
+     inline, and the baseline scans steal the queued bags back out — so
+     the ring cycles (handoffs keep landing) and no handed-off bag ever
+     waits on the stalled domain *)
+  Alcotest.(check bool) "handoffs landed" true (k.Collector.handoffs >= 2);
+  Alcotest.(check bool) "fallbacks counted" true (k.Collector.fallbacks > 0);
+  Alcotest.(check bool) "queued bags stolen into inline scans" true
+    (k.Collector.steals > 0);
+  Alcotest.(check int) "stall means the collector itself drained nothing" 0
+    k.Collector.drained_bags;
+  let peak = Stats.unreclaimed (S.stats t) in
   if peak > 64 then
-    Alcotest.failf "garbage %d not bounded by the inline fallback" peak;
+    Alcotest.failf "%s: garbage %d not bounded by the inline fallback" S.name
+      peak;
   Fault.release ();
-  Hp.flush h;
-  Hp.unregister h;
-  Hp.shutdown t;
-  let survivor = Hp.register t in
-  Hp.flush survivor;
-  Alcotest.(check int) "drains to zero once released" 0
-    (Stats.unreclaimed (Hp.stats t));
-  Hp.unregister survivor;
+  drain_to_zero (module S) t h ~what:"drains to zero once released";
   Fault.reset ()
 
-(* --- HP: dead collector, queued bags salvaged, no double free ------------ *)
+(* --- every scheme: dead collector, queued bags salvaged, no double free -- *)
 
-let test_hp_collector_kill_salvage () =
+let collector_kill_salvage (module S : Smr.Smr_intf.S) () =
   Fault.reset ();
   let cfg =
     { base with reclaim_threshold = 8; async_reclaim = true;
       handoff_capacity = 2 }
   in
-  let t = Hp.create ~config:cfg () in
-  let h = Hp.register t in
+  let t = S.create ~config:cfg () in
+  let h = S.register t in
   Fault.arm ~point:Fault.Collector ~action:Fault.Kill ~after:3 ();
   (* the collector hits the point on every loop iteration, so the kill
      fires on its own; retire meanwhile to race handoffs against it *)
   let deadline = Unix.gettimeofday () +. 5.0 in
   while (not (Fault.fired ())) && Unix.gettimeofday () < deadline do
-    Hp.retire h (Mem.make (Hp.stats t))
+    S.retire h (Mem.make (S.stats t))
   done;
   Alcotest.(check bool) "collector killed" true (Fault.fired ());
   for _ = 1 to 160 do
-    Hp.retire h (Mem.make (Hp.stats t))
+    S.retire h (Mem.make (S.stats t))
   done;
-  (match Hp.collector_counters t with
-  | None -> Alcotest.fail "async HP has no collector"
-  | Some k ->
-      Alcotest.(check bool) "mutator fell back inline after the death" true
-        (k.Collector.fallbacks > 0));
-  Hp.flush h;
-  Hp.unregister h;
+  Alcotest.(check bool) "mutator fell back inline after the death" true
+    ((ctrs_of (module S) t).Collector.fallbacks > 0);
   (* shutdown salvages anything the dead collector left queued or pending *)
-  Hp.shutdown t;
-  let survivor = Hp.register t in
-  Hp.flush survivor;
-  Alcotest.(check int) "all garbage salvaged and freed" 0
-    (Stats.unreclaimed (Hp.stats t));
-  Alcotest.(check int) "no block lost, none freed twice"
-    (Stats.allocated (Hp.stats t))
-    (Stats.freed (Hp.stats t));
-  Hp.unregister survivor;
+  drain_to_zero (module S) t h ~what:"all garbage salvaged and freed";
+  Fault.reset ()
+
+(* --- epoch schemes: the fallback keeps the inline cadence ---------------- *)
+
+(* The survivor ratchet (DESIGN.md §13). With the collector stalled and a
+   second handle pinned in a critical section, nothing ripens: every inline
+   pass leaves the whole bag behind. A fallback keyed on bag length would
+   then rescan on every threshold crossing; the pass counter keeps it at
+   one pass per [reclaim_threshold] retires. PEBR's neutralization is
+   disabled (huge lag) so the pinned handle really holds the epoch. *)
+let fallback_cadence (module S : Smr.Smr_intf.S) () =
+  Fault.reset ();
+  let thr = 64 in
+  let cfg =
+    { base with reclaim_threshold = thr; async_reclaim = true;
+      neutralize_lag = 1_000_000 }
+  in
+  let t = S.create ~config:cfg () in
+  let pinned = S.register t in
+  S.crit_enter pinned;
+  let h = S.register t in
+  Fault.arm ~point:Fault.Collector ~action:Fault.Stall ();
+  Fault.await_stalled ();
+  Trace.enable ~capacity:(1 lsl 16) ();
+  let n = 2_000 in
+  for _ = 1 to n do
+    S.retire h (Mem.make (S.stats t))
+  done;
+  Trace.disable ();
+  let snap = Trace.snapshot () in
+  Trace.reset ();
+  let passes =
+    Array.fold_left
+      (fun acc (e : Trace.event) ->
+        if e.Trace.kind = Trace.Reclaim_pass then acc + 1 else acc)
+      0 snap.Trace.events
+  in
+  let bound = ((n + thr - 1) / thr) + 1 in
+  Printf.printf "%s: %d retires, %d inline passes (bound %d)\n%!" S.name n
+    passes bound;
+  Alcotest.(check bool) "the fallback ran" true (passes > 0);
+  if passes > bound then
+    Alcotest.failf
+      "%s: %d inline passes for %d retires exceed the inline cadence bound %d"
+      S.name passes n bound;
+  Alcotest.(check int) "nothing ripened: every retire still pending" n
+    (Stats.unreclaimed (S.stats t));
+  Fault.release ();
+  S.crit_exit pinned;
+  S.unregister pinned;
+  drain_to_zero (module S) t h ~what:"drains to zero once released";
   Fault.reset ()
 
 (* --- HP++: the mutator assist keeps a stalled collector's queue short ----- *)
@@ -510,9 +548,6 @@ let test_collector_stats_after_drains () =
 let () =
   Alcotest.run "collector"
     [
-      ( "policy",
-        [ Alcotest.test_case "adaptive threshold clamps" `Quick
-            test_adapt_threshold ] );
       ( "bags",
         [
           Alcotest.test_case "growth past initial capacity" `Quick
@@ -534,9 +569,9 @@ let () =
           Alcotest.test_case "clean shutdown drains all bags" `Quick
             test_hp_async_clean_shutdown;
           Alcotest.test_case "stalled collector: bounded inline fallback"
-            `Quick test_hp_stalled_collector_inline_fallback;
+            `Quick (stalled_collector_inline_fallback (module Hp));
           Alcotest.test_case "killed collector: salvage, no double free"
-            `Quick test_hp_collector_kill_salvage;
+            `Quick (collector_kill_salvage (module Hp));
           Alcotest.test_case "stats gauges pinned under forced stall" `Quick
             test_collector_stats_under_stall;
           Alcotest.test_case "drain histograms filled after real cycles" `Quick
@@ -557,5 +592,28 @@ let () =
             (async_smoke (module Ebr));
           Alcotest.test_case "PEBR async smoke" `Quick
             (async_smoke (module Pebr));
+        ]
+        @ List.concat_map
+            (fun (name, m) ->
+              [
+                Alcotest.test_case
+                  (name ^ " stalled collector: bounded inline fallback")
+                  `Quick
+                  (stalled_collector_inline_fallback m);
+                Alcotest.test_case
+                  (name ^ " killed collector: salvage, no double free")
+                  `Quick (collector_kill_salvage m);
+              ])
+            [
+              ("HP++", (module Hp_plus : Smr.Smr_intf.S));
+              ("EBR", (module Ebr));
+              ("PEBR", (module Pebr));
+            ] );
+      ( "ratchet",
+        [
+          Alcotest.test_case "EBR fallback keeps the inline cadence" `Quick
+            (fallback_cadence (module Ebr));
+          Alcotest.test_case "PEBR fallback keeps the inline cadence" `Quick
+            (fallback_cadence (module Pebr));
         ] );
     ]

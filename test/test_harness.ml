@@ -83,13 +83,13 @@ let test_metric_of_name_unknown () =
       ())
 
 let test_collector_rows () =
-  Bench_harness.Collector.reset ();
-  Bench_harness.Collector.set_experiment "unit";
-  Bench_harness.Collector.add
+  Bench_harness.Results.reset ();
+  Bench_harness.Results.set_experiment "unit";
+  Bench_harness.Results.add
     ~extra:[ ("note", Service.Json.String "unit-extra") ]
     ~ds:"HashMap" ~scheme:"HP++" ~threads:2 ~key_range:1024
     ~workload:"read-write" sample_result;
-  let json = Service.Json.to_string (Bench_harness.Collector.to_json ()) in
+  let json = Service.Json.to_string (Bench_harness.Results.to_json ()) in
   List.iter
     (fun needle ->
       if
@@ -110,7 +110,7 @@ let test_collector_rows () =
       "\"protection_failures\":3";
       "\"note\":\"unit-extra\"";
     ];
-  Bench_harness.Collector.reset ()
+  Bench_harness.Results.reset ()
 
 let case name f = Alcotest.test_case name `Quick f
 
