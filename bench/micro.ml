@@ -43,6 +43,53 @@ let test_hpp_hhslist_get =
          next := (!next + 1) land 511;
          ignore (L.get l lo !next)))
 
+(* The trees' walk, one [get] per op over 1024 keys. Keys go in shuffled:
+   in ascending order the unbalanced NMTree and EFRBTree would degenerate
+   into a list. *)
+let test_hpp_tree_get name ~insert ~get =
+  let keys = Array.init 1024 Fun.id in
+  let rng = Smr_core.Rng.create ~seed:7 in
+  for i = 1023 downto 1 do
+    let j = Smr_core.Rng.below rng (i + 1) in
+    let k = keys.(i) in
+    keys.(i) <- keys.(j);
+    keys.(j) <- k
+  done;
+  Array.iter (fun k -> ignore (insert k)) keys;
+  let next = ref 0 in
+  Test.make
+    ~name:(Printf.sprintf "hp_plus/%s get (1024 keys)" name)
+    (Staged.stage (fun () ->
+         next := (!next + 1) land 1023;
+         ignore (get !next)))
+
+let test_hpp_nmtree_get =
+  let module T = Smr_ds.Nmtree.Make (Hp_plus) in
+  let t = Hp_plus.create () in
+  let tree = T.create t in
+  let lo = T.make_local (Hp_plus.register t) in
+  test_hpp_tree_get "nmtree"
+    ~insert:(fun k -> T.insert tree lo k k)
+    ~get:(fun k -> T.get tree lo k)
+
+let test_hpp_efrbtree_get =
+  let module T = Smr_ds.Efrbtree.Make (Hp_plus) in
+  let t = Hp_plus.create () in
+  let tree = T.create t in
+  let lo = T.make_local (Hp_plus.register t) in
+  test_hpp_tree_get "efrbtree"
+    ~insert:(fun k -> T.insert tree lo k k)
+    ~get:(fun k -> T.get tree lo k)
+
+let test_hpp_bonsai_get =
+  let module T = Smr_ds.Bonsai.Make (Hp_plus) in
+  let t = Hp_plus.create () in
+  let tree = T.create t in
+  let lo = T.make_local (Hp_plus.register t) in
+  test_hpp_tree_get "bonsai"
+    ~insert:(fun k -> T.insert tree lo k k)
+    ~get:(fun k -> T.get tree lo k)
+
 let test_ebr_crit =
   let t = Ebr.create () in
   let h = Ebr.register t in
@@ -119,6 +166,9 @@ let tests =
       test_hp_protect;
       test_hpp_protect;
       test_hpp_hhslist_get;
+      test_hpp_nmtree_get;
+      test_hpp_efrbtree_get;
+      test_hpp_bonsai_get;
       test_fence_heavy;
       test_ebr_crit;
       test_pebr_crit;

@@ -20,17 +20,17 @@ module Explore = Check.Explore
 module Shrink = Check.Shrink
 module Corpus = Check.Corpus
 
-let list_arg name default doc =
-  let strings = Arg.list Arg.string in
-  Arg.(value & opt strings default & info [ name ] ~doc)
+(* A comma-separated list of names drawn from [names]: an unknown one is a
+   usage error naming the option, not a case silently left out. *)
+let names_arg name names default what =
+  let doc =
+    Printf.sprintf "Comma-separated %s (%s)." what (String.concat ", " names)
+  in
+  let names = Arg.enum (List.map (fun n -> (n, n)) names) in
+  Arg.(value & opt (list names) default & info [ name ] ~doc)
 
-let ds_arg =
-  list_arg "ds" [ "treiber"; "msqueue" ]
-    "Comma-separated structures (treiber, msqueue, hmlist, hhslist, nmtree, \
-     hashmap, skiplist, shardkv)."
-
-let scheme_arg =
-  list_arg "scheme" Sut.(schemes) "Comma-separated schemes (HP, HP++, EBR, PEBR, NR)."
+let ds_arg = names_arg "ds" Sut.structures [ "treiber"; "msqueue" ] "structures"
+let scheme_arg = names_arg "scheme" Sut.schemes Sut.schemes "schemes"
 
 let threads_arg =
   Arg.(value & opt int 2 & info [ "threads" ] ~doc:"Logical threads.")

@@ -42,8 +42,8 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   type local = {
     handle : S.handle;
-    mutable hp_parent : S.guard;
-    mutable hp_child : S.guard;
+    hp_parent : S.guard;
+    hp_child : S.guard;
     mutable upd_guards : S.guard list;
     mutable upd_used : S.guard list;
   }
@@ -96,6 +96,12 @@ module Make (S : Smr.Smr_intf.S) = struct
         let g = S.guard l.handle in
         l.upd_used <- g :: l.upd_used;
         g
+
+  (* Hand back the most recently taken guard, withdrawing its protection. *)
+  let put_guard l g =
+    S.release g;
+    l.upd_used <- List.tl l.upd_used;
+    l.upd_guards <- g :: l.upd_guards
 
   let reset_guards l =
     List.iter S.release l.upd_used;
@@ -395,69 +401,66 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   (* --- read side --------------------------------------------------------- *)
 
-  let swap_read_guards l =
-    let p = l.hp_parent in
-    l.hp_parent <- l.hp_child;
-    l.hp_child <- p
+  (* The [src] flag passed for the root, which has no parent. *)
+  let root_src = Atomic.make false
 
-  (* Protect [n] for reading, descending from [parent]. Optimistic schemes
-     validate with the under-approximation "the parent has not been
-     invalidated" (all members of an update's replaced set are invalidated
-     before any is freed, and a replaced child implies a replaced parent in
-     the same set). HP falls back to "the root has not moved". *)
-  let protect_read t l ~root_rec ~parent n =
+  (* Protect [n] into [g] for reading. Optimistic schemes validate with the
+     under-approximation "[src], the invalid flag of the node we stepped
+     from, is still clear" (all members of an update's replaced set are
+     invalidated before any is freed, and a replaced child implies a
+     replaced parent in the same set); the root checks its own flag. HP
+     falls back to "the root has not moved". *)
+  let protect_read t l g ~root_rec ~src n =
     if S.needs_protection then begin
-      S.protect l.hp_child n.hdr;
+      S.protect g n.hdr;
       if not (S.protection_valid l.handle) then raise Restart;
       if S.supports_optimistic then begin
-        match parent with
-        | Some p -> if Atomic.get p.invalid then raise Restart
-        | None -> if Atomic.get n.invalid then raise Restart
+        if Atomic.get (if src == root_src then n.invalid else src) then
+          raise Restart
       end
       else if not (Link.get t.root == root_rec) then raise Restart
     end;
     Mem.check_access n.hdr
 
+  (* [gparent] holds the node we stepped from and [gchild] takes the next;
+     a step swaps them. *)
   let get t l key =
     C.with_crit l.handle (stats t) (fun () ->
         let root_rec = Link.get t.root in
-        let rec go parent = function
+        let rec go gparent gchild src = function
           | None -> `Done None
           | Some n ->
-              protect_read t l ~root_rec ~parent n;
-              swap_read_guards l;
+              protect_read t l gchild ~root_rec ~src n;
               if key = n.key then `Done (Some n.value)
-              else if key < n.key then go (Some n) n.left
-              else go (Some n) n.right
+              else if key < n.key then go gchild gparent n.invalid n.left
+              else go gchild gparent n.invalid n.right
         in
-        match go None (root_of root_rec) with
+        match go l.hp_parent l.hp_child root_src (root_of root_rec) with
         | r -> r
         | exception Restart -> `Prot)
 
   (* Long-running snapshot read: fold over every binding reachable from one
      root read. Under EBR-family schemes this pins an epoch for the whole
      walk; under HP++ it holds per-node protections and only restarts if a
-     node it stands on is invalidated — the paper's Figure 10 workload. *)
+     node it stands on is invalidated — the paper's Figure 10 workload.
+     Each node is protected once, into a pool guard held while both its
+     subtrees are walked and handed back after; the pool is last-in
+     first-out, so each level reuses one guard. *)
   let fold t l ~init ~f =
     C.with_crit l.handle (stats t) (fun () ->
         let root_rec = Link.get t.root in
-        let rec go parent acc = function
+        let rec go src acc = function
           | None -> acc
           | Some n ->
-              protect_read t l ~root_rec ~parent n;
-              (* keep the parent protected while walking both subtrees: use
-                 fresh guards per level *)
               let g = take_guard l in
-              S.protect g n.hdr;
-              let acc = go (Some n) acc n.left in
+              protect_read t l g ~root_rec ~src n;
+              let acc = go n.invalid acc n.left in
               let acc = f acc n.key n.value in
-              go (Some n) acc n.right
+              let acc = go n.invalid acc n.right in
+              put_guard l g;
+              acc
         in
-        match
-          let acc = go None init (root_of root_rec) in
-          reset_guards l;
-          acc
-        with
+        match go root_src init (root_of root_rec) with
         | acc -> `Done acc
         | exception Restart ->
             reset_guards l;

@@ -50,8 +50,8 @@ module Make :
       type 'v t = { scheme : S.t; root : 'v node Link.t; }
       type local = {
         handle : S.handle;
-        mutable hp_parent : S.guard;
-        mutable hp_child : S.guard;
+        hp_parent : S.guard;
+        hp_child : S.guard;
         mutable upd_guards : S.guard list;
         mutable upd_used : S.guard list;
       }
@@ -69,6 +69,7 @@ module Make :
         mutable scrapped : 'v node list;
       }
       val take_guard : local -> S.guard
+      val put_guard : local -> S.guard -> unit
       val reset_guards : local -> unit
       val guard_old : 'a t -> local -> 'a ctx -> 'b node -> unit
       val root_of : 'a Tagged.t -> 'a option
@@ -103,12 +104,12 @@ module Make :
         'a
       val insert : 'a t -> local -> int -> 'a -> bool
       val remove : 'a t -> local -> int -> bool
-      val swap_read_guards : local -> unit
+      val root_src : bool Atomic.t
       val protect_read :
         'a t ->
         local ->
-        root_rec:'a node Smr_core.Tagged.t ->
-        parent:'b node option -> 'c node -> unit
+        S.guard ->
+        root_rec:'a node Tagged.t -> src:bool Atomic.t -> 'b node -> unit
       val get : 'a t -> local -> int -> 'a option
       val fold : 'a t -> local -> init:'b -> f:('b -> int -> 'a -> 'b) -> 'b
       val to_list : 'a t -> (int * 'a) list

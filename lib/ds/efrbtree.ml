@@ -18,6 +18,7 @@ module Mem = Smr_core.Mem
 module Tagged = Smr_core.Tagged
 module Link = Smr_core.Link
 module Stats = Smr_core.Stats
+module Trace = Obs.Trace
 
 module Make (S : Smr.Smr_intf.S) = struct
   module C = Ds_common.Make (S)
@@ -76,14 +77,16 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let clean_update = { state = Clean; info = None; gen = -1 }
 
-  type 'v t = { scheme : S.t; root : 'v node }
+  (* [root] is the sentinel R; [s_rec] is its left child record, which
+     holds the sentinel S for good. *)
+  type 'v t = { scheme : S.t; root : 'v node; s_rec : 'v node Tagged.t }
 
   type local = {
     handle : S.handle;
     hp_gp : S.guard;
     hp_p : S.guard;
-    mutable hp_l : S.guard;
-    mutable hp_cur : S.guard;
+    hp_l : S.guard;
+    hp_cur : S.guard;
   }
 
   type 'v search_result = {
@@ -125,12 +128,12 @@ module Make (S : Smr.Smr_intf.S) = struct
         ~left:(Tagged.make (leaf inf1))
         ~right:(Tagged.make (leaf inf2))
     in
+    let s_rec = Tagged.make s in
     let r =
-      mk_node stats ~key:inf2 ~value:None ~kind:Internal
-        ~left:(Tagged.make s)
+      mk_node stats ~key:inf2 ~value:None ~kind:Internal ~left:s_rec
         ~right:(Tagged.make (leaf inf2))
     in
-    { scheme; root = r }
+    { scheme; root = r; s_rec }
 
   let scheme t = t.scheme
   let stats t = S.stats t.scheme
@@ -151,29 +154,6 @@ module Make (S : Smr.Smr_intf.S) = struct
     S.release l.hp_cur
 
   let child_link n key = if key < n.key then n.left else n.right
-
-  (* Protect the target of [src_link]. Optimistic schemes use HP++
-     TryProtect; HP validates with the over-approximation "the link is
-     unchanged and the source is not marked for splicing" (a marked source
-     is about to be spliced out together with one child). *)
-  let protect_step l ~src ~src_link expected =
-    if S.supports_optimistic then
-      let r =
-        C.try_protect ~src:Mem.phantom ~node_header l.hp_cur l.handle
-          ~src_link expected
-      in
-      if Tagged.is_invalid r then None else Some r
-    else begin
-      (match expected with
-      | Tagged.Ptr (n, _) -> S.protect l.hp_cur n.hdr
-      | Tagged.Null _ -> ());
-      if not (S.protection_valid l.handle) then None
-      else if
-        Tagged.same_ptr (Link.get src_link) expected
-        && (Atomic.get src.update).state <> Mark
-      then Some expected
-      else None
-    end
 
   let invalidate_nodes nodes =
     List.iter
@@ -245,71 +225,81 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   (* Search: descend to a leaf, recording grandparent/parent, their update
      fields, and the child records needed for the CASes. The sentinel
-     structure guarantees at least two internal nodes above any leaf. *)
+     structure guarantees at least two internal nodes above any leaf.
+
+     The guards ride along as arguments: [g_gp], [g_p] and [g_l] protect
+     gp, p and the current node, and [g_cur] is free for its child; a step
+     maps (gp, p, l, cur) to (p, l, cur, gp). R and S need no slot: a
+     delete splices out a user leaf and its parent, and every user leaf
+     hangs below S.left, so neither sentinel is ever retired. The walk
+     starts at S as the node below R; S is internal, so the first step
+     drops the first call's stand-in grandparent arguments. *)
   let search t l key =
+    let rec walk g_gp g_p g_l g_cur gp p gpupdate pupdate p_rec p_link cur_rec
+        cur_link =
+      match cur_rec with
+      | Tagged.Null _ -> `Retry
+      | Tagged.Ptr (cur, _) ->
+          Mem.check_access cur.hdr;
+          if cur.kind = Leaf then
+            `Done
+              {
+                s_gp = gp;
+                s_p = p;
+                s_l = cur;
+                s_gpupdate = gpupdate;
+                s_pupdate = pupdate;
+                s_p_rec = p_rec;
+                s_p_link = p_link;
+                s_l_rec = cur_rec;
+                s_l_link = cur_link;
+              }
+          else
+            let up = Atomic.get cur.update in
+            let link = child_link cur key in
+            let expected = Link.get link in
+            (* Optimistic schemes use HP++ TryProtect. HP validates with the
+               over-approximation "[cur] is not marked for splicing and the
+               link is unchanged" (a marked node is about to be spliced out
+               together with one child, whose edge from it never moves).
+               Both tests must pass before the step is traced as validated:
+               [protect_pessimistic] would trace the link test alone, and
+               record a validated protection of a freed leaf whenever the
+               mark test then fails. *)
+            if S.supports_optimistic then
+              let next_rec =
+                C.try_protect ~src:cur.hdr ~node_header g_cur l.handle
+                  ~src_link:link expected
+              in
+              if Tagged.is_invalid next_rec then `Prot
+              else
+                walk g_p g_l g_cur g_gp p cur pupdate up cur_rec cur_link
+                  next_rec link
+            else begin
+              (match expected with
+              | Tagged.Ptr (n, _) -> S.protect g_cur n.hdr
+              | Tagged.Null _ -> ());
+              if
+                S.protection_valid l.handle
+                && (Atomic.get cur.update).state <> Mark
+                && Tagged.same_ptr (Link.get link) expected
+              then begin
+                if Trace.enabled () then
+                  C.trace_step ~node_header ~src:cur.hdr ~validated:true
+                    expected;
+                walk g_p g_l g_cur g_gp p cur pupdate up cur_rec cur_link
+                  expected link
+              end
+              else begin
+                Trace.emit Trace.Validation_fail (Mem.uid cur.hdr) 0 0;
+                `Prot
+              end
+            end
+    in
     let r = t.root in
     let r_up = Atomic.get r.update in
-    let r_rec = Link.get (child_link r key) in
-    match protect_step l ~src:r ~src_link:(child_link r key) r_rec with
-    | None -> `Prot
-    | Some r_rec -> (
-        match r_rec with
-        | Tagged.Null _ -> `Retry
-        | Tagged.Ptr (s, _) ->
-            S.protect l.hp_p s.hdr;
-            let rec walk gp p gpupdate pupdate p_rec p_link cur cur_rec
-                cur_link =
-              (* [cur] protected by hp_cur/hp_l rotation *)
-              if cur.kind = Leaf then
-                `Done
-                  {
-                    s_gp = gp;
-                    s_p = p;
-                    s_l = cur;
-                    s_gpupdate = gpupdate;
-                    s_pupdate = pupdate;
-                    s_p_rec = p_rec;
-                    s_p_link = p_link;
-                    s_l_rec = cur_rec;
-                    s_l_link = cur_link;
-                  }
-              else
-                let up = Atomic.get cur.update in
-                let link = child_link cur key in
-                let rec0 = Link.get link in
-                match protect_step l ~src:cur ~src_link:link rec0 with
-                | None -> `Prot
-                | Some next_rec -> (
-                    match next_rec with
-                    | Tagged.Null _ -> `Retry
-                    | Tagged.Ptr (next, _) ->
-                        Mem.check_access next.hdr;
-                        (* roles shift: gp <- p, p <- cur, l <- next *)
-                        S.protect l.hp_gp p.hdr;
-                        S.protect l.hp_p cur.hdr;
-                        let g = l.hp_l in
-                        l.hp_l <- l.hp_cur;
-                        l.hp_cur <- g;
-                        walk p cur pupdate up cur_rec cur_link next next_rec
-                          link)
-            in
-            let s_up = Atomic.get s.update in
-            let link = child_link s key in
-            let rec0 = Link.get link in
-            (match protect_step l ~src:s ~src_link:link rec0 with
-            | None -> `Prot
-            | Some first_rec -> (
-                match first_rec with
-                | Tagged.Null _ -> `Retry
-                | Tagged.Ptr (first, _) ->
-                    Mem.check_access first.hdr;
-                    let g = l.hp_l in
-                    l.hp_l <- l.hp_cur;
-                    l.hp_cur <- g;
-                    S.protect l.hp_gp r.hdr;
-                    S.protect l.hp_p s.hdr;
-                    walk r s r_up s_up r_rec (child_link r key) first
-                      first_rec link)))
+    walk l.hp_gp l.hp_p l.hp_l l.hp_cur r r r_up r_up t.s_rec r.left t.s_rec
+      r.left
 
   let get t l key =
     if key >= inf1 then invalid_arg "Efrbtree: key too large";

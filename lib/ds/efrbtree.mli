@@ -8,6 +8,7 @@ module Mem = Smr_core.Mem
 module Tagged = Smr_core.Tagged
 module Link = Smr_core.Link
 module Stats = Smr_core.Stats
+module Trace = Obs.Trace
 module Make :
   functor (S : Smr.Smr_intf.S) ->
     sig
@@ -70,13 +71,17 @@ module Make :
       val clean_gen : int Atomic.t
       val fresh_clean : unit -> 'a update
       val clean_update : 'a update
-      type 'v t = { scheme : S.t; root : 'v node; }
+      type 'v t = {
+        scheme : S.t;
+        root : 'v node;
+        s_rec : 'v node Tagged.t;
+      }
       type local = {
         handle : S.handle;
         hp_gp : S.guard;
         hp_p : S.guard;
-        mutable hp_l : S.guard;
-        mutable hp_cur : S.guard;
+        hp_l : S.guard;
+        hp_cur : S.guard;
       }
       type 'v search_result = {
         s_gp : 'v node;
@@ -102,12 +107,6 @@ module Make :
       val make_local : S.handle -> local
       val clear_local : local -> unit
       val child_link : 'a node -> int -> 'a node Link.t
-      val protect_step :
-        local ->
-        src:'a node ->
-        src_link:'b node Ds_common.Link.t ->
-        'b node Ds_common.Tagged.t ->
-        'b node Ds_common.Tagged.t option
       val invalidate_nodes : 'a node list -> unit
       val help_insert : 'v iinfo -> 'v update -> unit
       val help_marked : local -> 'v dinfo -> 'v update -> unit

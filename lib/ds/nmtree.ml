@@ -43,15 +43,16 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let node_header n = n.hdr
 
-  type 'v t = { scheme : S.t; root : 'v node (* R sentinel *) }
+  (* The sentinels: R, and S, R's left child for good. *)
+  type 'v t = { scheme : S.t; root : 'v node; s : 'v node }
 
   type local = {
     handle : S.handle;
     hp_ancestor : S.guard;
     hp_successor : S.guard;
     hp_parent : S.guard;
-    mutable hp_leaf : S.guard;
-    mutable hp_cur : S.guard;
+    hp_leaf : S.guard;
+    hp_cur : S.guard;
   }
 
   type 'v seek_record = {
@@ -96,7 +97,7 @@ module Make (S : Smr.Smr_intf.S) = struct
         ~left:(Tagged.make s)
         ~right:(Tagged.make (leaf inf2))
     in
-    { scheme; root = r }
+    { scheme; root = r; s }
 
   let scheme t = t.scheme
   let stats t = S.stats t.scheme
@@ -121,80 +122,62 @@ module Make (S : Smr.Smr_intf.S) = struct
   let child_link n key = if key < n.key then n.left else n.right
 
   (* Descend from the root, remembering the deepest edge that was untagged:
-     its source is the ancestor where a splice for [key]'s leaf must happen. *)
+     its source is the ancestor where a splice for [key]'s leaf must happen.
+
+     The guards ride along as arguments: [ga], [gs], [gp] and [gl] protect
+     the ancestor, successor, parent and leaf, and [gc] is free for the next
+     child. A step hands roles on by permuting them at the recursive call.
+     R and S need no slot: every user leaf hangs below [S.left], which is
+     never flagged or tagged, so neither sentinel is ever spliced out. The
+     walk starts at S as the leaf below R; the edge R -> S is untagged, so
+     the first step yields the paper's initial record (R, S, S, S.left). *)
   let seek t l key =
-    let protect_step src_link expected =
-      let r =
-        C.try_protect ~src:Mem.phantom ~node_header l.hp_cur l.handle
-          ~src_link expected
-      in
-      if Tagged.is_invalid r then None else Some r
+    let rec walk ga gs gp gl gc ancestor ancestor_link ancestor_rec successor
+        parent parent_link parent_rec leaf =
+      if leaf.kind = Leaf then
+        `Done
+          {
+            sr_ancestor = ancestor;
+            sr_ancestor_link = ancestor_link;
+            sr_ancestor_rec = ancestor_rec;
+            sr_successor = successor;
+            sr_parent = parent;
+            sr_parent_link = parent_link;
+            sr_parent_rec = parent_rec;
+            sr_leaf = leaf;
+          }
+      else
+        let link = child_link leaf key in
+        let next_rec =
+          C.try_protect ~src:leaf.hdr ~node_header gc l.handle ~src_link:link
+            (Link.get link)
+        in
+        if Tagged.is_invalid next_rec then `Prot
+        else
+          match next_rec with
+          | Tagged.Null _ -> `Retry
+          | Tagged.Ptr (next, _) ->
+              Mem.check_access next.hdr;
+              if is_tagged parent_rec then
+                (* The parent edge is frozen: ancestor and successor stay,
+                   and the old parent's slot is free. *)
+                walk ga gs gl gc gp ancestor ancestor_link ancestor_rec
+                  successor leaf link next_rec next
+              else begin
+                (* The parent becomes the ancestor; the leaf becomes both
+                   the successor and the new parent. The successor gets a
+                   copy in the old ancestor's slot, taken while the leaf's
+                   own slot still holds it, so that each role keeps a slot
+                   of its own when the two part. *)
+                S.protect ga leaf.hdr;
+                walk gp ga gl gc gs parent parent_link parent_rec leaf leaf
+                  link next_rec next
+              end
     in
     let r = t.root in
-    let r_rec = Link.get r.left in
-    match protect_step r.left r_rec with
-    | None -> `Prot
-    | Some r_rec -> (
-        match r_rec with
-        | Tagged.Null _ -> `Retry
-        | Tagged.Ptr (s, _) ->
-            (* [s] protected by hp_cur; pin it under the successor role. *)
-            S.protect l.hp_successor s.hdr;
-            let s_rec = Link.get s.left in
-            (match protect_step s.left s_rec with
-            | None -> `Prot
-            | Some s_rec -> (
-                match s_rec with
-                | Tagged.Null _ -> `Retry
-                | Tagged.Ptr (first_leaf, _) ->
-                    let rec walk ancestor ancestor_link ancestor_rec successor
-                        parent parent_link parent_rec leaf =
-                      if leaf.kind = Leaf then
-                        `Done
-                          {
-                            sr_ancestor = ancestor;
-                            sr_ancestor_link = ancestor_link;
-                            sr_ancestor_rec = ancestor_rec;
-                            sr_successor = successor;
-                            sr_parent = parent;
-                            sr_parent_link = parent_link;
-                            sr_parent_rec = parent_rec;
-                            sr_leaf = leaf;
-                          }
-                      else
-                        let link = child_link leaf key in
-                        match protect_step link (Link.get link) with
-                        | None -> `Prot
-                        | Some next_rec -> (
-                            match next_rec with
-                            | Tagged.Null _ -> `Retry
-                            | Tagged.Ptr (next, _) ->
-                                Mem.check_access next.hdr;
-                                let anc, anc_link, anc_rec, succ =
-                                  if not (is_tagged parent_rec) then
-                                    (parent, parent_link, parent_rec, leaf)
-                                  else
-                                    (ancestor, ancestor_link, ancestor_rec,
-                                     successor)
-                                in
-                                (* Re-pin roles; every node pinned here is
-                                   currently protected by an older slot. *)
-                                S.protect l.hp_ancestor anc.hdr;
-                                S.protect l.hp_successor succ.hdr;
-                                S.protect l.hp_parent leaf.hdr;
-                                let g = l.hp_leaf in
-                                l.hp_leaf <- l.hp_cur;
-                                l.hp_cur <- g;
-                                walk anc anc_link anc_rec succ leaf link
-                                  next_rec next)
-                    in
-                    Mem.check_access first_leaf.hdr;
-                    let g = l.hp_leaf in
-                    l.hp_leaf <- l.hp_cur;
-                    l.hp_cur <- g;
-                    S.protect l.hp_ancestor r.hdr;
-                    S.protect l.hp_parent s.hdr;
-                    walk r r.left r_rec s s s.left s_rec first_leaf)))
+    let s_rec = Link.get r.left in
+    walk l.hp_ancestor l.hp_successor l.hp_parent l.hp_leaf l.hp_cur r r.left
+      s_rec t.s r r.left s_rec t.s
 
   let invalidate_nodes nodes =
     List.iter

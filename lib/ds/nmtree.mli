@@ -53,14 +53,14 @@ module Make :
         right : 'v node Link.t;
       }
       val node_header : 'a node -> Mem.header
-      type 'v t = { scheme : S.t; root : 'v node; }
+      type 'v t = { scheme : S.t; root : 'v node; s : 'v node; }
       type local = {
         handle : S.handle;
         hp_ancestor : S.guard;
         hp_successor : S.guard;
         hp_parent : S.guard;
-        mutable hp_leaf : S.guard;
-        mutable hp_cur : S.guard;
+        hp_leaf : S.guard;
+        hp_cur : S.guard;
       }
       type 'v seek_record = {
         sr_ancestor : 'v node;

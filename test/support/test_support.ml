@@ -67,6 +67,20 @@ struct
          traversal allocates per step"
         S.name words size bound
 
+  (* The same, pinned by depth: a get over 512 sequentially inserted keys
+     may cost at most one minor word more than one over 64, so no step of
+     the walk allocates, whatever the structure's shape. *)
+  let test_alloc_by_depth () =
+    let shallow = minor_words_per_get ~size:64 in
+    let deep = minor_words_per_get ~size:512 in
+    Printf.printf "%s: %.1f minor words per get over 64 keys, %.1f over 512\n%!"
+      S.name shallow deep;
+    if deep > shallow +. 1. then
+      Alcotest.failf
+        "%s: %.1f minor words per get over 512 keys against %.1f over 64: \
+         the traversal allocates per step"
+        S.name deep shallow
+
   let test_sequential_basics () =
     with_list (fun _ t _ lo ->
         Alcotest.(check bool) "insert 5" true (L.insert t lo 5 50);

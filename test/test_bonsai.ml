@@ -187,6 +187,12 @@ let () =
       ("bonsai:PEBR", B_pebr.tests);
       ("bonsai:RC", B_rc.tests);
       ("bonsai:NR", B_nr.tests);
+      ( "alloc by depth",
+        [
+          Alcotest.test_case "get HP" `Quick B_hp.test_alloc_by_depth;
+          Alcotest.test_case "get HP++" `Quick B_hpp.test_alloc_by_depth;
+          Alcotest.test_case "get EBR" `Quick B_ebr.test_alloc_by_depth;
+        ] );
       ( "bonsai extras",
         [
           Alcotest.test_case "balance invariant" `Quick test_balance_invariant;

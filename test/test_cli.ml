@@ -64,6 +64,16 @@ let test_model_check_kill () =
   check_usage_error exe [ "random"; "--kill"; "reclaim:x" ] ~option:"--kill";
   check_usage_error exe [ "sweep"; "--kill"; "reclaim" ] ~option:"--kill"
 
+(* An unknown structure or scheme name is a usage error, not a case left
+   out of the sweep. *)
+let test_model_check_names () =
+  let exe = "../bin/model_check.exe" in
+  check_usage_error exe
+    [ "sweep"; "--ds"; "efrbtree,nmtree"; "--scheme"; "HP++,Bogus" ]
+    ~option:"--scheme";
+  check_usage_error exe [ "sweep"; "--ds"; "efrbtree,bogus" ] ~option:"--ds";
+  check_usage_error exe [ "random"; "--ds"; "bogus" ] ~option:"--ds"
+
 let test_netkv_server_scheme () =
   check_usage_error "../bin/netkv_server.exe" [ "--scheme"; "bogus" ]
     ~option:"--scheme"
@@ -96,7 +106,9 @@ let () =
     @ [ ("json", [ Alcotest.test_case "written through the early channel" `Quick test_json_written ]);
         ( "model_check",
           [ Alcotest.test_case "bad --kill is a usage error" `Quick
-              test_model_check_kill ] );
+              test_model_check_kill;
+            Alcotest.test_case "unknown --ds/--scheme names are usage errors"
+              `Quick test_model_check_names ] );
         ( "netkv_server",
           [ Alcotest.test_case "bad --scheme is a usage error" `Quick
               test_netkv_server_scheme ] ) ])

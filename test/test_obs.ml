@@ -258,12 +258,15 @@ struct
            S.unregister h))
 end
 
-let check_clean name run =
+let record run =
   Trace.enable ~capacity:(1 lsl 16) ();
   run ();
   Trace.disable ();
   let snap = Trace.snapshot () in
   cleanup ();
+  snap
+
+let check_snapshot name snap =
   match Check.run_snapshot snap with
   | Ok s ->
       Alcotest.(check bool) (name ^ ": trace non-empty") true (s.Check.events > 0);
@@ -273,6 +276,34 @@ let check_clean name run =
         (Format.asprintf "%a" Check.pp_violation v)
         (List.length rest)
   | Error [] -> assert false
+
+let check_clean name run = check_snapshot name (record run)
+
+(* A tree traces each step from the node whose child link it read, so the
+   replay checker's step-from-freed and self-invalidation rules see every
+   step: none may carry the root-link source uid -1. *)
+let check_tree_clean name run =
+  let snap = record run in
+  let s = check_snapshot name snap in
+  Alcotest.(check bool) (name ^ ": saw steps") true (s.Check.steps > 0);
+  Alcotest.(check bool)
+    (name ^ ": no step from the root link")
+    false
+    (Array.exists
+       (fun (e : Trace.event) -> e.kind = Trace.Step && e.uid = -1)
+       snap.Trace.events)
+
+let test_real_trace_nmtree_hpp () =
+  let module M = Churn (Hp_plus) (Smr_ds.Nmtree.Make (Hp_plus)) in
+  check_tree_clean "nmtree/HP++" M.run
+
+let test_real_trace_efrbtree_hpp () =
+  let module M = Churn (Hp_plus) (Smr_ds.Efrbtree.Make (Hp_plus)) in
+  check_tree_clean "efrbtree/HP++" M.run
+
+let test_real_trace_efrbtree_hp () =
+  let module M = Churn (Hp) (Smr_ds.Efrbtree.Make (Hp)) in
+  check_tree_clean "efrbtree/HP" M.run
 
 let test_real_trace_hp () =
   let module M = Churn (Hp) (Smr_ds.Hmlist.Make (Hp)) in
@@ -616,5 +647,11 @@ let () =
           Alcotest.test_case "hhslist/PEBR clean" `Quick test_real_trace_pebr;
           Alcotest.test_case "shardkv spans clean" `Quick
             test_real_trace_shardkv;
+          Alcotest.test_case "nmtree/HP++ clean" `Quick
+            test_real_trace_nmtree_hpp;
+          Alcotest.test_case "efrbtree/HP++ clean" `Quick
+            test_real_trace_efrbtree_hpp;
+          Alcotest.test_case "efrbtree/HP clean" `Quick
+            test_real_trace_efrbtree_hp;
         ] );
     ]

@@ -107,6 +107,16 @@ let () =
       ("nmtree:PEBR", Nm_pebr.tests);
       ("nmtree:RC", Nm_rc.tests);
       ("nmtree:NR", Nm_nr.tests);
+      ( "alloc by depth",
+        [
+          Alcotest.test_case "nmtree get HP++" `Quick Nm_hpp.test_alloc_by_depth;
+          Alcotest.test_case "nmtree get EBR" `Quick Nm_ebr.test_alloc_by_depth;
+          Alcotest.test_case "efrbtree get HP" `Quick Ef_hp.test_alloc_by_depth;
+          Alcotest.test_case "efrbtree get HP++" `Quick
+            Ef_hpp.test_alloc_by_depth;
+          Alcotest.test_case "efrbtree get EBR" `Quick
+            Ef_ebr.test_alloc_by_depth;
+        ] );
       ( "nmtree extras",
         [
           Alcotest.test_case "rejects HP" `Quick test_nmtree_rejects_hp;
