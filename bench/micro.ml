@@ -43,6 +43,35 @@ let test_hpp_hhslist_get =
          next := (!next + 1) land 511;
          ignore (L.get l lo !next)))
 
+(* The same walk over a list built by random inserts and removes over 1024
+   keys, stopped at 512 nodes: list order no longer follows allocation
+   order, so a step's loads land where a churned workload's do. Gets cycle
+   over all 1024 keys, half of them misses; a walk still averages ~256
+   steps. *)
+let test_hpp_hhslist_get_churned =
+  let module L = Smr_ds.Hhslist.Make (Hp_plus) in
+  let t = Hp_plus.create () in
+  let l = L.create t in
+  let lo = L.make_local (Hp_plus.register t) in
+  let rng = Smr_core.Rng.create ~seed:11 in
+  let size = ref 0 in
+  let step ~grow =
+    let k = Smr_core.Rng.below rng 1024 in
+    if grow then (if L.insert l lo k k then incr size)
+    else if L.remove l lo k then decr size
+  in
+  for _ = 1 to 65536 do
+    step ~grow:(Smr_core.Rng.below rng 2 = 0)
+  done;
+  while !size <> 512 do
+    step ~grow:(!size < 512)
+  done;
+  let next = ref 0 in
+  Test.make ~name:"hp_plus/hhslist get (512 nodes, churned)"
+    (Staged.stage (fun () ->
+         next := (!next + 1) land 1023;
+         ignore (L.get l lo !next)))
+
 (* The trees' walk, one [get] per op over 1024 keys. Keys go in shuffled:
    in ascending order the unbalanced NMTree and EFRBTree would degenerate
    into a list. *)
@@ -166,6 +195,7 @@ let tests =
       test_hp_protect;
       test_hpp_protect;
       test_hpp_hhslist_get;
+      test_hpp_hhslist_get_churned;
       test_hpp_nmtree_get;
       test_hpp_efrbtree_get;
       test_hpp_bonsai_get;

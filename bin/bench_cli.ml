@@ -1,7 +1,7 @@
-(* Command-line converters shared by shardkv_bench, netkv_bench and
-   netkv_server. A bad value becomes a cmdliner usage error (exit 124)
-   while the command line is parsed, before any work starts, instead of an
-   uncaught exception. *)
+(* Command-line converters shared by shardkv_bench, netkv_bench,
+   netkv_server and soak. A bad value becomes a cmdliner usage error (exit
+   124) while the command line is parsed, before any work starts, instead
+   of an uncaught exception. *)
 
 open Cmdliner
 
@@ -21,6 +21,27 @@ let theta =
           (`Msg (Printf.sprintf "%S is not a number strictly between 0 and 1" s))
   in
   Arg.conv ~docv:"THETA" (parse, Format.pp_print_float)
+
+let int_range ~min ~max =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= min && n <= max -> Ok n
+    | _ when max = max_int ->
+        Error (`Msg (Printf.sprintf "%S is not an integer >= %d" s min))
+    | _ ->
+        Error
+          (`Msg
+            (Printf.sprintf "%S is not an integer between %d and %d" s min max))
+  in
+  Arg.conv ~docv:"INT" (parse, Format.pp_print_int)
+
+let non_negative_float =
+  let parse s =
+    match float_of_string_opt s with
+    | Some x when x >= 0.0 && Float.is_finite x -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a finite number >= 0" s))
+  in
+  Arg.conv ~docv:"NUM" (parse, Format.pp_print_float)
 
 (* The JSON output file is opened during parsing, so an unwritable path
    fails before the run instead of after it. *)

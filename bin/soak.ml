@@ -364,17 +364,36 @@ let run metrics_live =
 
 open Cmdliner
 
+(* Bad values are usage errors raised while parsing, before any domain is
+   spawned. A round runs DOMAINS workers beside up to six other domains
+   (main, timer, chaos watchdog, ticker, metrics listener, collector), all
+   under OCaml's limit of 128 live domains, so DOMAINS stops short of it. *)
+let max_domains = 120
+
 let rounds_arg =
-  let doc = "Soak rounds per data-structure x scheme pair." in
-  Arg.(value & pos 0 int 5 & info [] ~docv:"ROUNDS" ~doc)
+  let doc = "Soak rounds per data-structure x scheme pair (at least 1)." in
+  Arg.(
+    value
+    & pos 0 (Bench_cli.int_range ~min:1 ~max:max_int) 5
+    & info [] ~docv:"ROUNDS" ~doc)
 
 let domains_arg =
-  let doc = "Worker domains per round." in
-  Arg.(value & pos 1 int 4 & info [] ~docv:"DOMAINS" ~doc)
+  let doc =
+    Printf.sprintf "Worker domains per round (1 to %d)." max_domains
+  in
+  Arg.(
+    value
+    & pos 1 (Bench_cli.int_range ~min:1 ~max:max_domains) 4
+    & info [] ~docv:"DOMAINS" ~doc)
 
 let every_arg =
-  let doc = "Print a one-line progress snapshot every $(docv) seconds." in
-  Arg.(value & opt float 0.0 & info [ "every" ] ~docv:"SEC" ~doc)
+  let doc =
+    "Print a one-line progress snapshot every $(docv) seconds (0: never)."
+  in
+  Arg.(
+    value
+    & opt Bench_cli.non_negative_float 0.0
+    & info [ "every" ] ~docv:"SEC" ~doc)
 
 let trace_arg =
   let doc = "Record SMR events and write Chrome trace JSON to $(docv)." in
@@ -395,8 +414,11 @@ let metrics_arg =
   Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
 
 let trace_depth_arg =
-  let doc = "Trace ring capacity per domain, in events." in
-  Arg.(value & opt int 65536 & info [ "trace-depth" ] ~doc)
+  let doc = "Trace ring capacity per domain, in events (at least 1)." in
+  Arg.(
+    value
+    & opt (Bench_cli.int_range ~min:1 ~max:max_int) 65536
+    & info [ "trace-depth" ] ~doc)
 
 let chaos_arg =
   let doc =

@@ -601,7 +601,14 @@ and var_hint e =
       match List.rev (Rules.lident_parts txt) with
       | f :: _ -> var_hint b ^ "." ^ f
       | [] -> var_hint b)
+  | Pexp_apply (f, args) when head_name f = Some (Some "Link", "of_node") ->
+      of_node_hint args
   | _ -> "<expr>"
+
+and of_node_hint args =
+  match List.rev args with
+  | (_, n) :: _ -> "Link.of_node " ^ var_hint n
+  | [] -> "Link.of_node"
 
 (* Evaluate a let group. Lambda bindings become registered functions (so
    calls to them are summarized); other bindings flow values into the
@@ -697,7 +704,9 @@ and static_objs env e =
   | Pexp_tuple es -> ounions (List.map (static_objs env) es)
   | Pexp_apply (f, args) -> (
       match head_name f with
-      | Some (qual, last) when is_transparent qual last ->
+      | Some (qual, last)
+        when is_transparent qual last || (qual, last) = (Some "Link", "of_node")
+        ->
           ounions (List.map (fun (_, a) -> static_objs env a) args)
       | _ -> oempty)
   | _ -> oempty
@@ -895,6 +904,13 @@ and eval_apply ctx env ~loc f args =
       (* fresh node with no predecessors: the solver sees it unreached *)
       ctx.cur <- new_node ctx env;
       (vnone, env)
+  | Some (qual, "of_node") when qual = Some "Link" ->
+      (* [Link.of_node n] is [n]'s embedded link field: like [n.next], it
+         dereferences [n] and yields the field's derived object *)
+      let vals, env = eval_args ctx env args in
+      let base = last_positional vals in
+      emit ctx (Deref (base, of_node_hint args, loc));
+      (vof (osingle (derived ctx base "next")), env)
   | Some (qual, "get") when qual = Some "Link" ->
       let vals, env = eval_args ctx env args in
       ignore vals;

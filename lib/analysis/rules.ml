@@ -298,7 +298,7 @@ let nonalloc_ops =
 
 let nonalloc_accessors =
   [ "uid"; "uid_of_hdr"; "tag"; "length"; "scan_size"; "get"; "op_index";
-    "kind_code" ]
+    "kind_code"; "of_node" ]
 
 let is_enabled_call qual last = last = "enabled" && qual = Some "Trace"
 

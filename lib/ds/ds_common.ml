@@ -39,8 +39,37 @@ module Make (S : Smr.Smr_intf.S) = struct
      {!Tagged.invalid}, which carries no node; the caller must then recover,
      typically by restarting the operation. [src] is the header of the node
      [src_link] lives in ([Mem.phantom] for a root link), for the trace
-     only. Allocates nothing. *)
-  let rec try_protect ~src ~node_header guard handle ~src_link expected =
+     only. Allocates nothing.
+
+     [try_protect] is the fast path of one step: protect, scheme validity,
+     one re-read of [src_link], same target. Everything else goes to
+     [protect_moved], which continues from the value already re-read, so a
+     step makes the same protect calls and trace events either way. *)
+  let validation_fail ~src tag =
+    Trace.emit Trace.Validation_fail (uid_of_hdr src) tag 0;
+    Tagged.invalid
+
+  (* Cold path: [l] was re-read from [src_link] and is either invalidated
+     or a new target. *)
+  let rec protect_moved ~src ~node_header guard handle ~src_link l =
+    if Tagged.is_invalid l then validation_fail ~src (Tagged.tag l)
+    else begin
+      (match l with
+      | Tagged.Ptr (n, _) -> S.protect guard (node_header n)
+      | Tagged.Null _ -> ());
+      if not (S.protection_valid handle) then validation_fail ~src 0
+      else
+        let l' = Link.get src_link in
+        if Tagged.same_ptr l' l && not (Tagged.is_invalid l') then begin
+          if Trace.enabled () then
+            trace_step ~node_header ~src ~validated:true l';
+          l'
+        end
+        else protect_moved ~src ~node_header guard handle ~src_link l'
+    end
+
+  let[@inline] try_protect ~src ~node_header guard handle ~src_link expected
+      =
     if not S.needs_protection then begin
       if Trace.enabled () then
         trace_step ~node_header ~src ~validated:false expected;
@@ -50,21 +79,15 @@ module Make (S : Smr.Smr_intf.S) = struct
       (match expected with
       | Tagged.Ptr (n, _) -> S.protect guard (node_header n)
       | Tagged.Null _ -> ());
-      if not (S.protection_valid handle) then begin
-        Trace.emit Trace.Validation_fail (uid_of_hdr src) 0 0;
-        Tagged.invalid
-      end
+      if not (S.protection_valid handle) then validation_fail ~src 0
       else
         let l = Link.get src_link in
-        if Tagged.is_invalid l then begin
-          Trace.emit Trace.Validation_fail (uid_of_hdr src) (Tagged.tag l) 0;
-          Tagged.invalid
-        end
-        else if Tagged.same_ptr l expected then begin
-          if Trace.enabled () then trace_step ~node_header ~src ~validated:true l;
+        if Tagged.same_ptr l expected && not (Tagged.is_invalid l) then begin
+          if Trace.enabled () then
+            trace_step ~node_header ~src ~validated:true l;
           l
         end
-        else try_protect ~src ~node_header guard handle ~src_link l
+        else protect_moved ~src ~node_header guard handle ~src_link l
     end
 
   (* Over-approximating validation (original HP, paper §2.2): succeed only

@@ -37,10 +37,10 @@ module Make :
             end
           type 'v node =
             'v Hmlist.Make(S).node = {
+            mutable next : 'v node Hmlist.Link.cell;
             hdr : Hmlist.Mem.header;
             key : int;
             value : 'v;
-            next : 'v node Hmlist.Link.t;
           }
           val node_header : 'a node -> Hmlist.Mem.header
           type 'v t =
@@ -105,10 +105,10 @@ module Make :
             end
           type 'v node =
             'v Hhslist.Make(S).node = {
+            mutable next : 'v node Hhslist.Link.cell;
             hdr : Hhslist.Mem.header;
             key : int;
             value : 'v;
-            next : 'v node Hhslist.Link.t;
           }
           val node_header : 'a node -> Hhslist.Mem.header
           type 'v t =

@@ -17,11 +17,13 @@ module Stats = Smr_core.Stats
 module Make (S : Smr.Smr_intf.S) = struct
   module C = Ds_common.Make (S)
 
+  (* [next] is the node's embedded successor link: first and mutable, read
+     and written only through [Link.of_node]. *)
   type 'v node = {
+    mutable next : 'v node Link.cell;
     hdr : Mem.header;
     key : int;
     value : 'v;
-    next : 'v node Link.t;
   }
 
   let node_header n = n.hdr
@@ -79,13 +81,13 @@ module Make (S : Smr.Smr_intf.S) = struct
       if is_until n then List.rev acc
       else
         let acc = n :: acc in
-        match Link.get n.next with
+        match Link.get (Link.of_node n) with
         | Tagged.Ptr (m, _) -> walk m acc
         | Tagged.Null _ -> List.rev acc
     in
     walk first []
 
-  let invalidate_node n = Link.mark_invalid n.next
+  let invalidate_node n = Link.mark_invalid (Link.of_node n)
 
   (* Paper Algorithm 4 TrySearch. One attempt; [`Done (found, prev_link,
      expected, cur)] leaves [prev_link] holding [expected] whose target is
@@ -95,7 +97,8 @@ module Make (S : Smr.Smr_intf.S) = struct
       match anchor with
       | None -> (
           match cur_opt with
-          | Some c when Tagged.is_deleted (Link.get c.next) -> `Retry
+          | Some c when Tagged.is_deleted (Link.get (Link.of_node c)) ->
+              `Retry
           | _ -> `Done (found, prev_link, cur_t, cur_opt))
       | Some a ->
           let frontier =
@@ -113,7 +116,8 @@ module Make (S : Smr.Smr_intf.S) = struct
           if not unlinked then `Retry
           else begin
             match cur_opt with
-            | Some c when Tagged.is_deleted (Link.get c.next) -> `Retry
+            | Some c when Tagged.is_deleted (Link.get (Link.of_node c)) ->
+                `Retry
             | _ -> `Done (found, a.a_link, desired, cur_opt)
           end
     in
@@ -133,29 +137,30 @@ module Make (S : Smr.Smr_intf.S) = struct
         | Tagged.Null _ -> finish ~found:false prev_link cur_t None anchor
         | Tagged.Ptr (cur, _) ->
             Mem.check_access cur.hdr;
-            let next_t = Link.get cur.next in
+            let cur_link = Link.of_node cur in
+            let next_t = Link.get cur_link in
             if not (Tagged.is_deleted next_t) then
               if cur.key >= key then
                 finish ~found:(cur.key = key) prev_link cur_t (Some cur)
                   anchor
-              else loop gcur gprev ganchor ganext cur.hdr cur.next next_t None
+              else loop gcur gprev ganchor ganext cur.hdr cur_link next_t None
             else begin
               (* [cur] is logically deleted: optimistic traversal walks
                  through it, remembering where the chain started. *)
               match anchor with
               | None ->
                   (* prev becomes the anchor; the old anchor slot is free *)
-                  loop gcur ganchor gprev ganext cur.hdr cur.next next_t
+                  loop gcur ganchor gprev ganext cur.hdr cur_link next_t
                     (Some
                        { a_link = prev_link; a_expected = cur_t; a_first = cur })
               | Some a ->
                   if src == a.a_first.hdr then
                     (* prev is the chain's first node: pin it as anchor-next
                        and reuse the old anchor-next slot *)
-                    loop gcur ganext ganchor gprev cur.hdr cur.next next_t
+                    loop gcur ganext ganchor gprev cur.hdr cur_link next_t
                       anchor
                   else
-                    loop gcur gprev ganchor ganext cur.hdr cur.next next_t
+                    loop gcur gprev ganchor ganext cur.hdr cur_link next_t
                       anchor
             end
     in
@@ -178,12 +183,13 @@ module Make (S : Smr.Smr_intf.S) = struct
             | Tagged.Null _ -> `Done None
             | Tagged.Ptr (cur, _) ->
                 Mem.check_access cur.hdr;
-                let next_t = Link.get cur.next in
+                let cur_link = Link.of_node cur in
+                let next_t = Link.get cur_link in
                 if cur.key > key then `Done None
                 else if cur.key = key then
                   `Done
                     (if Tagged.is_deleted next_t then None else Some cur.value)
-                else walk gcur gprev cur.hdr cur.next next_t
+                else walk gcur gprev cur.hdr cur_link next_t
         in
         walk l.hp_prev l.hp_cur Mem.phantom t.head (Link.get t.head))
 
@@ -206,16 +212,16 @@ module Make (S : Smr.Smr_intf.S) = struct
                 | None ->
                     let n =
                       {
+                        next = Link.cell Tagged.null;
                         hdr = Mem.make (stats t);
                         key;
                         value;
-                        next = Link.null ();
                       }
                     in
                     fresh := Some n;
                     n
               in
-              Link.set node.next (Tagged.of_option cur_opt);
+              Link.set (Link.of_node node) (Tagged.of_option cur_opt);
               if Link.cas_clean prev_link cur_t (Tagged.make node) then
                 `Done true
               else `Retry)
@@ -228,11 +234,11 @@ module Make (S : Smr.Smr_intf.S) = struct
             if not found then `Done false
             else
               let cur = Option.get cur_opt in
-              let next_t = Link.get cur.next in
+              let next_t = Link.get (Link.of_node cur) in
               if Tagged.is_deleted next_t then `Retry
               else if
                 not
-                  (Link.cas_clean cur.next next_t
+                  (Link.cas_clean (Link.of_node cur) next_t
                      (Tagged.set_bits next_t Tagged.deleted_bit))
               then `Retry
               else begin
@@ -263,7 +269,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       match tg with
       | Tagged.Null _ -> List.rev acc
       | Tagged.Ptr (n, _) ->
-          let next_t = Link.get_quiescent n.next in
+          let next_t = Link.get_quiescent (Link.of_node n) in
           let acc =
             if Tagged.is_deleted next_t then acc else (n.key, n.value) :: acc
           in
@@ -279,7 +285,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       | Tagged.Null _ -> ()
       | Tagged.Ptr (n, _) ->
           assert (not (Mem.is_freed n.hdr));
-          walk (Link.get_quiescent n.next)
+          walk (Link.get_quiescent (Link.of_node n))
     in
     walk (Link.get_quiescent t.head)
 end

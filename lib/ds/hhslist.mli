@@ -38,10 +38,10 @@ module Make :
             (unit -> [< `Done of 'a | `Prot | `Retry ]) -> 'a
         end
       type 'v node = {
+        mutable next : 'v node Link.cell;
         hdr : Mem.header;
         key : int;
         value : 'v;
-        next : 'v node Link.t;
       }
       val node_header : 'a node -> Mem.header
       type 'v t = { scheme : S.t; head : 'v node Link.t; }

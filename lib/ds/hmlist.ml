@@ -14,11 +14,13 @@ module Stats = Smr_core.Stats
 module Make (S : Smr.Smr_intf.S) = struct
   module C = Ds_common.Make (S)
 
+  (* [next] is the node's embedded successor link: first and mutable, read
+     and written only through [Link.of_node]. *)
   type 'v node = {
+    mutable next : 'v node Link.cell;
     hdr : Mem.header;
     key : int;
     value : 'v;
-    next : 'v node Link.t;
   }
 
   let node_header n = n.hdr
@@ -61,7 +63,7 @@ module Make (S : Smr.Smr_intf.S) = struct
           then `Prot
           else begin
             Mem.check_access cur.hdr;
-            let next_t = Link.get cur.next in
+            let next_t = Link.get (Link.of_node cur) in
             if Tagged.is_deleted next_t then begin
               (* [cur] is logically deleted: unlink it before moving on
                  (the pessimism HP requires). *)
@@ -74,7 +76,7 @@ module Make (S : Smr.Smr_intf.S) = struct
             end
             else if cur.key >= key then
               `Done (cur.key = key, prev_link, cur_t, Some cur)
-            else advance gcur gprev cur.next next_t
+            else advance gcur gprev (Link.of_node cur) next_t
           end
     in
     advance l.hp_prev l.hp_cur t.head (Link.get t.head)
@@ -106,16 +108,16 @@ module Make (S : Smr.Smr_intf.S) = struct
                 | None ->
                     let n =
                       {
+                        next = Link.cell Tagged.null;
                         hdr = Mem.make (stats t);
                         key;
                         value;
-                        next = Link.null ();
                       }
                     in
                     fresh := Some n;
                     n
               in
-              Link.set node.next (Tagged.with_tag cur_t 0);
+              Link.set (Link.of_node node) (Tagged.with_tag cur_t 0);
               if Link.cas_clean prev_link cur_t (Tagged.make node) then
                 `Done true
               else `Retry)
@@ -128,11 +130,11 @@ module Make (S : Smr.Smr_intf.S) = struct
             if not found then `Done false
             else
               let cur = Option.get cur in
-              let next_t = Link.get cur.next in
+              let next_t = Link.get (Link.of_node cur) in
               if Tagged.is_deleted next_t then `Retry (* someone else won *)
               else if
                 not
-                  (Link.cas_clean cur.next next_t
+                  (Link.cas_clean (Link.of_node cur) next_t
                      (Tagged.set_bits next_t Tagged.deleted_bit))
               then `Retry
               else begin
@@ -151,7 +153,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       match tg with
       | Tagged.Null _ -> List.rev acc
       | Tagged.Ptr (n, _) ->
-          let next_t = Link.get_quiescent n.next in
+          let next_t = Link.get_quiescent (Link.of_node n) in
           let acc =
             if Tagged.is_deleted next_t then acc else (n.key, n.value) :: acc
           in
@@ -169,7 +171,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       | Tagged.Null _ -> ()
       | Tagged.Ptr (n, _) ->
           assert (not (Mem.is_freed n.hdr));
-          walk (Link.get_quiescent n.next)
+          walk (Link.get_quiescent (Link.of_node n))
     in
     walk (Link.get_quiescent t.head)
 end

@@ -20,11 +20,13 @@ module Stats = Smr_core.Stats
 module Make (S : Smr.Smr_intf.S) = struct
   module C = Ds_common.Make (S)
 
+  (* [next] is the node's embedded successor link: first and mutable, read
+     and written only through [Link.of_node]. *)
   type 'v node = {
+    mutable next : 'v node Link.cell;
     hdr : Mem.header;
     key : int;
     value : 'v;
-    next : 'v node Link.t;
     marked : bool Atomic.t; (* logical deletion, separate from the link *)
     lock : Mutex.t;
   }
@@ -41,7 +43,7 @@ module Make (S : Smr.Smr_intf.S) = struct
      the structure) or a real node. *)
   type 'v pred = Head | Node of 'v node
 
-  let pred_link t = function Head -> t.head_link | Node n -> n.next
+  let pred_link t = function Head -> t.head_link | Node n -> Link.of_node n
   let pred_lock t = function Head -> t.head_lock | Node n -> n.lock
   let pred_marked = function Head -> false | Node n -> Atomic.get n.marked
 
@@ -87,7 +89,7 @@ module Make (S : Smr.Smr_intf.S) = struct
         | Tagged.Ptr (cur, _) ->
             Mem.check_access cur.hdr;
             if cur.key >= key then `Done (prev, Some cur)
-            else go gcur gprev (Node cur) (Link.get cur.next)
+            else go gcur gprev (Node cur) (Link.get (Link.of_node cur))
     in
     go l.hp_prev l.hp_cur Head (Link.get t.head_link)
 
@@ -143,10 +145,10 @@ module Make (S : Smr.Smr_intf.S) = struct
                   | None ->
                       let n =
                         {
+                          next = Link.cell Tagged.null;
                           hdr = Mem.make (stats t);
                           key;
                           value;
-                          next = Link.null ();
                           marked = Atomic.make false;
                           lock = Mutex.create ();
                         }
@@ -157,7 +159,7 @@ module Make (S : Smr.Smr_intf.S) = struct
                 match
                   (* smr-lint: allow F1 — validated locks pred and cur before any deref; locked, unmarked nodes cannot be unlinked, hence never invalidated or freed (Heller validation) *)
                   validated t ~pred ~cur (fun () ->
-                      Link.set node.next (Tagged.of_option cur);
+                      Link.set (Link.of_node node) (Tagged.of_option cur);
                       Link.set (pred_link t pred) (Tagged.make node))
                 with
                 | Some () -> `Done true
@@ -180,7 +182,7 @@ module Make (S : Smr.Smr_intf.S) = struct
                     (* physical deletion under the locks cannot fail, so
                        do_unlink always succeeds; the frontier is cur's
                        successor, invalidated flag on cur's link. *)
-                    let next_t = Link.get cur.next in
+                    let next_t = Link.get (Link.of_node cur) in
                     let frontier =
                       match next_t with
                       | Tagged.Ptr (n, _) -> [ n.hdr ]
@@ -194,7 +196,8 @@ module Make (S : Smr.Smr_intf.S) = struct
                            Some [ cur ])
                          ~node_header
                          ~invalidate:
-                           (List.iter (fun n -> Link.mark_invalid n.next))))
+                           (List.iter (fun n ->
+                                Link.mark_invalid (Link.of_node n)))))
               with
               | Some () -> `Done true
               | None -> `Retry))
@@ -209,7 +212,7 @@ module Make (S : Smr.Smr_intf.S) = struct
           let acc =
             if Atomic.get n.marked then acc else (n.key, n.value) :: acc
           in
-          go acc (Link.get_quiescent n.next)
+          go acc (Link.get_quiescent (Link.of_node n))
     in
     go [] (Link.get_quiescent t.head_link)
 
@@ -221,7 +224,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       | Tagged.Null _ -> ()
       | Tagged.Ptr (n, _) ->
           assert (not (Mem.is_freed n.hdr));
-          go (Link.get_quiescent n.next)
+          go (Link.get_quiescent (Link.of_node n))
     in
     go (Link.get_quiescent t.head_link)
 end

@@ -9,7 +9,13 @@ module Link = Smr_core.Link
 module Make (S : Smr.Smr_intf.S) = struct
   module C = Ds_common.Make (S)
 
-  type 'v node = { hdr : Mem.header; value : 'v option; next : 'v node Link.t }
+  (* [next] is the node's embedded successor link: first and mutable, read
+     and written only through [Link.of_node]. *)
+  type 'v node = {
+    mutable next : 'v node Link.cell;
+    hdr : Mem.header;
+    value : 'v option;
+  }
 
   let node_header n = n.hdr
 
@@ -18,7 +24,9 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let create scheme =
     let stats = S.stats scheme in
-    let dummy = { hdr = Mem.make stats; value = None; next = Link.null () } in
+    let dummy =
+      { next = Link.cell Tagged.null; hdr = Mem.make stats; value = None }
+    in
     let d = Tagged.make dummy in
     { scheme; head = Link.make d; tail = Link.make d }
 
@@ -34,7 +42,7 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let enqueue t l value =
     let hdr = Mem.make (stats t) in
-    let node = { hdr; value = Some value; next = Link.null () } in
+    let node = { next = Link.cell Tagged.null; hdr; value = Some value } in
     C.with_crit l.handle (stats t) (fun () ->
         let tail_t = Link.get t.tail in
         let tl = Tagged.get_exn tail_t in
@@ -45,10 +53,10 @@ module Make (S : Smr.Smr_intf.S) = struct
         then `Prot
         else begin
           Mem.check_access tl.hdr;
-          let next_t = Link.get tl.next in
+          let next_t = Link.get (Link.of_node tl) in
           match next_t with
           | Tagged.Null _ ->
-              if Link.cas_clean tl.next next_t (Tagged.make node)
+              if Link.cas_clean (Link.of_node tl) next_t (Tagged.make node)
               then begin
                 (* Swing the tail; losing this CAS is fine (someone helped). *)
                 ignore
@@ -75,7 +83,7 @@ module Make (S : Smr.Smr_intf.S) = struct
         else begin
           Mem.check_access h.hdr;
           let tail_t = Link.get t.tail in
-          let next_t = Link.get h.next in
+          let next_t = Link.get (Link.of_node h) in
           match next_t with
           | Tagged.Null _ -> `Done None
           | Tagged.Ptr (n, _) ->
@@ -118,11 +126,11 @@ module Make (S : Smr.Smr_intf.S) = struct
       | Tagged.Null _ -> List.rev acc
       | Tagged.Ptr (n, _) ->
           let acc = match n.value with Some v -> v :: acc | None -> acc in
-          walk acc (Link.get_quiescent n.next)
+          walk acc (Link.get_quiescent (Link.of_node n))
     in
     match Link.get_quiescent t.head with
     | Tagged.Null _ -> []
-    | Tagged.Ptr (dummy, _) -> walk [] (Link.get_quiescent dummy.next)
+    | Tagged.Ptr (dummy, _) -> walk [] (Link.get_quiescent (Link.of_node dummy))
 
   let length t = List.length (to_list t)
 end

@@ -37,9 +37,9 @@ module Make :
             (unit -> [< `Done of 'a | `Prot | `Retry ]) -> 'a
         end
       type 'v node = {
+        mutable next : 'v node Link.cell;
         hdr : Mem.header;
         value : 'v option;
-        next : 'v node Link.t;
       }
       val node_header : 'a node -> Mem.header
       type 'v t = {

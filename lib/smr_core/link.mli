@@ -1,9 +1,32 @@
-(** An atomic tagged link: one mutable pointer field of a node. *)
+(** An atomic tagged link: one mutable pointer field of a node.
+
+    A link is any block whose field 0 holds the link's {!Tagged.t}. A root
+    link ({!make}, {!null}) is a block of its own. A list node embeds its
+    successor link instead: the node's record declares a [mutable] {!cell}
+    as its {e first} field, and {!of_node} views the node itself as that
+    link, so a traversal step loads the node and the tagged block and
+    nothing in between. Structures with several successors per node (the
+    trees, the skip list) keep one {!make}/{!null} block per successor. *)
 
 type 'a t
 
+type 'a cell
+(** The type of an embedded link field. It is abstract: the field is read
+    and written only through {!of_node}. *)
+
 val make : 'a Tagged.t -> 'a t
 val null : unit -> 'a t
+
+val cell : 'a Tagged.t -> 'a cell
+(** The initial value of an embedded link field, for the node's record
+    literal. *)
+
+val of_node : 'a -> 'a t
+(** [of_node n] is the link embedded in [n], for a record type whose first
+    declared field is [mutable next : 'a cell] (['a] being that record type
+    itself). The result aliases [n]: no allocation, no copy. Passing any
+    other value is undefined behaviour. *)
+
 val get : 'a t -> 'a Tagged.t
 
 val get_quiescent : 'a t -> 'a Tagged.t

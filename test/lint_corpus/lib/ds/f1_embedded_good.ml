@@ -1,0 +1,19 @@
+(* smr-lint: allow missing-mli — corpus fixture: parsed, never compiled *)
+
+(* F1 good twin: the same walk over embedded links, each step validated
+   through try_protect before [Link.of_node] reads the node's link. *)
+
+let length t l =
+  let rec go acc src link expected =
+    let cur =
+      C.try_protect ~src ~node_header l.hp l.handle ~src_link:link expected
+    in
+    if Tagged.is_invalid cur then None
+    else
+      match cur with
+      | Tagged.Null _ -> Some acc
+      | Tagged.Ptr (n, _) ->
+          let next = Link.of_node n in
+          go (acc + 1) n.hdr next (Link.get next)
+  in
+  go 0 Mem.phantom t.head (Link.get t.head)

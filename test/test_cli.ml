@@ -78,6 +78,18 @@ let test_netkv_server_scheme () =
   check_usage_error "../bin/netkv_server.exe" [ "--scheme"; "bogus" ]
     ~option:"--scheme"
 
+(* soak's ROUNDS, DOMAINS, --trace-depth and --every. Every value here is
+   rejected, so no case starts a round or spawns a domain. *)
+let test_soak_bounds () =
+  let exe = "../bin/soak.exe" in
+  check_usage_error exe [ "0" ] ~option:"ROUNDS";
+  check_usage_error exe [ "-3" ] ~option:"ROUNDS";
+  check_usage_error exe [ "1"; "0" ] ~option:"DOMAINS";
+  check_usage_error exe [ "1"; "129" ] ~option:"DOMAINS";
+  check_usage_error exe [ "--trace-depth"; "0" ] ~option:"--trace-depth";
+  check_usage_error exe [ "--every=-1" ] ~option:"--every";
+  check_usage_error exe [ "--every"; "nan" ] ~option:"--every"
+
 let test_json_written () =
   let path = Filename.temp_file "test_cli" ".json" in
   let code, err, _ =
@@ -111,4 +123,7 @@ let () =
               `Quick test_model_check_names ] );
         ( "netkv_server",
           [ Alcotest.test_case "bad --scheme is a usage error" `Quick
-              test_netkv_server_scheme ] ) ])
+              test_netkv_server_scheme ] );
+        ( "soak",
+          [ Alcotest.test_case "out-of-range values are usage errors" `Quick
+              test_soak_bounds ] ) ])

@@ -62,6 +62,37 @@ let test_hpp_plain_fence_list () =
   Alcotest.(check int) "drained" 0 (Stats.unreclaimed (Hp_plus.stats scheme));
   Hp_plus.unregister h
 
+(* Minor-heap words per successful HHSList insert under HP++, on one
+   domain. Keys go in descending order, so each insert lands at the head
+   and retires nothing. An insert allocates the node, its header word, the
+   tagged block its own link is set to, the one that publishes it and the
+   crit-section closures; the node embeds its link, so no link block. *)
+let minor_words_per_insert () =
+  let module L = Smr_ds.Hhslist.Make (Hp_plus) in
+  let scheme = Hp_plus.create () in
+  let t = L.create scheme in
+  let h = Hp_plus.register scheme in
+  let lo = L.make_local h in
+  let n = 4096 in
+  assert (L.insert t lo (n + 1) 0);
+  let before = Gc.minor_words () in
+  for k = n downto 1 do
+    assert (L.insert t lo k k)
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  L.clear_local lo;
+  Hp_plus.unregister h;
+  words
+
+let test_alloc_per_insert ~bound () =
+  let words = minor_words_per_insert () in
+  Printf.printf "HP++: %.2f minor words per HHSList insert\n%!" words;
+  if words > bound then
+    Alcotest.failf
+      "HP++: %.2f minor words per HHSList insert exceeds %.0f: the node no \
+       longer embeds its link"
+      words bound
+
 let () =
   Alcotest.run "lists"
     [
@@ -103,5 +134,7 @@ let () =
             (Hhs_hpp.test_alloc_per_get ~size:512 ~bound:48.);
           Alcotest.test_case "hhslist get over 512 nodes EBR" `Quick
             (Hhs_ebr.test_alloc_per_get ~size:512 ~bound:48.);
+          Alcotest.test_case "hhslist insert HP++" `Quick
+            (test_alloc_per_insert ~bound:67.);
         ] );
     ]

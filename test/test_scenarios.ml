@@ -34,7 +34,7 @@ let build_list scheme t lo =
       match tg with
       | Tagged.Null _ -> Alcotest.failf "node %d not found" k
       | Tagged.Ptr (n, _) ->
-          if n.L.key = k then n else find (Link.get n.L.next)
+          if n.L.key = k then n else find (Link.get (Link.of_node n))
     in
     find (Link.get t.L.head)
   in
@@ -43,10 +43,10 @@ let build_list scheme t lo =
 (* Logically delete a node in place: the stalled remover of the paper's
    figures, frozen after its mark CAS. *)
 let mark n =
-  let r = Link.get n.L.next in
-  assert (Link.cas n.L.next r (Tagged.set_bits r Tagged.deleted_bit))
+  let r = Link.get (Link.of_node n) in
+  assert (Link.cas (Link.of_node n) r (Tagged.set_bits r Tagged.deleted_bit))
 
-let is_invalid n = Tagged.is_invalid (Link.get n.L.next)
+let is_invalid n = Tagged.is_invalid (Link.get (Link.of_node n))
 
 (* Figure 6, first scenario + Figure 5: T1 stands on p (validated); T2
    unlinks the chain p,q at once and starts reclaiming. With the original
@@ -87,7 +87,7 @@ let test_scenario_one () =
      the step is allowed — and it is SAFE, because q is not freed. *)
   (let tg =
      C.try_protect ~src:p.L.hdr ~node_header:L.node_header hp_prev t1
-       ~src_link:p.L.next (Link.get p.L.next)
+       ~src_link:(Link.of_node p) (Link.get (Link.of_node p))
    in
    if Tagged.is_invalid tg then Alcotest.fail "p is not invalidated yet";
    assert (Tagged.same_ptr tg (Tagged.make q));
@@ -110,7 +110,7 @@ let test_scenario_one () =
   (* And the HP++ traverser is told to restart instead: *)
   (let tg =
      C.try_protect ~src:p.L.hdr ~node_header:L.node_header hp_cur t1
-       ~src_link:p.L.next (Link.get p.L.next)
+       ~src_link:(Link.of_node p) (Link.get (Link.of_node p))
    in
    if not (Tagged.is_invalid tg) then
      Alcotest.fail "step from invalidated p must fail";
@@ -147,13 +147,13 @@ let test_scenario_two () =
   let g1 = Hp_plus.guard t1 and g2 = Hp_plus.guard t1 in
   (let tg =
      C.try_protect ~src:p.L.hdr ~node_header:L.node_header g1 t1
-       ~src_link:p.L.next (Link.get p.L.next)
+       ~src_link:(Link.of_node p) (Link.get (Link.of_node p))
    in
    if Tagged.is_invalid tg then Alcotest.fail "q step";
    assert (Tagged.same_ptr tg (Tagged.make q)));
   (let tg =
      C.try_protect ~src:q.L.hdr ~node_header:L.node_header g2 t1
-       ~src_link:q.L.next (Link.get q.L.next)
+       ~src_link:(Link.of_node q) (Link.get (Link.of_node q))
    in
    if Tagged.is_invalid tg then Alcotest.fail "r step";
    assert (Tagged.same_ptr tg (Tagged.make r)));

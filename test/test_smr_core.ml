@@ -415,6 +415,135 @@ let test_link_mark_invalid () =
   Alcotest.(check bool) "keeps pointer" true
     (match v with Tagged.Ptr (p, _) -> p == n | Tagged.Null _ -> false)
 
+(* A node with an embedded link, declared the way the lists declare theirs:
+   the link is the first field and mutable. *)
+type enode = { mutable next : enode Link.cell; id : int }
+
+let enode id = { next = Link.cell Tagged.null; id }
+
+(* Store a young tagged block, with no other root to it, into the link of a
+   node promoted to the major heap: only the CAS's write barrier keeps the
+   minor collection from leaving the field pointing into the old minor
+   heap. *)
+let[@inline never] cas_young link =
+  Link.cas link (Link.get link) (Tagged.make (enode 2))
+
+let test_link_embedded_gc () =
+  let n = enode 1 in
+  Gc.full_major ();
+  let link = Link.of_node n in
+  Alcotest.(check bool) "embedded link starts null" true
+    (Tagged.is_null (Link.get link));
+  Alcotest.(check bool) "CAS of a young block succeeds" true (cas_young link);
+  (* churn the minor heap so a stale field would read garbage *)
+  for i = 1 to 100_000 do
+    ignore (Sys.opaque_identity (enode i))
+  done;
+  let survives what =
+    match Link.get link with
+    | Tagged.Ptr (m, 0) -> Alcotest.(check int) what 2 m.id
+    | _ -> Alcotest.failf "%s: the link lost its target" what
+  in
+  Gc.minor ();
+  survives "after Gc.minor";
+  Gc.full_major ();
+  survives "after Gc.full_major";
+  Gc.compact ();
+  survives "after Gc.compact";
+  Alcotest.(check int) "the node's own fields are intact" 1 n.id;
+  Alcotest.(check bool) "CAS with a stale expected value fails" false
+    (Link.cas link Tagged.null (Tagged.make (enode 3)));
+  Alcotest.(check bool) "CAS with a lookalike of the current value fails" false
+    (match Link.get link with
+    | Tagged.Ptr (m, tag) -> Link.cas link (Tagged.make ~tag m) Tagged.null
+    | Tagged.Null _ -> true);
+  survives "after the failed CASes"
+
+(* Each structure whose nodes embed their link. A node built with a known
+   tagged value in its [next] field must read that very block through
+   [Link.of_node]; a record whose link is not its first field would read
+   another field. Then, after inserting 2 and 1 (an enqueue of 1 and 2),
+   the node of 1 must read the link its insert stored, to the node of 2,
+   and the node of 2 a null link. *)
+let key_chain ~what ~key ~head ~succ =
+  let node_of = function
+    | Tagged.Ptr (n, _) -> n
+    | Tagged.Null _ -> Alcotest.failf "%s: missing node" what
+  in
+  let n1 = node_of head in
+  Alcotest.(check int) (what ^ ": first key") 1 (key n1);
+  let n2 = node_of (succ n1) in
+  Alcotest.(check int) (what ^ ": second key") 2 (key n2);
+  Alcotest.(check bool) (what ^ ": tail link null") true
+    (Tagged.is_null (succ n2))
+
+let reads_constructed ~what node tg =
+  Alcotest.(check bool)
+    (what ^ ": of_node reads the constructed link")
+    true
+    (Link.get (Link.of_node node) == tg)
+
+let test_link_embedded_nodes () =
+  let scheme = Ebr.create () in
+  let stats = Ebr.stats scheme in
+  let h = Ebr.register scheme in
+  let succ n = Link.get_quiescent (Link.of_node n) in
+  (let module L = Smr_ds.Hhslist.Make (Ebr) in
+   let tg = Tagged.of_option ~tag:Tagged.deleted_bit None in
+   reads_constructed ~what:"hhslist"
+     { L.next = Link.cell tg; hdr = Mem.make stats; key = 0; value = "" }
+     tg;
+   let t = L.create scheme and l = L.make_local h in
+   assert (L.insert t l 2 "b" && L.insert t l 1 "a");
+   key_chain ~what:"hhslist" ~key:(fun n -> n.L.key)
+     ~head:(Link.get_quiescent t.L.head) ~succ;
+   L.clear_local l);
+  (let module L = Smr_ds.Hmlist.Make (Ebr) in
+   let tg = Tagged.of_option ~tag:Tagged.deleted_bit None in
+   reads_constructed ~what:"hmlist"
+     { L.next = Link.cell tg; hdr = Mem.make stats; key = 0; value = "" }
+     tg;
+   let t = L.create scheme and l = L.make_local h in
+   assert (L.insert t l 2 "b" && L.insert t l 1 "a");
+   key_chain ~what:"hmlist" ~key:(fun n -> n.L.key)
+     ~head:(Link.get_quiescent t.L.head) ~succ;
+   L.clear_local l);
+  (let module L = Smr_ds.Lazylist.Make (Ebr) in
+   let tg = Tagged.of_option ~tag:Tagged.deleted_bit None in
+   reads_constructed ~what:"lazylist"
+     {
+       L.next = Link.cell tg;
+       hdr = Mem.make stats;
+       key = 0;
+       value = "";
+       marked = Atomic.make false;
+       lock = Mutex.create ();
+     }
+     tg;
+   let t = L.create scheme and l = L.make_local h in
+   assert (L.insert t l 2 "b" && L.insert t l 1 "a");
+   key_chain ~what:"lazylist" ~key:(fun n -> n.L.key)
+     ~head:(Link.get_quiescent t.L.head_link) ~succ;
+   L.clear_local l);
+  (let module Q = Smr_ds.Ms_queue.Make (Ebr) in
+   let tg = Tagged.of_option ~tag:Tagged.deleted_bit None in
+   reads_constructed ~what:"msqueue"
+     { Q.next = Link.cell tg; hdr = Mem.make stats; value = None }
+     tg;
+   let t = Q.create scheme and l = Q.make_local h in
+   Q.enqueue t l 1;
+   Q.enqueue t l 2;
+   let dummy =
+     match Link.get_quiescent t.Q.head with
+     | Tagged.Ptr (d, _) -> d
+     | Tagged.Null _ -> Alcotest.fail "msqueue: no dummy"
+   in
+   key_chain ~what:"msqueue"
+     ~key:(fun n -> Option.value n.Q.value ~default:0)
+     ~head:(succ dummy) ~succ;
+   Q.clear_local l);
+  Ebr.unregister h
+
 let test_backoff_caps () =
   let b = Smr_core.Backoff.create ~min_spins:2 ~max_spins:8 () in
   (* growth doubles and saturates at the cap without raising *)
@@ -549,6 +678,10 @@ let () =
         [
           Alcotest.test_case "physical CAS" `Quick test_link_cas_physical;
           Alcotest.test_case "mark invalid" `Quick test_link_mark_invalid;
+          Alcotest.test_case "embedded link survives GC" `Quick
+            test_link_embedded_gc;
+          Alcotest.test_case "embedded link in every list node" `Quick
+            test_link_embedded_nodes;
         ] );
       ( "backoff",
         [ Alcotest.test_case "grows and caps" `Quick test_backoff_caps ] );
