@@ -1,10 +1,8 @@
-(* SMR hot-path microbenchmarks: isolates the three costs every scheme pays
-   on every operation — statistics accounting, header allocation, and the
-   retire→reclaim cycle — plus the per-reclaim hazard scan, away from any
-   data-structure traversal. The seed's hot path (shared stats cache line,
-   global uid counter, list bags drained through a per-reclaim Hashtbl) is
-   no longer replicated here; its before/after numbers are kept in
-   BENCH_pr2.json and EXPERIMENTS.md.
+(* SMR hot-path microbenchmarks: the retire→reclaim cycle every scheme pays,
+   away from any data-structure traversal, inline and through the
+   background collector, plus what the tracer costs that cycle (disabled
+   branch, enabled ring write, fully traced retire). The inline/async pairs
+   carry per-op latency percentiles for CI's collector gate.
 
    Wired as [bench/main.exe exp hotpath]; rows flow into [--json] via
    {!Bench_harness.Results}. The run fails loudly (nonzero exit) if any
@@ -13,8 +11,6 @@
 
 module Mem = Smr_core.Mem
 module Stats = Smr_core.Stats
-module Slots = Smr.Slots
-module Retire_bag = Smr.Retire_bag
 module Domain_pool = Smr_core.Domain_pool
 module Results = Bench_harness.Results
 module Bench_types = Bench_harness.Bench_types
@@ -22,21 +18,6 @@ module Histogram = Service.Histogram
 module Json = Service.Json
 
 let now_ns () = Int64.to_int (Monotonic_clock.now ())
-
-(* --- Timing helpers ------------------------------------------------------ *)
-
-let time_loop ~duration f =
-  let t0 = Unix.gettimeofday () in
-  let deadline = t0 +. duration in
-  let ops = ref 0 in
-  while Unix.gettimeofday () < deadline do
-    (* batch so the clock read is off the measured path *)
-    for _ = 1 to 256 do
-      f ()
-    done;
-    ops := !ops + 256
-  done;
-  (!ops, Unix.gettimeofday () -. t0)
 
 let result_of ~ops ~wall ?(stats : Stats.t option) () : Bench_types.result =
   {
@@ -166,76 +147,7 @@ let retire_reclaim_bench ~threads ~duration =
     schemes;
   List.iter (one ~mode:"async" ~workload:"hotpath-async" async_config) schemes
 
-(* --- 2. hazard-scan cost vs registered-handle count ---------------------- *)
-
-let scan_bench ~handles ~duration =
-  let registry = Slots.create () in
-  let stats = Stats.create () in
-  (* Each handle protects half its chunk, the realistic shape: most slots
-     of most handles are empty during a scan. *)
-  let locals =
-    List.init handles (fun _ ->
-        let l = Slots.register registry in
-        for _ = 1 to 32 do
-          let s = Slots.acquire l in
-          Slots.set s (Mem.make stats)
-        done;
-        l)
-  in
-  let retired = Array.init 256 (fun _ -> Mem.uid (Mem.make stats)) in
-  (* sorted scan: snapshot once, then binary-search every retired uid —
-     one simulated reclaim pass per iteration *)
-  let scan = Slots.scan_create () in
-  let sorted_pass () =
-    Slots.scan_snapshot registry scan;
-    Array.iter (fun uid -> ignore (Slots.scan_mem scan uid)) retired
-  in
-  let ops, wall = time_loop ~duration sorted_pass in
-  report ~ds:"hazard-scan" ~scheme:"sorted-array" ~threads:1 ~key_range:handles
-    (result_of ~ops ~wall ());
-  List.iter Slots.unregister locals
-
-(* --- 3. statistics accounting ----------------------------------------------- *)
-
-let stats_bench ~threads ~duration =
-  let striped = Stats.create () in
-  let counts =
-    Domain_pool.run_timed ~n:threads ~duration (fun _ ~stop ->
-        let n = ref 0 in
-        while not (stop ()) do
-          for _ = 1 to 64 do
-            Stats.on_alloc striped;
-            Stats.on_retire striped;
-            Stats.on_free striped
-          done;
-          n := !n + 64
-        done;
-        !n)
-  in
-  let ops = Array.fold_left ( + ) 0 counts in
-  report ~ds:"stats" ~scheme:"striped" ~threads ~key_range:0
-    (result_of ~ops ~wall:duration ())
-
-(* --- 4. header allocation: per-domain uid blocks --------------------------- *)
-
-let alloc_bench ~threads ~duration =
-  let stats = Stats.create () in
-  let counts =
-    Domain_pool.run_timed ~n:threads ~duration (fun _ ~stop ->
-        let n = ref 0 in
-        while not (stop ()) do
-          for _ = 1 to 64 do
-            ignore (Sys.opaque_identity (Mem.make stats))
-          done;
-          n := !n + 64
-        done;
-        !n)
-  in
-  let ops = Array.fold_left ( + ) 0 counts in
-  report ~ds:"alloc" ~scheme:"uid-blocks" ~threads ~key_range:0
-    (result_of ~ops ~wall:duration ())
-
-(* --- 5. tracer cost: disabled branch, enabled ring write, traced retire -- *)
+(* --- 2. tracer cost: disabled branch, enabled ring write, traced retire -- *)
 
 module Trace = Obs.Trace
 
@@ -301,12 +213,9 @@ let run ~threads_list ~duration =
   List.iter
     (fun threads ->
       retire_reclaim_bench ~threads ~duration;
-      stats_bench ~threads ~duration;
-      alloc_bench ~threads ~duration;
       tracer_bench ~threads ~duration;
       traced_retire_bench ~threads ~duration)
     threads_list;
-  List.iter (fun handles -> scan_bench ~handles ~duration) [ 1; 4; 16; 64 ];
   (* A final guarded retire run with stats retained for the anomaly gate —
      once inline, once through the async pipeline. *)
   let _, hp_stats, _ = Hp_loop.run ~threads:2 ~duration:(duration /. 2.) () in

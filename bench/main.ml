@@ -15,8 +15,10 @@ let parse_threads s =
   |> List.filter (fun x -> x <> "")
   |> List.map int_of_string
 
+(* No experiment names: [--micro] alone runs only the micro-benchmarks;
+   without it, the whole suite runs, micro-benchmarks included. *)
 let run_exps settings exps with_micro =
-  let default_run = exps = [] in
+  let default_run = exps = [] && not with_micro in
   let exps = if default_run then E.known @ [ "hotpath" ] else exps in
   Printf.printf
     "HP++ reproduction benchmark suite\n\
@@ -55,7 +57,10 @@ let paper_scale_arg =
   Arg.(value & flag & info [ "paper-scale" ] ~doc)
 
 let micro_arg =
-  let doc = "Also run the bechamel micro-benchmarks of SMR primitives." in
+  let doc =
+    "Run the bechamel micro-benchmarks of SMR primitives: alone, only \
+     them; with experiment names, after those."
+  in
   Arg.(value & flag & info [ "micro" ] ~doc)
 
 let no_uaf_arg =

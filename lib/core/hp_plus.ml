@@ -150,8 +150,7 @@ let scan_and_free t ~scan bag =
       if Fault.enabled () then Fault.hit Fault.Reclaim;
       if Slots.scan_mem scan (Mem.uid hdr) then true
       else begin
-        Mem.free_mark hdr;
-        Stats.on_free t.stats;
+        Mem.free_mark t.stats hdr;
         false
       end)
     bag;
@@ -231,8 +230,7 @@ let maybe_collect h =
   then reclaim_or_handoff h
 
 let retire h hdr =
-  Mem.retire_mark hdr;
-  Stats.on_retire h.shared.stats;
+  Mem.retire_mark h.shared.stats hdr;
   R.push h.retireds hdr;
   if R.length h.retireds >= R.threshold h.shared.reclaim then
     reclaim_or_handoff h
@@ -261,8 +259,7 @@ let try_unlink h ~frontier ~do_unlink ~node_header ~invalidate =
       in
       List.iter
         (fun hdr ->
-          Mem.retire_mark hdr;
-          Stats.on_retire h.shared.stats;
+          Mem.retire_mark h.shared.stats hdr;
           if Trace.enabled () then Trace.emit Trace.Unlink (Mem.uid hdr) batch_id 0)
         hdrs;
       h.unlinkeds <-

@@ -231,7 +231,12 @@ module Make (S : Smr.Smr_intf.S) = struct
       (* Old nodes are those not created by this operation. The created list
          is short (O(log n)), so membership by physical scan is fine. *)
       let is_old n = not (List.memq n ctx.created) in
+      (* Nodes this attempt made but never published are discarded. *)
+      let discard ns = List.iter (fun n -> Mem.discard (stats t) n.hdr) ns in
       match rebuild ctx ~is_old root_rec with
+      | exception Restart ->
+          discard ctx.created;
+          raise Restart
       | None -> `Done_noop
       | Some (new_root, result) ->
           let desired = Tagged.of_option new_root in
@@ -264,7 +269,7 @@ module Make (S : Smr.Smr_intf.S) = struct
                   ctx.replaced)
           in
           if committed then begin
-            List.iter (fun _ -> Stats.on_discard (stats t)) ctx.scrapped;
+            discard ctx.scrapped;
             if S.counts_references then begin
               (* Count the new tree's links into surviving old subtrees, and
                  the root link if it was transferred to an old node. Links
@@ -298,7 +303,7 @@ module Make (S : Smr.Smr_intf.S) = struct
             `Committed result
           end
           else begin
-            List.iter (fun _ -> Stats.on_discard (stats t)) ctx.created;
+            discard ctx.created;
             `Lost
           end
     in

@@ -350,8 +350,8 @@ module Make (S : Smr.Smr_intf.S) = struct
                 `Done true
               end
               else begin
-                Stats.on_discard st;
-                Stats.on_discard st;
+                Mem.discard st new_leaf.hdr;
+                Mem.discard st internal.hdr;
                 help l (Atomic.get sr.s_p.update);
                 `Retry
               end

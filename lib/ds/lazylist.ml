@@ -135,7 +135,7 @@ module Make (S : Smr.Smr_intf.S) = struct
             match cur with
             | Some c when c.key = key ->
                 (match !fresh with
-                | Some _ -> Stats.on_discard (stats t)
+                | Some n -> Mem.discard (stats t) n.hdr
                 | None -> ());
                 `Done false
             | _ -> (

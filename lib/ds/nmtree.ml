@@ -286,10 +286,10 @@ module Make (S : Smr.Smr_intf.S) = struct
                   (Tagged.make internal)
               then `Done true
               else begin
-                (* Undo the accounting for the two discarded nodes and help
-                   a pending delete if that is what blocked us. *)
-                Stats.on_discard st;
-                Stats.on_discard st;
+                (* Discard the two unpublished nodes and help a pending
+                   delete if that is what blocked us. *)
+                Mem.discard st new_leaf.hdr;
+                Mem.discard st internal.hdr;
                 let r = Link.get sr.sr_parent_link in
                 (match r with
                 | Tagged.Ptr (n, _) when n == leaf && is_flagged r ->

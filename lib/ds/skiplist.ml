@@ -265,7 +265,7 @@ module Make (S : Smr.Smr_intf.S) = struct
         | `Done (found, preds, pred_ts, succs) ->
             if found then begin
               (match !fresh with
-              | Some _ -> Stats.on_discard (stats t)
+              | Some n -> Mem.discard (stats t) n.hdr
               | None -> ());
               `Done false
             end

@@ -173,12 +173,9 @@ let defer h thunk =
   end
 
 let retire h hdr =
-  Mem.retire_mark hdr;
-  Stats.on_retire h.shared.stats;
-  let t = h.shared in
-  defer h (fun () ->
-      Mem.free_mark hdr;
-      Stats.on_free t.stats)
+  let stats = h.shared.stats in
+  Mem.retire_mark stats hdr;
+  defer h (fun () -> Mem.free_mark stats hdr)
 
 let retire_with_children h hdr ~children:_ = retire h hdr
 let incr_ref _ = ()

@@ -51,8 +51,7 @@ let scan_and_free t ~scan bag =
       if Fault.enabled () then Fault.hit Fault.Reclaim;
       if Slots.scan_mem scan (Mem.uid hdr) then true
       else begin
-        Mem.free_mark hdr;
-        Stats.on_free t.stats;
+        Mem.free_mark t.stats hdr;
         false
       end)
     bag;
@@ -90,8 +89,7 @@ let register shared =
   }
 
 let retire h hdr =
-  Mem.retire_mark hdr;
-  Stats.on_retire h.shared.stats;
+  Mem.retire_mark h.shared.stats hdr;
   R.push h.retireds hdr;
   if R.length h.retireds >= R.threshold h.shared.reclaim then
     R.reclaim_or_handoff h.shared.reclaim h.retireds ~pass:reclaim h

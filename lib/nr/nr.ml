@@ -23,9 +23,7 @@ let protect () _ = ()
 let release () = ()
 let protection_valid _ = true
 
-let retire t hdr =
-  Mem.retire_mark hdr;
-  Stats.on_retire t
+let retire t hdr = Mem.retire_mark t hdr
 
 let retire_with_children t hdr ~children:_ = retire t hdr
 let incr_ref _ = ()

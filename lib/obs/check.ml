@@ -187,14 +187,22 @@ let run ?(complete_from = 0) (events : Trace.event array) =
       | Trace.Free ->
           incr frees;
           let u = ustate e.uid in
-          let cascade = e.a = 1 in
+          (* a = 1 (cascade of a live block) and a = 2 (discard) free a
+             block that never passed through retirement. *)
+          let unretired = e.a <> 0 in
           if u.free_seq >= 0 && fully_observed u then
             flag "lifecycle"
               (Printf.sprintf "uid %d freed twice (first at seq %d)" e.uid
                  u.free_seq);
-          if u.retire_seq < 0 && (not cascade) && fully_observed u then
+          if u.retire_seq < 0 && (not unretired) && fully_observed u then
             flag "lifecycle"
               (Printf.sprintf "uid %d freed without a preceding retire" e.uid);
+          if unretired && u.retire_seq >= 0 then
+            flag "lifecycle"
+              (Printf.sprintf
+                 "uid %d freed as never retired (a = %d) after a retire at \
+                  seq %d"
+                 e.uid e.a u.retire_seq);
           if u.open_protects > 0 then
             flag "protect-window"
               (Printf.sprintf

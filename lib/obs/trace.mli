@@ -21,10 +21,16 @@ type kind =
   | Retire  (** classic retirement; [uid] *)
   | Unlink  (** retirement via TryUnlink; [uid], [a] = unlink batch id *)
   | Invalidate  (** node invalidated; [uid], [a] = unlink batch id *)
-  | Free  (** block freed; [uid], [a] = 1 for an RC cascade of a live block *)
+  | Free
+      (** block freed; [uid], [a] = 0 for a retired block, 1 for an RC
+          cascade of a live block, 2 for a discard of a never-published
+          one *)
   | Protect  (** validated protection established; [uid] *)
   | Unprotect  (** protection about to be withdrawn; [uid] *)
-  | Validation_fail  (** protection validation failed; [uid] = target or -1 *)
+  | Validation_fail
+      (** one protection validation step failed; [uid] = target or -1.
+          One event per failed step; [Stats.protection_failures] counts the
+          operation attempts restarted because of them. *)
   | Epoch_advance  (** [a] = new epoch (EBR/PEBR global, HP++ fence epoch) *)
   | Reclaim_pass  (** reclamation pass entered; [a] = retired-bag length *)
   | Step

@@ -128,8 +128,7 @@ let scan_and_free t ~scan bag =
          dedup. *)
       if Fault.enabled () then Fault.hit Fault.Reclaim;
       if e + 2 <= epoch && not (Slots.scan_mem scan (Mem.uid hdr)) then begin
-        Mem.free_mark hdr;
-        Stats.on_free t.stats;
+        Mem.free_mark t.stats hdr;
         false
       end
       else true)
@@ -206,8 +205,7 @@ let register shared =
   }
 
 let retire h hdr =
-  Mem.retire_mark hdr;
-  Stats.on_retire h.shared.stats;
+  Mem.retire_mark h.shared.stats hdr;
   let t = h.shared in
   R.push h.bag (Atomic.get t.global_epoch, hdr);
   h.retires_since_collect <- h.retires_since_collect + 1;

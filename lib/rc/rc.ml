@@ -61,24 +61,16 @@ let register_children t hdr children =
 
 (* Destroy a block whose last incoming link vanished; cascade into children
    through the registry. Blocks reached only by cascade were never retired
-   explicitly, hence [free_mark_cascade] and the late [on_retire]. *)
+   explicitly, hence [free_mark_cascade], which counts their late retire. *)
 let rec destroy t hdr =
   let children = take_children t hdr in
-  Mem.free_mark_cascade hdr;
-  Stats.on_free t.stats;
-  List.iter
-    (fun child ->
-      if Mem.decr_ref child then begin
-        if Mem.is_live child then Stats.on_retire t.stats;
-        destroy t child
-      end)
-    children
+  Mem.free_mark_cascade t.stats hdr;
+  List.iter (fun child -> if Mem.decr_ref child then destroy t child) children
 
 let retire_with_children h hdr ~children =
   (* The unlink removed one incoming link: defer the decrement through EBR
      so concurrent snapshot holders finish first. *)
-  Mem.retire_mark hdr;
-  Stats.on_retire h.shared.stats;
+  Mem.retire_mark h.shared.stats hdr;
   register_children h.shared hdr children;
   let t = h.shared in
   Ebr.defer h.ebr_h (fun () ->

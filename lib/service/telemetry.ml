@@ -21,7 +21,8 @@ let add_smr_stats m ?(labels = []) (s : Stats.t) =
     (Stats.retired_total s);
   c "smr_heavy_fences_total" "Heavy fences issued by reclaimers"
     (Stats.heavy_fences s);
-  c "smr_protection_failures_total" "Failed protect validations"
+  c "smr_protection_failures_total"
+    "Operation attempts restarted after a failed protection"
     (Stats.protection_failures s);
   g "smr_blocks_live" "Blocks allocated and not yet freed" (Stats.live s);
   g "smr_blocks_unreclaimed" "Retired blocks awaiting reclamation"

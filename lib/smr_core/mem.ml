@@ -100,20 +100,25 @@ let is_live h = state h = state_live
 let is_retired h = state h = state_retired
 let is_freed h = state h = state_freed
 
-(* Move the state bits from one allowed state to [next]. A failed CAS means
-   the word moved under us — only the count bits can, unless a racing
-   transition won — so re-read and re-check. Returns false when the state
-   read was not allowed. *)
+(* Move the state bits from one allowed state to [next] and return the
+   state left. A failed CAS means the word moved under us — only the count
+   bits can, unless a racing transition won — so re-read and re-check.
+   Returns -1 when the state read was not allowed. *)
 let rec transition h ~allowed ~next =
   let w = Atomic.get h in
-  if not (allowed (w land state_mask)) then false
-  else if Atomic.compare_and_set h w (w land lnot state_mask lor next) then true
+  let s = w land state_mask in
+  if not (allowed s) then -1
+  else if Atomic.compare_and_set h w (w land lnot state_mask lor next) then s
   else transition h ~allowed ~next
 
-let retire_mark h =
+(* Each mark counts in [stats] right where it emits its trace event, so the
+   counters are a projection of the event stream: #Retire + #Free{a=1} =
+   retired_total, #Free = freed. *)
+let retire_mark stats h =
   reject_phantom "retire_mark" h;
-  if not (transition h ~allowed:(fun s -> s = state_live) ~next:state_retired)
+  if transition h ~allowed:(fun s -> s = state_live) ~next:state_retired < 0
   then raise (Double_retire (uid h));
+  Stats.on_retire stats;
   if Trace.enabled () then Trace.emit Trace.Retire (uid h) 0 0;
   (* Crash window: the block is marked retired but its header has not yet
      reached any retire bag. A kill here leaks the block (no survivor can
@@ -121,17 +126,30 @@ let retire_mark h =
      means, and what chaos tests must tolerate. *)
   if Fault.enabled () then Fault.hit Fault.Retire
 
-let free_mark h =
+let free_mark stats h =
   reject_phantom "free_mark" h;
-  if not (transition h ~allowed:(fun s -> s = state_retired) ~next:state_freed)
+  if transition h ~allowed:(fun s -> s = state_retired) ~next:state_freed < 0
   then raise (Invalid_free (uid h));
+  Stats.on_free stats;
   if Trace.enabled () then Trace.emit Trace.Free (uid h) 0 0
 
-let free_mark_cascade h =
+(* A cascade that reaches a still-live block retires it late: counted as a
+   retire and a free, traced as one Free with [a = 1]. *)
+let free_mark_cascade stats h =
   reject_phantom "free_mark_cascade" h;
-  if not (transition h ~allowed:(fun s -> s <> state_freed) ~next:state_freed)
+  let s = transition h ~allowed:(fun s -> s <> state_freed) ~next:state_freed in
+  if s < 0 then raise (Invalid_free (uid h));
+  let late = s = state_live in
+  if late then Stats.on_retire stats;
+  Stats.on_free stats;
+  if Trace.enabled () then Trace.emit Trace.Free (uid h) (Bool.to_int late) 0
+
+let discard stats h =
+  reject_phantom "discard" h;
+  if transition h ~allowed:(fun s -> s = state_live) ~next:state_freed < 0
   then raise (Invalid_free (uid h));
-  if Trace.enabled () then Trace.emit Trace.Free (uid h) 1 0
+  Stats.on_discard stats;
+  if Trace.enabled () then Trace.emit Trace.Free (uid h) 2 0
 
 (* The dereference check inlines into every traversal step; the raise
    stays out of line so the step carries one call only on its cold path. *)

@@ -6,8 +6,11 @@
 
     {v Live --retire--> Retired --free--> Freed v}
 
+    (plus [Live --discard--> Freed] for a block that was never published).
     A block is a {!header} embedded in a data-structure node. Schemes mark
-    headers; data structures call {!check_access} on every dereference, which
+    headers, and each mark both emits its trace event and bumps its
+    {!Stats} counter, so the two cannot disagree. Data structures call
+    {!check_access} on every dereference, which
     turns what would be undefined behaviour in C into a deterministic
     {!Use_after_free} exception. Lifecycle violations by a scheme itself
     (double retire, double free, freeing a live block) are also detected. *)
@@ -68,17 +71,26 @@ val is_live : header -> bool
 val is_retired : header -> bool
 val is_freed : header -> bool
 
-val retire_mark : header -> unit
-(** Transition [Live -> Retired]. @raise Double_retire otherwise. State
-    changes are CAS loops that retry when only the count bits moved. *)
+val retire_mark : Stats.t -> header -> unit
+(** Transition [Live -> Retired], counted as a retire in [stats].
+    @raise Double_retire otherwise. State changes are CAS loops that retry
+    when only the count bits moved. *)
 
-val free_mark : header -> unit
-(** Transition [Retired -> Freed]. @raise Invalid_free otherwise. *)
+val free_mark : Stats.t -> header -> unit
+(** Transition [Retired -> Freed], counted as a free in [stats].
+    @raise Invalid_free otherwise. *)
 
-val free_mark_cascade : header -> unit
+val free_mark_cascade : Stats.t -> header -> unit
 (** Transition [Live|Retired -> Freed]: reference-counting cascades destroy
-    blocks that were never explicitly retired. @raise Invalid_free on double
-    free. *)
+    blocks that were never explicitly retired. A [Live] block is counted as
+    retired and freed (a late retire) and traced as [Free] with [a = 1]; a
+    [Retired] one as a plain free. @raise Invalid_free on double free. *)
+
+val discard : Stats.t -> header -> unit
+(** Transition [Live -> Freed] for a block that was allocated and never
+    published (e.g. the node of an insert that lost to a duplicate key):
+    counted as a discard, traced as [Free] with [a = 2]. Any later
+    dereference trips {!check_access}. @raise Invalid_free otherwise. *)
 
 val check_access : header -> unit
 (** @raise Use_after_free if the block is freed and checking is enabled.

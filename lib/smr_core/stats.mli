@@ -21,9 +21,15 @@ val create : unit -> t
 val reset : t -> unit
 (** Reset all counters and peaks to zero. Only call at quiescence. *)
 
-(** {1 Events recorded by schemes and data structures} *)
+(** {1 Events}
+
+    Only {!Mem} calls [on_alloc], [on_retire], [on_free] and [on_discard],
+    next to the trace event of the same transition, so these counters are a
+    projection of the event stream. *)
 
 val on_alloc : t -> unit
+(** A block header was allocated. *)
+
 val on_retire : t -> unit
 (** A block became garbage: unlinked/retired but not yet reclaimed. *)
 
@@ -40,7 +46,10 @@ val on_heavy_fence : t -> unit
     issuing the fence, so the count equals the fences issued. *)
 
 val on_protection_failure : t -> unit
-(** A [try_protect]-style validation failed and the caller must recover. *)
+(** One operation attempt was restarted because a protection failed
+    ([Ds_common.with_crit]'s [`Prot]). This counts restarted attempts, not
+    failed steps: the trace's [Validation_fail] events mark each failed
+    validation step, and the two counts need not agree. *)
 
 val note_peaks : t -> unit
 (** Fold the current unreclaimed/live counts into the peaks. Schemes call

@@ -54,6 +54,31 @@ let test_rc_drains_completely () =
   Alcotest.(check int) "no live nodes leak" 0 (Stats.live (Rc.stats scheme));
   Rc.unregister h
 
+(* An update attempt that restarts after copying part of its path (HP
+   validates "the root has not moved") must discard the copies: every
+   allocated node is then in the tree, retired, or discarded, so at
+   quiescence live = size + unreclaimed. *)
+let test_restarts_discard_copies () =
+  let module B = Bonsai.Make (Hp) in
+  let scheme = Hp.create () in
+  let t = B.create scheme in
+  ignore
+    (Pool.run ~n:2 (fun i ->
+         let h = Hp.register scheme in
+         let lo = B.make_local h in
+         let rng = Smr_core.Rng.create ~seed:(11 + i) in
+         for _ = 1 to 20_000 do
+           let key = Smr_core.Rng.below rng 32 in
+           if Smr_core.Rng.below rng 2 = 0 then ignore (B.insert t lo key key)
+           else ignore (B.remove t lo key)
+         done;
+         B.clear_local lo;
+         Hp.unregister h));
+  let stats = Hp.stats scheme in
+  Alcotest.(check int) "no copy leaks"
+    (B.size_quiescent t + Stats.unreclaimed stats)
+    (Stats.live stats)
+
 let test_snapshot_fold_consistent () =
   let module B = Bonsai.Make (Hp_plus) in
   let scheme = Hp_plus.create () in
@@ -198,6 +223,8 @@ let () =
           Alcotest.test_case "balance invariant" `Quick test_balance_invariant;
           Alcotest.test_case "RC drains completely" `Quick
             test_rc_drains_completely;
+          Alcotest.test_case "restarts discard their copies" `Quick
+            test_restarts_discard_copies;
           Alcotest.test_case "snapshot fold" `Quick test_snapshot_fold_consistent;
           Alcotest.test_case "concurrent snapshots" `Slow
             test_concurrent_snapshots;

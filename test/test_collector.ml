@@ -49,10 +49,10 @@ let test_bag_transfer () =
 let test_bag_salvage_in_place () =
   let stats = Stats.create () in
   let a = Mem.make stats and b = Mem.make stats and c = Mem.make stats in
-  Mem.retire_mark a;
-  Mem.retire_mark b;
-  Mem.retire_mark c;
-  Mem.free_mark c;
+  Mem.retire_mark stats a;
+  Mem.retire_mark stats b;
+  Mem.retire_mark stats c;
+  Mem.free_mark stats c;
   let bag = Retire_bag.create Mem.phantom in
   (* torn shape: compacted survivor, stale duplicate of it, a freed block,
      and dummy filler exposed by a mid-filter death *)

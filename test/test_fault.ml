@@ -25,7 +25,7 @@ let test_fire_exactly_once () =
   let survived = ref 0 in
   (try
      for _ = 1 to 10 do
-       Mem.retire_mark (Mem.make stats);
+       Mem.retire_mark stats (Mem.make stats);
        incr survived
      done
    with Fault.Killed p ->
@@ -37,7 +37,7 @@ let test_fire_exactly_once () =
   Alcotest.(check bool) "victim domain recorded" true
     (Fault.victim_dom () <> None);
   (* a spent plan never fires again *)
-  Mem.retire_mark (Mem.make stats);
+  Mem.retire_mark stats (Mem.make stats);
   Fault.reset ()
 
 let test_seeded_plans_deterministic () =

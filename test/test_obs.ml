@@ -168,6 +168,49 @@ let test_clean_trace_passes () =
       Alcotest.failf "clean trace rejected: %s" v.Check.v_detail
   | Error [] -> assert false
 
+(* Free's [a]: 0 frees a retired block, 1 cascades a live one (RC), 2
+   discards a never-published one. Only [a = 0] needs a preceding retire;
+   [a = 1] or [a = 2] after a retire contradicts the block's state. *)
+let test_free_kinds_accepted () =
+  let events =
+    [|
+      ev 0 Trace.Alloc ~dom:0 ~uid:1 ();
+      ev 1 Trace.Alloc ~dom:0 ~uid:2 ();
+      ev 2 Trace.Alloc ~dom:0 ~uid:3 ();
+      ev 3 Trace.Retire ~dom:0 ~uid:1 ();
+      ev 4 Trace.Free ~dom:0 ~uid:1 ();
+      ev 5 Trace.Free ~dom:0 ~uid:2 ~a:1 ();
+      ev 6 Trace.Free ~dom:0 ~uid:3 ~a:2 ();
+    |]
+  in
+  match Check.run events with
+  | Ok s -> Alcotest.(check int) "frees" 3 s.Check.frees
+  | Error (v :: _) -> Alcotest.failf "free kinds rejected: %s" v.Check.v_detail
+  | Error [] -> assert false
+
+let test_free_kinds_rejected () =
+  let after_retire a =
+    [|
+      ev 0 Trace.Alloc ~dom:0 ~uid:1 ();
+      ev 1 Trace.Retire ~dom:0 ~uid:1 ();
+      ev 2 Trace.Free ~dom:0 ~uid:1 ~a ();
+    |]
+  in
+  let at_free (v :: _) = Alcotest.(check int) "at the Free" 2 v.Check.v_seq
+  [@@warning "-8"] in
+  expect_violation "discard after retire" "lifecycle" ~uid:1 (after_retire 2)
+    at_free;
+  expect_violation "live cascade after retire" "lifecycle" ~uid:1
+    (after_retire 1) at_free;
+  (* a cascade of a retired block is traced with [a = 0], so it needs the
+     retire like any other free *)
+  expect_violation "retired free without a retire" "lifecycle" ~uid:1
+    [| ev 0 Trace.Alloc ~dom:0 ~uid:1 (); ev 1 Trace.Free ~dom:0 ~uid:1 () |]
+    (fun (v :: _) ->
+      Alcotest.(check bool) "names the missing retire" true
+        (contains v.Check.v_detail "without a preceding retire"))
+  [@warning "-8"]
+
 let test_step_tag_bits_pin_tagged () =
   (* the checker's notion of the invalid bit must be Tagged's *)
   let step b = [| ev 0 Trace.Step ~dom:0 ~uid:1 ~a:2 ~b () |] in
@@ -256,6 +299,32 @@ struct
            done;
            L.clear_local lo;
            S.unregister h))
+
+  (* A fixed-size churn at a small reclaim threshold, so blocks are freed
+     and the whole trace fits the rings; returns the scheme's counters. *)
+  let counted () =
+    let scheme =
+      S.create
+        ~config:{ Smr.Smr_intf.default_config with reclaim_threshold = 16 }
+        ()
+    in
+    let t = L.create scheme in
+    ignore
+      (Pool.run ~n:2 (fun i ->
+           let h = S.register scheme in
+           let lo = L.make_local h in
+           let rng = Rng.create ~seed:(7 + i) in
+           for _ = 1 to 600 do
+             let key = Rng.below rng 24 in
+             match Rng.below rng 3 with
+             | 0 -> ignore (L.get t lo key)
+             | 1 -> ignore (L.insert t lo key key)
+             | _ -> ignore (L.remove t lo key)
+           done;
+           L.clear_local lo;
+           S.flush h;
+           S.unregister h));
+    S.stats scheme
 end
 
 let record run =
@@ -323,6 +392,112 @@ let test_real_trace_pebr () =
   let module M = Churn (Pebr) (Smr_ds.Hhslist.Make (Pebr)) in
   let s = check_clean "hhslist/PEBR" M.run in
   Alcotest.(check bool) "saw steps" true (s.Check.steps > 0)
+
+(* --- events and counters: one instrumentation path ------------------------ *)
+
+(* Mem counts each transition in Stats where it emits its event, so over a
+   fully recorded run the counters are projections of the trace:
+     #Alloc = allocated, #Retire + #Free{a=1} = retired_total, #Free = freed
+   and a /metrics scrape at the same quiescent point reads the same three. *)
+let scraped body name =
+  let sample l =
+    match Scanf.sscanf_opt l "%s %f" (fun n v -> (n, v)) with
+    | Some (n, v) when n = name -> Some (int_of_float v)
+    | _ -> None
+  in
+  match List.find_map sample (String.split_on_char '\n' body) with
+  | Some v -> v
+  | None -> Alcotest.failf "/metrics has no %s sample" name
+
+let check_counts name ~reclaims run =
+  Trace.enable ~capacity:(1 lsl 17) ();
+  let stats = run () in
+  Trace.disable ();
+  let snap = Trace.snapshot () in
+  cleanup ();
+  Alcotest.(check int) (name ^ ": nothing dropped") 0 snap.Trace.dropped;
+  ignore (check_snapshot name snap);
+  let count p =
+    Array.fold_left (fun n e -> if p e then n + 1 else n) 0 snap.Trace.events
+  in
+  let kind k (e : Trace.event) = e.kind = k in
+  let allocs = count (kind Trace.Alloc)
+  and retires = count (kind Trace.Retire)
+  and frees = count (kind Trace.Free)
+  and late = count (fun e -> e.kind = Trace.Free && e.a = 1) in
+  let module Stats = Smr_core.Stats in
+  Alcotest.(check int) (name ^ ": #Alloc = allocated") allocs
+    (Stats.allocated stats);
+  Alcotest.(check int)
+    (name ^ ": #Retire + #Free{a=1} = retired_total")
+    (retires + late) (Stats.retired_total stats);
+  Alcotest.(check int) (name ^ ": #Free = freed") frees (Stats.freed stats);
+  Alcotest.(check bool) (name ^ ": retired some") true (retires > 0);
+  if reclaims then Alcotest.(check bool) (name ^ ": freed some") true (frees > 0);
+  let m = Obs.Metrics.create () in
+  Service.Telemetry.add_smr_stats m stats;
+  let body = Obs.Metrics.to_string m in
+  Alcotest.(check int) (name ^ ": /metrics allocated") allocs
+    (scraped body "smr_blocks_allocated_total");
+  Alcotest.(check int) (name ^ ": /metrics retired") (retires + late)
+    (scraped body "smr_blocks_retired_total");
+  Alcotest.(check int) (name ^ ": /metrics freed") frees
+    (scraped body "smr_blocks_freed_total");
+  late
+
+let test_counts_hp () =
+  let module L = Churn (Hp) (Smr_ds.Hmlist.Make (Hp)) in
+  let module B = Churn (Hp) (Smr_ds.Bonsai.Make (Hp)) in
+  ignore (check_counts "hmlist/HP" ~reclaims:true L.counted);
+  ignore (check_counts "bonsai/HP" ~reclaims:true B.counted)
+
+let test_counts_hpp () =
+  let module L = Churn (Hp_plus) (Smr_ds.Hhslist.Make (Hp_plus)) in
+  let module B = Churn (Hp_plus) (Smr_ds.Bonsai.Make (Hp_plus)) in
+  ignore (check_counts "hhslist/HP++" ~reclaims:true L.counted);
+  ignore (check_counts "bonsai/HP++" ~reclaims:true B.counted)
+
+let test_counts_ebr () =
+  let module L = Churn (Ebr) (Smr_ds.Hhslist.Make (Ebr)) in
+  let module B = Churn (Ebr) (Smr_ds.Bonsai.Make (Ebr)) in
+  ignore (check_counts "hhslist/EBR" ~reclaims:true L.counted);
+  ignore (check_counts "bonsai/EBR" ~reclaims:true B.counted)
+
+let test_counts_pebr () =
+  let module L = Churn (Pebr) (Smr_ds.Hhslist.Make (Pebr)) in
+  let module B = Churn (Pebr) (Smr_ds.Bonsai.Make (Pebr)) in
+  ignore (check_counts "hhslist/PEBR" ~reclaims:true L.counted);
+  ignore (check_counts "bonsai/PEBR" ~reclaims:true B.counted)
+
+(* Two parents share a child: the second parent's destruction cascades
+   into the still-live child, RC's late retire (Free with a = 1). *)
+let rc_shared_child () =
+  let t = Rc.create () in
+  let h = Rc.register t in
+  let stats = Rc.stats t in
+  let child = Smr_core.Mem.make stats in
+  Rc.incr_ref child;
+  for _ = 1 to 2 do
+    Rc.retire_with_children h (Smr_core.Mem.make stats) ~children:(fun () ->
+        [ child ]);
+    Rc.flush h
+  done;
+  Rc.unregister h;
+  stats
+
+let test_counts_rc () =
+  let module L = Churn (Rc) (Smr_ds.Hhslist.Make (Rc)) in
+  let module B = Churn (Rc) (Smr_ds.Bonsai.Make (Rc)) in
+  ignore (check_counts "hhslist/RC" ~reclaims:true L.counted);
+  ignore (check_counts "bonsai/RC" ~reclaims:true B.counted);
+  Alcotest.(check int) "shared child: one late retire" 1
+    (check_counts "shared-child/RC" ~reclaims:true rc_shared_child)
+
+let test_counts_nr () =
+  let module L = Churn (Nr) (Smr_ds.Hhslist.Make (Nr)) in
+  let module B = Churn (Nr) (Smr_ds.Bonsai.Make (Nr)) in
+  ignore (check_counts "hhslist/NR" ~reclaims:false L.counted);
+  ignore (check_counts "bonsai/NR" ~reclaims:false B.counted)
 
 let test_real_trace_shardkv () =
   let module KV = Service.Shardkv.Make (Hp_plus) in
@@ -605,6 +780,10 @@ let () =
           Alcotest.test_case "rejects free inside protection window" `Quick
             test_reject_free_in_protect_window;
           Alcotest.test_case "clean trace passes" `Quick test_clean_trace_passes;
+          Alcotest.test_case "free kinds 0/1/2 accepted" `Quick
+            test_free_kinds_accepted;
+          Alcotest.test_case "free kinds contradicting a retire rejected"
+            `Quick test_free_kinds_rejected;
           Alcotest.test_case "step tag bits pinned to Tagged" `Quick
             test_step_tag_bits_pin_tagged;
           Alcotest.test_case "phantom uid rejected, pinned to Mem" `Quick
@@ -653,5 +832,17 @@ let () =
             test_real_trace_efrbtree_hpp;
           Alcotest.test_case "efrbtree/HP clean" `Quick
             test_real_trace_efrbtree_hp;
+          Alcotest.test_case "HP events = counters = /metrics" `Quick
+            test_counts_hp;
+          Alcotest.test_case "HP++ events = counters = /metrics" `Quick
+            test_counts_hpp;
+          Alcotest.test_case "EBR events = counters = /metrics" `Quick
+            test_counts_ebr;
+          Alcotest.test_case "PEBR events = counters = /metrics" `Quick
+            test_counts_pebr;
+          Alcotest.test_case "RC events = counters = /metrics" `Quick
+            test_counts_rc;
+          Alcotest.test_case "NR events = counters = /metrics" `Quick
+            test_counts_nr;
         ] );
     ]

@@ -13,11 +13,11 @@ let test_mem_lifecycle () =
   let h = Mem.make stats in
   Alcotest.(check bool) "live" true (Mem.is_live h);
   Mem.check_access h;
-  Mem.retire_mark h;
+  Mem.retire_mark stats h;
   Alcotest.(check bool) "retired" true (Mem.is_retired h);
   Mem.check_access h;
   (* retired but protected blocks are accessible *)
-  Mem.free_mark h;
+  Mem.free_mark stats h;
   Alcotest.(check bool) "freed" true (Mem.is_freed h);
   Alcotest.check_raises "UAF detected" (Mem.Use_after_free (Mem.uid h))
     (fun () -> Mem.check_access h)
@@ -25,28 +25,52 @@ let test_mem_lifecycle () =
 let test_mem_double_retire () =
   let stats = Stats.create () in
   let h = Mem.make stats in
-  Mem.retire_mark h;
+  Mem.retire_mark stats h;
   Alcotest.check_raises "double retire" (Mem.Double_retire (Mem.uid h))
-    (fun () -> Mem.retire_mark h)
+    (fun () -> Mem.retire_mark stats h)
 
 let test_mem_invalid_free () =
   let stats = Stats.create () in
   let h = Mem.make stats in
   Alcotest.check_raises "free live" (Mem.Invalid_free (Mem.uid h)) (fun () ->
-      Mem.free_mark h);
-  Mem.retire_mark h;
-  Mem.free_mark h;
+      Mem.free_mark stats h);
+  Mem.retire_mark stats h;
+  Mem.free_mark stats h;
   Alcotest.check_raises "double free" (Mem.Invalid_free (Mem.uid h))
-    (fun () -> Mem.free_mark h)
+    (fun () -> Mem.free_mark stats h)
 
 let test_mem_cascade_free () =
   let stats = Stats.create () in
   let h = Mem.make stats in
-  Mem.free_mark_cascade h;
-  (* live -> freed allowed *)
+  Mem.free_mark_cascade stats h;
+  (* live -> freed allowed, counted as a late retire plus a free *)
   Alcotest.(check bool) "freed" true (Mem.is_freed h);
+  Alcotest.(check int) "late retire counted" 1 (Stats.retired_total stats);
+  Alcotest.(check int) "free counted" 1 (Stats.freed stats);
   Alcotest.check_raises "double cascade free" (Mem.Invalid_free (Mem.uid h))
-    (fun () -> Mem.free_mark_cascade h)
+    (fun () -> Mem.free_mark_cascade stats h);
+  (* retired -> freed counts only the free *)
+  let r = Mem.make stats in
+  Mem.retire_mark stats r;
+  Mem.free_mark_cascade stats r;
+  Alcotest.(check int) "one retire each" 2 (Stats.retired_total stats);
+  Alcotest.(check int) "two frees" 2 (Stats.freed stats);
+  Alcotest.(check int) "nothing unreclaimed" 0 (Stats.unreclaimed stats)
+
+let test_mem_discard () =
+  let stats = Stats.create () in
+  let h = Mem.make stats in
+  Mem.discard stats h;
+  Alcotest.(check bool) "freed" true (Mem.is_freed h);
+  Alcotest.(check int) "freed, never retired" 1 (Stats.freed stats);
+  Alcotest.(check int) "no retire" 0 (Stats.retired_total stats);
+  Alcotest.(check int) "nothing live" 0 (Stats.live stats);
+  Alcotest.check_raises "UAF on a discarded block"
+    (Mem.Use_after_free (Mem.uid h)) (fun () -> Mem.check_access h);
+  let r = Mem.make stats in
+  Mem.retire_mark stats r;
+  Alcotest.check_raises "a retired block is not discardable"
+    (Mem.Invalid_free (Mem.uid r)) (fun () -> Mem.discard stats r)
 
 let test_mem_phantom_sentinel () =
   (* the phantom bag filler must not collide with the -1 "no node" Step
@@ -56,21 +80,23 @@ let test_mem_phantom_sentinel () =
     (Mem.uid Mem.phantom);
   Alcotest.(check bool) "distinct from the no-node sentinel" true
     (Mem.phantom_uid <> -1);
+  let stats = Stats.create () in
   let rejects name f =
-    match f Mem.phantom with
+    match f stats Mem.phantom with
     | () -> Alcotest.failf "%s accepted the phantom header" name
     | exception Invalid_argument _ -> ()
   in
   rejects "retire_mark" Mem.retire_mark;
   rejects "free_mark" Mem.free_mark;
   rejects "free_mark_cascade" Mem.free_mark_cascade;
+  rejects "discard" Mem.discard;
   Alcotest.(check bool) "still live afterwards" true (Mem.is_live Mem.phantom)
 
 let test_mem_checking_toggle () =
   let stats = Stats.create () in
   let h = Mem.make stats in
-  Mem.retire_mark h;
-  Mem.free_mark h;
+  Mem.retire_mark stats h;
+  Mem.free_mark stats h;
   Mem.set_checking false;
   Mem.check_access h;
   (* no raise while disabled *)
@@ -109,11 +135,11 @@ let test_header_uid_round_trip () =
   Mem.incr_ref last;
   Mem.incr_ref last;
   Alcotest.(check int) "count" 3 (Mem.ref_count last);
-  Mem.retire_mark last;
+  Mem.retire_mark stats last;
   Alcotest.(check bool) "drop to 2" false (Mem.decr_ref last);
   Alcotest.(check bool) "drop to 1" false (Mem.decr_ref last);
   Alcotest.(check bool) "last link" true (Mem.decr_ref last);
-  Mem.free_mark last;
+  Mem.free_mark stats last;
   Alcotest.(check bool) "freed" true (Mem.is_freed last);
   Alcotest.(check int) "uid survives" Mem.max_uid (Mem.uid last);
   Alcotest.check_raises "UAF names the packed uid"
@@ -158,8 +184,8 @@ let test_header_state_races_count () =
     while Atomic.get passes < seen + 2 do
       Domain.cpu_relax ()
     done;
-    Array.iter Mem.retire_mark hs;
-    Array.iter Mem.free_mark hs;
+    Array.iter (Mem.retire_mark stats) hs;
+    Array.iter (Mem.free_mark stats) hs;
     all := hs :: !all
   done;
   Atomic.set stop true;
@@ -603,14 +629,14 @@ let prop_mem_state_machine =
         (fun op ->
           match op with
           | 0 -> (
-              match (!state, Mem.retire_mark h) with
+              match (!state, Mem.retire_mark stats h) with
               | `Live, () ->
                   state := `Retired;
                   true
               | _ -> false
               | exception Mem.Double_retire _ -> !state <> `Live)
           | 1 -> (
-              match (!state, Mem.free_mark h) with
+              match (!state, Mem.free_mark stats h) with
               | `Retired, () ->
                   state := `Freed;
                   true
@@ -642,6 +668,7 @@ let () =
           Alcotest.test_case "double retire" `Quick test_mem_double_retire;
           Alcotest.test_case "invalid free" `Quick test_mem_invalid_free;
           Alcotest.test_case "cascade free" `Quick test_mem_cascade_free;
+          Alcotest.test_case "discard" `Quick test_mem_discard;
           Alcotest.test_case "phantom sentinel" `Quick
             test_mem_phantom_sentinel;
           Alcotest.test_case "checking toggle" `Quick test_mem_checking_toggle;
