@@ -221,9 +221,13 @@ let blocking_names =
 let is_blocking qual last =
   List.exists (fun (q, n) -> Some q = qual && n = last) blocking_names
 
-(* Value-preserving wrappers: the result aliases the arguments. *)
+(* Value-preserving wrappers: the result aliases the arguments.
+   [Mem.of_node n] is [n]'s embedded header, and a node's header is the
+   node itself: protecting or retiring it protects or retires [n], and
+   taking it reads nothing. *)
 let is_transparent qual last =
   match (qual, last) with
+  | Some "Mem", "of_node" -> true
   | ( Some "Tagged",
       ("make" | "of_option" | "get_exn" | "untagged" | "set_bits" | "with_tag")
     ) ->
@@ -426,15 +430,8 @@ let rec eval ctx env e : value * env =
       let fname =
         match List.rev (Rules.lident_parts txt) with f :: _ -> f | [] -> "?"
       in
-      if fname = "hdr" then
-        (* the embedded header is the node's SMR identity, not payload:
-           [n.hdr] aliases [n] (so protecting/retiring the header
-           protects/retires the node) and reading it is not a deref *)
-        (bv, env)
-      else begin
-        emit ctx (Deref (bv.whole, var_hint b, loc));
-        (vof (osingle (derived ctx bv.whole fname)), env)
-      end
+      emit ctx (Deref (bv.whole, var_hint b, loc));
+      (vof (osingle (derived ctx bv.whole fname)), env)
   | Pexp_setfield (b, { txt; _ }, v) ->
       let bv, env = eval ctx env b in
       let vv, env = eval ctx env v in

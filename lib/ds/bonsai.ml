@@ -26,17 +26,17 @@ module Stats = Smr_core.Stats
 module Make (S : Smr.Smr_intf.S) = struct
   module C = Ds_common.Make (S)
 
+  (* [hdr] is the node's embedded header word: field 1 and mutable, read
+     and written only through [Mem.of_node]. *)
   type 'v node = {
-    hdr : Mem.header;
     key : int;
+    mutable hdr : Mem.cell;
     value : 'v;
     left : 'v node option;
     right : 'v node option;
     size : int;
     invalid : bool Atomic.t;
   }
-
-  let node_header n = n.hdr
 
   type 'v t = { scheme : S.t; root : 'v node Link.t }
 
@@ -114,11 +114,11 @@ module Make (S : Smr.Smr_intf.S) = struct
   let guard_old t l ctx n =
     if S.needs_protection then begin
       let g = take_guard l in
-      S.protect g n.hdr;
+      S.protect g (Mem.of_node n);
       if not (S.protection_valid l.handle) then raise Restart;
       if not (Link.get t.root == ctx.root_rec) then raise Restart
     end;
-    Mem.check_access n.hdr
+    Mem.check_access (Mem.of_node n)
 
   (* The root link's target in the option shape the tree's own child
      fields use. *)
@@ -133,7 +133,7 @@ module Make (S : Smr.Smr_intf.S) = struct
   let mk ctx ~is_old ~key ~value ~left ~right stats_ =
     let n =
       {
-        hdr = Mem.make stats_;
+        hdr = Mem.cell stats_;
         key;
         value;
         left;
@@ -146,7 +146,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     if S.counts_references then begin
       let count_child = function
         | Some c when is_old c ->
-            ctx.pending_incrs <- (n, c.hdr) :: ctx.pending_incrs
+            ctx.pending_incrs <- (n, Mem.of_node c) :: ctx.pending_incrs
         | _ -> ()
       in
       count_child left;
@@ -232,7 +232,9 @@ module Make (S : Smr.Smr_intf.S) = struct
          is short (O(log n)), so membership by physical scan is fine. *)
       let is_old n = not (List.memq n ctx.created) in
       (* Nodes this attempt made but never published are discarded. *)
-      let discard ns = List.iter (fun n -> Mem.discard (stats t) n.hdr) ns in
+      let discard ns =
+        List.iter (fun n -> Mem.discard (stats t) (Mem.of_node n)) ns
+      in
       match rebuild ctx ~is_old root_rec with
       | exception Restart ->
           discard ctx.created;
@@ -251,7 +253,7 @@ module Make (S : Smr.Smr_intf.S) = struct
               (fun n ->
                 List.filter_map
                   (function
-                    | Some c when not (in_replaced c) -> Some c.hdr
+                    | Some c when not (in_replaced c) -> Some (Mem.of_node c)
                     | _ -> None)
                   [ n.left; n.right ])
               ctx.replaced
@@ -262,7 +264,7 @@ module Make (S : Smr.Smr_intf.S) = struct
                 if Link.cas_clean t.root root_rec desired then
                   Some (if S.counts_references then [] else ctx.replaced)
                 else None)
-              ~node_header
+              ~node_header:Mem.of_node
               ~invalidate:(fun _ ->
                 List.iter
                   (fun n -> Atomic.set n.invalid true)
@@ -283,20 +285,20 @@ module Make (S : Smr.Smr_intf.S) = struct
                     S.incr_ref hdr)
                 ctx.pending_incrs;
               (match new_root with
-              | Some nr when is_old nr -> S.incr_ref nr.hdr
+              | Some nr when is_old nr -> S.incr_ref (Mem.of_node nr)
               | _ -> ());
               let old_root = root_of ctx.root_rec in
               List.iter
                 (fun z ->
                   match old_root with
                   | Some r when r == z -> ()
-                  | _ -> S.incr_ref z.hdr)
+                  | _ -> S.incr_ref (Mem.of_node z))
                 ctx.replaced;
               List.iter
                 (fun n ->
-                  S.retire_with_children l.handle n.hdr ~children:(fun () ->
-                      List.filter_map
-                        (Option.map node_header)
+                  S.retire_with_children l.handle (Mem.of_node n)
+                    ~children:(fun () ->
+                      List.filter_map (Option.map Mem.of_node)
                         [ n.left; n.right ]))
                 ctx.replaced
             end;
@@ -417,7 +419,7 @@ module Make (S : Smr.Smr_intf.S) = struct
      falls back to "the root has not moved". *)
   let protect_read t l g ~root_rec ~src n =
     if S.needs_protection then begin
-      S.protect g n.hdr;
+      S.protect g (Mem.of_node n);
       if not (S.protection_valid l.handle) then raise Restart;
       if S.supports_optimistic then begin
         if Atomic.get (if src == root_src then n.invalid else src) then
@@ -425,7 +427,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       end
       else if not (Link.get t.root == root_rec) then raise Restart
     end;
-    Mem.check_access n.hdr
+    Mem.check_access (Mem.of_node n)
 
   (* [gparent] holds the node we stepped from and [gchild] takes the next;
      a step swaps them. *)
@@ -487,7 +489,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     let rec walk = function
       | None -> ()
       | Some n ->
-          assert (not (Mem.is_freed n.hdr));
+          assert (not (Mem.is_freed (Mem.of_node n)));
           walk n.left;
           walk n.right
     in

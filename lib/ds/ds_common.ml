@@ -16,12 +16,12 @@ module Make (S : Smr.Smr_intf.S) = struct
      read from [src_link]: a scheme or structure that wrongly proceeds past
      an invalidated link would record the invalid bit here, which is exactly
      what the trace-replay checker flags. *)
-  let trace_step ~node_header ~src ~validated l =
+  let trace_step ~src ~validated l =
     if Trace.enabled () then begin
       let dst =
         match l with
         | Tagged.Ptr (n, _) ->
-            let uid = Mem.uid (node_header n) in
+            let uid = Mem.uid (Mem.of_node n) in
             if validated then Trace.emit Trace.Protect uid 0 0;
             uid
         | Tagged.Null _ -> -1
@@ -39,7 +39,8 @@ module Make (S : Smr.Smr_intf.S) = struct
      {!Tagged.invalid}, which carries no node; the caller must then recover,
      typically by restarting the operation. [src] is the header of the node
      [src_link] lives in ([Mem.phantom] for a root link), for the trace
-     only. Allocates nothing.
+     only. A target is protected as [Mem.of_node n], its embedded header.
+     Allocates nothing.
 
      [try_protect] is the fast path of one step: protect, scheme validity,
      one re-read of [src_link], same target. Everything else goes to
@@ -51,57 +52,56 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   (* Cold path: [l] was re-read from [src_link] and is either invalidated
      or a new target. *)
-  let rec protect_moved ~src ~node_header guard handle ~src_link l =
+  let rec protect_moved ~src guard handle ~src_link l =
     if Tagged.is_invalid l then validation_fail ~src (Tagged.tag l)
     else begin
       (match l with
-      | Tagged.Ptr (n, _) -> S.protect guard (node_header n)
+      | Tagged.Ptr (n, _) -> S.protect guard (Mem.of_node n)
       | Tagged.Null _ -> ());
       if not (S.protection_valid handle) then validation_fail ~src 0
       else
         let l' = Link.get src_link in
         if Tagged.same_ptr l' l && not (Tagged.is_invalid l') then begin
           if Trace.enabled () then
-            trace_step ~node_header ~src ~validated:true l';
+            trace_step ~src ~validated:true l';
           l'
         end
-        else protect_moved ~src ~node_header guard handle ~src_link l'
+        else protect_moved ~src guard handle ~src_link l'
     end
 
-  let[@inline] try_protect ~src ~node_header guard handle ~src_link expected
-      =
+  let[@inline] try_protect ~src guard handle ~src_link expected =
     if not S.needs_protection then begin
       if Trace.enabled () then
-        trace_step ~node_header ~src ~validated:false expected;
+        trace_step ~src ~validated:false expected;
       expected
     end
     else begin
       (match expected with
-      | Tagged.Ptr (n, _) -> S.protect guard (node_header n)
+      | Tagged.Ptr (n, _) -> S.protect guard (Mem.of_node n)
       | Tagged.Null _ -> ());
       if not (S.protection_valid handle) then validation_fail ~src 0
       else
         let l = Link.get src_link in
         if Tagged.same_ptr l expected && not (Tagged.is_invalid l) then begin
           if Trace.enabled () then
-            trace_step ~node_header ~src ~validated:true l;
+            trace_step ~src ~validated:true l;
           l
         end
-        else protect_moved ~src ~node_header guard handle ~src_link l
+        else protect_moved ~src guard handle ~src_link l
     end
 
   (* Over-approximating validation (original HP, paper §2.2): succeed only
      if [src_link] still holds exactly [expected]'s target with a clean tag;
      any change — including the source's logical deletion — fails. *)
-  let protect_pessimistic ~src ~node_header guard handle ~src_link expected =
+  let protect_pessimistic ~src guard handle ~src_link expected =
     if not S.needs_protection then begin
       if Trace.enabled () then
-        trace_step ~node_header ~src ~validated:false expected;
+        trace_step ~src ~validated:false expected;
       true
     end
     else begin
       (match expected with
-      | Tagged.Ptr (n, _) -> S.protect guard (node_header n)
+      | Tagged.Ptr (n, _) -> S.protect guard (Mem.of_node n)
       | Tagged.Null _ -> ());
       if
         S.protection_valid handle
@@ -110,7 +110,7 @@ module Make (S : Smr.Smr_intf.S) = struct
         Tagged.same_ptr l expected && Tagged.tag l = 0
       then begin
         if Trace.enabled () then
-          trace_step ~node_header ~src ~validated:true expected;
+          trace_step ~src ~validated:true expected;
         true
       end
       else begin
@@ -123,24 +123,28 @@ module Make (S : Smr.Smr_intf.S) = struct
      protection failure (counted, paper §4.3); [`Retry] is ordinary CAS
      contention. Both refresh the critical section so a long string of
      retries cannot pin the epoch, and back off exponentially so a burst of
-     contention does not degenerate into a CAS storm. *)
+     contention does not degenerate into a CAS storm. An operation that
+     completes on its first attempt allocates nothing here: the backoff
+     state is created on the first restart, and the restart loop takes
+     everything it needs as arguments instead of closing over it. *)
+  let rec restart handle stats body backoff r =
+    (match r with
+    | `Prot -> Smr_core.Stats.on_protection_failure stats
+    | `Retry -> ());
+    S.crit_refresh handle;
+    Smr_core.Backoff.once backoff;
+    match body () with
+    | `Done result ->
+        S.crit_exit handle;
+        result
+    | (`Prot | `Retry) as r -> restart handle stats body backoff r
+
   let with_crit handle stats body =
     S.crit_enter handle;
-    let backoff = Smr_core.Backoff.create () in
-    let rec loop () =
-      match body () with
-      | `Done result ->
-          S.crit_exit handle;
-          result
-      | `Prot ->
-          Smr_core.Stats.on_protection_failure stats;
-          S.crit_refresh handle;
-          Smr_core.Backoff.once backoff;
-          loop ()
-      | `Retry ->
-          S.crit_refresh handle;
-          Smr_core.Backoff.once backoff;
-          loop ()
-    in
-    loop ()
+    match body () with
+    | `Done result ->
+        S.crit_exit handle;
+        result
+    | (`Prot | `Retry) as r ->
+        restart handle stats body (Smr_core.Backoff.create ()) r
 end

@@ -13,15 +13,12 @@ module Make :
     sig
       val uid_of_hdr : Mem.header -> int
       val trace_step :
-        node_header:('a -> Mem.header) ->
         src:Mem.header -> validated:bool -> 'a Tagged.t -> unit
       val try_protect :
         src:Mem.header ->
-        node_header:('a -> Mem.header) ->
         S.guard -> S.handle -> src_link:'a Link.t -> 'a Tagged.t -> 'a Tagged.t
       val protect_pessimistic :
         src:Mem.header ->
-        node_header:('a -> Mem.header) ->
         S.guard -> S.handle -> src_link:'a Link.t -> 'a Tagged.t -> bool
       val with_crit :
         S.handle ->

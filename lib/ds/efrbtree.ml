@@ -53,17 +53,17 @@ module Make (S : Smr.Smr_intf.S) = struct
     d_gp_link : 'v node Link.t; (* the child field holding it *)
   }
 
+  (* [hdr] is the node's embedded header word: field 1 and mutable, read
+     and written only through [Mem.of_node]. *)
   and 'v node = {
-    hdr : Mem.header;
     key : int;
+    mutable hdr : Mem.cell;
     value : 'v option;
     kind : kind;
     left : 'v node Link.t;
     right : 'v node Link.t;
     update : 'v update Atomic.t;
   }
-
-  let node_header n = n.hdr
 
   (* Unflagging must install a physically fresh record: the paper's CLEAN
      word keeps the op pointer to distinguish generations, and a recurring
@@ -103,7 +103,7 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let mk_node stats ~key ~value ~kind ~left ~right =
     {
-      hdr = Mem.make stats;
+      hdr = Mem.cell stats;
       key;
       value;
       kind;
@@ -186,14 +186,14 @@ module Make (S : Smr.Smr_intf.S) = struct
     | Tagged.Ptr (sibling, _) ->
         ignore
           (S.try_unlink l.handle
-             ~frontier:[ sibling.hdr ]
+             ~frontier:[ Mem.of_node sibling ]
              ~do_unlink:(fun () ->
                if
                  Link.cas_clean op.d_gp_link op.d_gp_rec
                    (Tagged.untagged sib_rec)
                then Some [ op.d_p; op.d_l ]
                else None)
-             ~node_header ~invalidate:invalidate_nodes));
+             ~node_header:Mem.of_node ~invalidate:invalidate_nodes));
     ignore (Atomic.compare_and_set op.d_gp.update dflag_rec (fresh_clean ()))
 
   (* HelpDelete: mark p (or recognize our own mark), then splice; on
@@ -240,7 +240,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       match cur_rec with
       | Tagged.Null _ -> `Retry
       | Tagged.Ptr (cur, _) ->
-          Mem.check_access cur.hdr;
+          Mem.check_access (Mem.of_node cur);
           if cur.kind = Leaf then
             `Done
               {
@@ -268,7 +268,7 @@ module Make (S : Smr.Smr_intf.S) = struct
                mark test then fails. *)
             if S.supports_optimistic then
               let next_rec =
-                C.try_protect ~src:cur.hdr ~node_header g_cur l.handle
+                C.try_protect ~src:(Mem.of_node cur) g_cur l.handle
                   ~src_link:link expected
               in
               if Tagged.is_invalid next_rec then `Prot
@@ -277,7 +277,7 @@ module Make (S : Smr.Smr_intf.S) = struct
                   next_rec link
             else begin
               (match expected with
-              | Tagged.Ptr (n, _) -> S.protect g_cur n.hdr
+              | Tagged.Ptr (n, _) -> S.protect g_cur (Mem.of_node n)
               | Tagged.Null _ -> ());
               if
                 S.protection_valid l.handle
@@ -285,13 +285,14 @@ module Make (S : Smr.Smr_intf.S) = struct
                 && Tagged.same_ptr (Link.get link) expected
               then begin
                 if Trace.enabled () then
-                  C.trace_step ~node_header ~src:cur.hdr ~validated:true
+                  C.trace_step ~src:(Mem.of_node cur) ~validated:true
                     expected;
                 walk g_p g_l g_cur g_gp p cur pupdate up cur_rec cur_link
                   expected link
               end
               else begin
-                Trace.emit Trace.Validation_fail (Mem.uid cur.hdr) 0 0;
+                Trace.emit Trace.Validation_fail
+                  (Mem.uid (Mem.of_node cur)) 0 0;
                 `Prot
               end
             end
@@ -350,8 +351,8 @@ module Make (S : Smr.Smr_intf.S) = struct
                 `Done true
               end
               else begin
-                Mem.discard st new_leaf.hdr;
-                Mem.discard st internal.hdr;
+                Mem.discard st (Mem.of_node new_leaf);
+                Mem.discard st (Mem.of_node internal);
                 help l (Atomic.get sr.s_p.update);
                 `Retry
               end
@@ -414,7 +415,7 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let assert_reachable_not_freed t =
     let rec walk n =
-      assert (not (Mem.is_freed n.hdr));
+      assert (not (Mem.is_freed (Mem.of_node n)));
       let go link =
         match Link.get_quiescent link with
         | Tagged.Ptr (m, _) -> walk m

@@ -13,19 +13,16 @@ module Make :
             sig
               val uid_of_hdr : Ds_common.Mem.header -> int
               val trace_step :
-                node_header:('a -> Ds_common.Mem.header) ->
                 src:Ds_common.Mem.header ->
                 validated:bool -> 'a Ds_common.Tagged.t -> unit
               val try_protect :
                 src:Ds_common.Mem.header ->
-                node_header:('a -> Ds_common.Mem.header) ->
                 S.guard ->
                 S.handle ->
                 src_link:'a Ds_common.Link.t ->
                 'a Ds_common.Tagged.t -> 'a Ds_common.Tagged.t
               val protect_pessimistic :
                 src:Ds_common.Mem.header ->
-                node_header:('a -> Ds_common.Mem.header) ->
                 S.guard ->
                 S.handle ->
                 src_link:'a Ds_common.Link.t ->
@@ -38,11 +35,10 @@ module Make :
           type 'v node =
             'v Hmlist.Make(S).node = {
             mutable next : 'v node Hmlist.Link.cell;
-            hdr : Hmlist.Mem.header;
+            mutable hdr : Hmlist.Mem.cell;
             key : int;
             value : 'v;
           }
-          val node_header : 'a node -> Hmlist.Mem.header
           type 'v t =
             'v Hmlist.Make(S).t = {
             scheme : S.t;
@@ -81,19 +77,16 @@ module Make :
             sig
               val uid_of_hdr : Ds_common.Mem.header -> int
               val trace_step :
-                node_header:('a -> Ds_common.Mem.header) ->
                 src:Ds_common.Mem.header ->
                 validated:bool -> 'a Ds_common.Tagged.t -> unit
               val try_protect :
                 src:Ds_common.Mem.header ->
-                node_header:('a -> Ds_common.Mem.header) ->
                 S.guard ->
                 S.handle ->
                 src_link:'a Ds_common.Link.t ->
                 'a Ds_common.Tagged.t -> 'a Ds_common.Tagged.t
               val protect_pessimistic :
                 src:Ds_common.Mem.header ->
-                node_header:('a -> Ds_common.Mem.header) ->
                 S.guard ->
                 S.handle ->
                 src_link:'a Ds_common.Link.t ->
@@ -106,11 +99,10 @@ module Make :
           type 'v node =
             'v Hhslist.Make(S).node = {
             mutable next : 'v node Hhslist.Link.cell;
-            hdr : Hhslist.Mem.header;
+            mutable hdr : Hhslist.Mem.cell;
             key : int;
             value : 'v;
           }
-          val node_header : 'a node -> Hhslist.Mem.header
           type 'v t =
             'v Hhslist.Make(S).t = {
             scheme : S.t;

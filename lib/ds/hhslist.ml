@@ -18,15 +18,15 @@ module Make (S : Smr.Smr_intf.S) = struct
   module C = Ds_common.Make (S)
 
   (* [next] is the node's embedded successor link: first and mutable, read
-     and written only through [Link.of_node]. *)
+     and written only through [Link.of_node]. [hdr] is its embedded header
+     word: second and mutable, read and written only through
+     [Mem.of_node]. *)
   type 'v node = {
     mutable next : 'v node Link.cell;
-    hdr : Mem.header;
+    mutable hdr : Mem.cell;
     key : int;
     value : 'v;
   }
-
-  let node_header n = n.hdr
 
   type 'v t = { scheme : S.t; head : 'v node Link.t }
 
@@ -102,7 +102,7 @@ module Make (S : Smr.Smr_intf.S) = struct
           | _ -> `Done (found, prev_link, cur_t, cur_opt))
       | Some a ->
           let frontier =
-            match cur_opt with Some c -> [ c.hdr ] | None -> []
+            match cur_opt with Some c -> [ Mem.of_node c ] | None -> []
           in
           let desired = Tagged.with_tag cur_t 0 in
           let unlinked =
@@ -111,7 +111,7 @@ module Make (S : Smr.Smr_intf.S) = struct
                 if Link.cas_clean a.a_link a.a_expected desired then
                   Some (collect_chain a.a_first cur_opt)
                 else None)
-              ~node_header ~invalidate:(List.iter invalidate_node)
+              ~node_header:Mem.of_node ~invalidate:(List.iter invalidate_node)
           in
           if not unlinked then `Retry
           else begin
@@ -128,39 +128,39 @@ module Make (S : Smr.Smr_intf.S) = struct
        header of the node owning [prev_link] ([Mem.phantom] at the head). *)
     let rec loop gprev gcur ganchor ganext src prev_link cur_t anchor =
       let cur_t =
-        C.try_protect ~src ~node_header gcur l.handle ~src_link:prev_link
-          cur_t
+        C.try_protect ~src gcur l.handle ~src_link:prev_link cur_t
       in
       if Tagged.is_invalid cur_t then `Prot
       else
         match cur_t with
         | Tagged.Null _ -> finish ~found:false prev_link cur_t None anchor
         | Tagged.Ptr (cur, _) ->
-            Mem.check_access cur.hdr;
+            let hcur = Mem.of_node cur in
+            Mem.check_access hcur;
             let cur_link = Link.of_node cur in
             let next_t = Link.get cur_link in
             if not (Tagged.is_deleted next_t) then
               if cur.key >= key then
                 finish ~found:(cur.key = key) prev_link cur_t (Some cur)
                   anchor
-              else loop gcur gprev ganchor ganext cur.hdr cur_link next_t None
+              else loop gcur gprev ganchor ganext hcur cur_link next_t None
             else begin
               (* [cur] is logically deleted: optimistic traversal walks
                  through it, remembering where the chain started. *)
               match anchor with
               | None ->
                   (* prev becomes the anchor; the old anchor slot is free *)
-                  loop gcur ganchor gprev ganext cur.hdr cur_link next_t
+                  loop gcur ganchor gprev ganext hcur cur_link next_t
                     (Some
                        { a_link = prev_link; a_expected = cur_t; a_first = cur })
               | Some a ->
-                  if src == a.a_first.hdr then
+                  if src == Mem.of_node a.a_first then
                     (* prev is the chain's first node: pin it as anchor-next
                        and reuse the old anchor-next slot *)
-                    loop gcur ganext ganchor gprev cur.hdr cur_link next_t
+                    loop gcur ganext ganchor gprev hcur cur_link next_t
                       anchor
                   else
-                    loop gcur gprev ganchor ganext cur.hdr cur_link next_t
+                    loop gcur gprev ganchor ganext hcur cur_link next_t
                       anchor
             end
     in
@@ -174,7 +174,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     C.with_crit l.handle (stats t) (fun () ->
         let rec walk gprev gcur src prev_link cur_t =
           let cur_t =
-            C.try_protect ~src ~node_header gcur l.handle
+            C.try_protect ~src gcur l.handle
               ~src_link:prev_link cur_t
           in
           if Tagged.is_invalid cur_t then `Prot
@@ -182,14 +182,14 @@ module Make (S : Smr.Smr_intf.S) = struct
             match cur_t with
             | Tagged.Null _ -> `Done None
             | Tagged.Ptr (cur, _) ->
-                Mem.check_access cur.hdr;
+                Mem.check_access (Mem.of_node cur);
                 let cur_link = Link.of_node cur in
                 let next_t = Link.get cur_link in
                 if cur.key > key then `Done None
                 else if cur.key = key then
                   `Done
                     (if Tagged.is_deleted next_t then None else Some cur.value)
-                else walk gcur gprev cur.hdr cur_link next_t
+                else walk gcur gprev (Mem.of_node cur) cur_link next_t
         in
         walk l.hp_prev l.hp_cur Mem.phantom t.head (Link.get t.head))
 
@@ -201,7 +201,7 @@ module Make (S : Smr.Smr_intf.S) = struct
         | `Done (found, prev_link, cur_t, cur_opt) ->
             if found then begin
               (match !fresh with
-              | Some n -> Mem.discard (stats t) n.hdr
+              | Some n -> Mem.discard (stats t) (Mem.of_node n)
               | None -> ());
               `Done false
             end
@@ -213,7 +213,7 @@ module Make (S : Smr.Smr_intf.S) = struct
                     let n =
                       {
                         next = Link.cell Tagged.null;
-                        hdr = Mem.make (stats t);
+                        hdr = Mem.cell (stats t);
                         key;
                         value;
                       }
@@ -247,7 +247,7 @@ module Make (S : Smr.Smr_intf.S) = struct
                    protected and [cur] invalidated before it is retired. *)
                 let frontier =
                   match next_t with
-                  | Tagged.Ptr (n, _) -> [ n.hdr ]
+                  | Tagged.Ptr (n, _) -> [ Mem.of_node n ]
                   | Tagged.Null _ -> []
                 in
                 ignore
@@ -258,7 +258,8 @@ module Make (S : Smr.Smr_intf.S) = struct
                            (Tagged.with_tag next_t 0)
                        then Some [ cur ]
                        else None)
-                     ~node_header ~invalidate:(List.iter invalidate_node));
+                     ~node_header:Mem.of_node
+                     ~invalidate:(List.iter invalidate_node));
                 `Done true
               end)
 
@@ -284,7 +285,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       match tg with
       | Tagged.Null _ -> ()
       | Tagged.Ptr (n, _) ->
-          assert (not (Mem.is_freed n.hdr));
+          assert (not (Mem.is_freed (Mem.of_node n)));
           walk (Link.get_quiescent (Link.of_node n))
     in
     walk (Link.get_quiescent t.head)

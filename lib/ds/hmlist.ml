@@ -15,15 +15,15 @@ module Make (S : Smr.Smr_intf.S) = struct
   module C = Ds_common.Make (S)
 
   (* [next] is the node's embedded successor link: first and mutable, read
-     and written only through [Link.of_node]. *)
+     and written only through [Link.of_node]. [hdr] is its embedded header
+     word: second and mutable, read and written only through
+     [Mem.of_node]. *)
   type 'v node = {
     mutable next : 'v node Link.cell;
-    hdr : Mem.header;
+    mutable hdr : Mem.cell;
     key : int;
     value : 'v;
   }
-
-  let node_header n = n.hdr
 
   type 'v t = { scheme : S.t; head : 'v node Link.t }
 
@@ -58,18 +58,18 @@ module Make (S : Smr.Smr_intf.S) = struct
       | Tagged.Ptr (cur, _) ->
           if
             not
-              (C.protect_pessimistic ~src:Mem.phantom ~node_header gcur
+              (C.protect_pessimistic ~src:Mem.phantom gcur
                  l.handle ~src_link:prev_link cur_t)
           then `Prot
           else begin
-            Mem.check_access cur.hdr;
+            Mem.check_access (Mem.of_node cur);
             let next_t = Link.get (Link.of_node cur) in
             if Tagged.is_deleted next_t then begin
               (* [cur] is logically deleted: unlink it before moving on
                  (the pessimism HP requires). *)
               let desired = Tagged.with_tag next_t 0 in
               if Link.cas_clean prev_link cur_t desired then begin
-                S.retire l.handle cur.hdr;
+                S.retire l.handle (Mem.of_node cur);
                 advance gprev gcur prev_link desired
               end
               else `Retry
@@ -97,7 +97,7 @@ module Make (S : Smr.Smr_intf.S) = struct
         | `Done (found, prev_link, cur_t, _) ->
             if found then begin
               (match !fresh with
-              | Some n -> Mem.discard (stats t) n.hdr
+              | Some n -> Mem.discard (stats t) (Mem.of_node n)
               | None -> ());
               `Done false
             end
@@ -109,7 +109,7 @@ module Make (S : Smr.Smr_intf.S) = struct
                     let n =
                       {
                         next = Link.cell Tagged.null;
-                        hdr = Mem.make (stats t);
+                        hdr = Mem.cell (stats t);
                         key;
                         value;
                       }
@@ -142,7 +142,7 @@ module Make (S : Smr.Smr_intf.S) = struct
                    a later traversal will. Only the unlinker retires. *)
                 let desired = Tagged.with_tag next_t 0 in
                 if Link.cas_clean prev_link cur_t desired then
-                  S.retire l.handle cur.hdr;
+                  S.retire l.handle (Mem.of_node cur);
                 `Done true
               end)
 
@@ -170,7 +170,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       match tg with
       | Tagged.Null _ -> ()
       | Tagged.Ptr (n, _) ->
-          assert (not (Mem.is_freed n.hdr));
+          assert (not (Mem.is_freed (Mem.of_node n)));
           walk (Link.get_quiescent (Link.of_node n))
     in
     walk (Link.get_quiescent t.head)

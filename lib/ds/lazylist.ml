@@ -21,17 +21,17 @@ module Make (S : Smr.Smr_intf.S) = struct
   module C = Ds_common.Make (S)
 
   (* [next] is the node's embedded successor link: first and mutable, read
-     and written only through [Link.of_node]. *)
+     and written only through [Link.of_node]. [hdr] is its embedded header
+     word: second and mutable, read and written only through
+     [Mem.of_node]. *)
   type 'v node = {
     mutable next : 'v node Link.cell;
-    hdr : Mem.header;
+    mutable hdr : Mem.cell;
     key : int;
     value : 'v;
     marked : bool Atomic.t; (* logical deletion, separate from the link *)
     lock : Mutex.t;
   }
-
-  let node_header n = n.hdr
 
   type 'v t = {
     scheme : S.t;
@@ -79,7 +79,7 @@ module Make (S : Smr.Smr_intf.S) = struct
   let walk t l key =
     let rec go gprev gcur prev cur_t =
       let cur_t =
-        C.try_protect ~src:Mem.phantom ~node_header gcur l.handle
+        C.try_protect ~src:Mem.phantom gcur l.handle
           ~src_link:(pred_link t prev) cur_t
       in
       if Tagged.is_invalid cur_t then `Prot
@@ -87,7 +87,7 @@ module Make (S : Smr.Smr_intf.S) = struct
         match cur_t with
         | Tagged.Null _ -> `Done (prev, None)
         | Tagged.Ptr (cur, _) ->
-            Mem.check_access cur.hdr;
+            Mem.check_access (Mem.of_node cur);
             if cur.key >= key then `Done (prev, Some cur)
             else go gcur gprev (Node cur) (Link.get (Link.of_node cur))
     in
@@ -135,7 +135,7 @@ module Make (S : Smr.Smr_intf.S) = struct
             match cur with
             | Some c when c.key = key ->
                 (match !fresh with
-                | Some n -> Mem.discard (stats t) n.hdr
+                | Some n -> Mem.discard (stats t) (Mem.of_node n)
                 | None -> ());
                 `Done false
             | _ -> (
@@ -146,7 +146,7 @@ module Make (S : Smr.Smr_intf.S) = struct
                       let n =
                         {
                           next = Link.cell Tagged.null;
-                          hdr = Mem.make (stats t);
+                          hdr = Mem.cell (stats t);
                           key;
                           value;
                           marked = Atomic.make false;
@@ -185,7 +185,7 @@ module Make (S : Smr.Smr_intf.S) = struct
                     let next_t = Link.get (Link.of_node cur) in
                     let frontier =
                       match next_t with
-                      | Tagged.Ptr (n, _) -> [ n.hdr ]
+                      | Tagged.Ptr (n, _) -> [ Mem.of_node n ]
                       | Tagged.Null _ -> []
                     in
                     ignore
@@ -194,7 +194,7 @@ module Make (S : Smr.Smr_intf.S) = struct
                            Link.set (pred_link t pred)
                              (Tagged.untagged next_t);
                            Some [ cur ])
-                         ~node_header
+                         ~node_header:Mem.of_node
                          ~invalidate:
                            (List.iter (fun n ->
                                 Link.mark_invalid (Link.of_node n)))))
@@ -223,7 +223,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       match tg with
       | Tagged.Null _ -> ()
       | Tagged.Ptr (n, _) ->
-          assert (not (Mem.is_freed n.hdr));
+          assert (not (Mem.is_freed (Mem.of_node n)));
           go (Link.get_quiescent (Link.of_node n))
     in
     go (Link.get_quiescent t.head_link)

@@ -15,19 +15,16 @@ module Make :
         sig
           val uid_of_hdr : Ds_common.Mem.header -> int
           val trace_step :
-            node_header:('a -> Ds_common.Mem.header) ->
             src:Ds_common.Mem.header ->
             validated:bool -> 'a Ds_common.Tagged.t -> unit
           val try_protect :
             src:Ds_common.Mem.header ->
-            node_header:('a -> Ds_common.Mem.header) ->
             S.guard ->
             S.handle ->
             src_link:'a Ds_common.Link.t ->
             'a Ds_common.Tagged.t -> 'a Ds_common.Tagged.t
           val protect_pessimistic :
             src:Ds_common.Mem.header ->
-            node_header:('a -> Ds_common.Mem.header) ->
             S.guard ->
             S.handle ->
             src_link:'a Ds_common.Link.t ->
@@ -39,13 +36,12 @@ module Make :
         end
       type 'v node = {
         mutable next : 'v node Link.cell;
-        hdr : Mem.header;
+        mutable hdr : Mem.cell;
         key : int;
         value : 'v;
         marked : bool Atomic.t;
         lock : Mutex.t;
       }
-      val node_header : 'a node -> Mem.header
       type 'v t = {
         scheme : S.t;
         head_link : 'v node Link.t;

@@ -10,14 +10,14 @@ module Make (S : Smr.Smr_intf.S) = struct
   module C = Ds_common.Make (S)
 
   (* [next] is the node's embedded successor link: first and mutable, read
-     and written only through [Link.of_node]. *)
+     and written only through [Link.of_node]. [hdr] is its embedded header
+     word: second and mutable, read and written only through
+     [Mem.of_node]. *)
   type 'v node = {
     mutable next : 'v node Link.cell;
-    hdr : Mem.header;
+    mutable hdr : Mem.cell;
     value : 'v option;
   }
-
-  let node_header n = n.hdr
 
   type 'v t = { scheme : S.t; head : 'v node Link.t; tail : 'v node Link.t }
   type local = { handle : S.handle; hp_head : S.guard; hp_next : S.guard }
@@ -25,7 +25,7 @@ module Make (S : Smr.Smr_intf.S) = struct
   let create scheme =
     let stats = S.stats scheme in
     let dummy =
-      { next = Link.cell Tagged.null; hdr = Mem.make stats; value = None }
+      { next = Link.cell Tagged.null; hdr = Mem.cell stats; value = None }
     in
     let d = Tagged.make dummy in
     { scheme; head = Link.make d; tail = Link.make d }
@@ -41,18 +41,23 @@ module Make (S : Smr.Smr_intf.S) = struct
     S.release l.hp_next
 
   let enqueue t l value =
-    let hdr = Mem.make (stats t) in
-    let node = { next = Link.cell Tagged.null; hdr; value = Some value } in
+    let node =
+      {
+        next = Link.cell Tagged.null;
+        hdr = Mem.cell (stats t);
+        value = Some value;
+      }
+    in
     C.with_crit l.handle (stats t) (fun () ->
         let tail_t = Link.get t.tail in
         let tl = Tagged.get_exn tail_t in
         if
           not
-            (C.protect_pessimistic ~src:Mem.phantom ~node_header l.hp_head
+            (C.protect_pessimistic ~src:Mem.phantom l.hp_head
                l.handle ~src_link:t.tail tail_t)
         then `Prot
         else begin
-          Mem.check_access tl.hdr;
+          Mem.check_access (Mem.of_node tl);
           let next_t = Link.get (Link.of_node tl) in
           match next_t with
           | Tagged.Null _ ->
@@ -77,11 +82,11 @@ module Make (S : Smr.Smr_intf.S) = struct
         let h = Tagged.get_exn head_t in
         if
           not
-            (C.protect_pessimistic ~src:Mem.phantom ~node_header l.hp_head
+            (C.protect_pessimistic ~src:Mem.phantom l.hp_head
                l.handle ~src_link:t.head head_t)
         then `Prot
         else begin
-          Mem.check_access h.hdr;
+          Mem.check_access (Mem.of_node h);
           let tail_t = Link.get t.tail in
           let next_t = Link.get (Link.of_node h) in
           match next_t with
@@ -95,16 +100,16 @@ module Make (S : Smr.Smr_intf.S) = struct
               else begin
                 (* Protect [n], then validate: while [head] still holds [h],
                    [n] cannot have been retired, so the protection is safe. *)
-                S.protect l.hp_next n.hdr;
+                S.protect l.hp_next (Mem.of_node n);
                 if not (S.protection_valid l.handle) then `Prot
                 else if not (Tagged.same_ptr (Link.get t.head) head_t) then
                   `Retry
                 else begin
-                  Mem.check_access n.hdr;
+                  Mem.check_access (Mem.of_node n);
                   let value = n.value in
                   if Link.cas_clean t.head head_t (Tagged.untagged next_t)
                   then begin
-                    S.retire l.handle h.hdr;
+                    S.retire l.handle (Mem.of_node h);
                     `Done value
                   end
                   else `Retry

@@ -14,19 +14,16 @@ module Make :
         sig
           val uid_of_hdr : Ds_common.Mem.header -> int
           val trace_step :
-            node_header:('a -> Ds_common.Mem.header) ->
             src:Ds_common.Mem.header ->
             validated:bool -> 'a Ds_common.Tagged.t -> unit
           val try_protect :
             src:Ds_common.Mem.header ->
-            node_header:('a -> Ds_common.Mem.header) ->
             S.guard ->
             S.handle ->
             src_link:'a Ds_common.Link.t ->
             'a Ds_common.Tagged.t -> 'a Ds_common.Tagged.t
           val protect_pessimistic :
             src:Ds_common.Mem.header ->
-            node_header:('a -> Ds_common.Mem.header) ->
             S.guard ->
             S.handle ->
             src_link:'a Ds_common.Link.t ->
@@ -38,10 +35,9 @@ module Make :
         end
       type 'v node = {
         mutable next : 'v node Link.cell;
-        hdr : Mem.header;
+        mutable hdr : Mem.cell;
         value : 'v option;
       }
-      val node_header : 'a node -> Mem.header
       type 'v t = {
         scheme : S.t;
         head : 'v node Link.t;

@@ -32,16 +32,16 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   type kind = Leaf | Internal
 
+  (* [hdr] is the node's embedded header word: field 1 and mutable, read
+     and written only through [Mem.of_node]. *)
   type 'v node = {
-    hdr : Mem.header;
     key : int;
+    mutable hdr : Mem.cell;
     value : 'v option;
     kind : kind;
     left : 'v node Link.t;
     right : 'v node Link.t;
   }
-
-  let node_header n = n.hdr
 
   (* The sentinels: R, and S, R's left child for good. *)
   type 'v t = { scheme : S.t; root : 'v node; s : 'v node }
@@ -68,7 +68,7 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let mk_node stats ~key ~value ~kind ~left ~right =
     {
-      hdr = Mem.make stats;
+      hdr = Mem.cell stats;
       key;
       value;
       kind;
@@ -149,7 +149,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       else
         let link = child_link leaf key in
         let next_rec =
-          C.try_protect ~src:leaf.hdr ~node_header gc l.handle ~src_link:link
+          C.try_protect ~src:(Mem.of_node leaf) gc l.handle ~src_link:link
             (Link.get link)
         in
         if Tagged.is_invalid next_rec then `Prot
@@ -157,7 +157,7 @@ module Make (S : Smr.Smr_intf.S) = struct
           match next_rec with
           | Tagged.Null _ -> `Retry
           | Tagged.Ptr (next, _) ->
-              Mem.check_access next.hdr;
+              Mem.check_access (Mem.of_node next);
               if is_tagged parent_rec then
                 (* The parent edge is frozen: ancestor and successor stay,
                    and the old parent's slot is free. *)
@@ -169,7 +169,7 @@ module Make (S : Smr.Smr_intf.S) = struct
                    copy in the old ancestor's slot, taken while the leaf's
                    own slot still holds it, so that each role keeps a slot
                    of its own when the two part. *)
-                S.protect ga leaf.hdr;
+                S.protect ga (Mem.of_node leaf);
                 walk gp ga gl gc gs parent parent_link parent_rec leaf leaf
                   link next_rec next
               end
@@ -205,7 +205,7 @@ module Make (S : Smr.Smr_intf.S) = struct
      succeeded (by us). *)
   let cleanup l key (sr : 'v seek_record) =
     let parent = sr.sr_parent in
-    Mem.check_access parent.hdr;
+    Mem.check_access (Mem.of_node parent);
     let leaf_on_left =
       match Link.get parent.left with
       | Tagged.Ptr (n, _) -> n == sr.sr_leaf
@@ -231,13 +231,13 @@ module Make (S : Smr.Smr_intf.S) = struct
           Tagged.make ~tag:(Tagged.tag sib_rec land flag_bit) sibling
         in
         S.try_unlink l.handle
-          ~frontier:[ sibling.hdr ]
+          ~frontier:[ Mem.of_node sibling ]
           ~do_unlink:(fun () ->
             if
               Link.cas_clean sr.sr_ancestor_link sr.sr_ancestor_rec moved
             then Some (collect_spliced sr.sr_successor key)
             else None)
-          ~node_header ~invalidate:invalidate_nodes
+          ~node_header:Mem.of_node ~invalidate:invalidate_nodes
 
   let get t l key =
     if key >= inf1 then invalid_arg "Nmtree: key too large";
@@ -267,7 +267,7 @@ module Make (S : Smr.Smr_intf.S) = struct
               end
               else `Done false
             else begin
-              Mem.check_access leaf.hdr;
+              Mem.check_access (Mem.of_node leaf);
               let st = stats t in
               let new_leaf =
                 mk_node st ~key ~value:(Some value) ~kind:Leaf
@@ -288,8 +288,8 @@ module Make (S : Smr.Smr_intf.S) = struct
               else begin
                 (* Discard the two unpublished nodes and help a pending
                    delete if that is what blocked us. *)
-                Mem.discard st new_leaf.hdr;
-                Mem.discard st internal.hdr;
+                Mem.discard st (Mem.of_node new_leaf);
+                Mem.discard st (Mem.of_node internal);
                 let r = Link.get sr.sr_parent_link in
                 (match r with
                 | Tagged.Ptr (n, _) when n == leaf && is_flagged r ->
@@ -366,7 +366,7 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let assert_reachable_not_freed t =
     let rec walk n =
-      assert (not (Mem.is_freed n.hdr));
+      assert (not (Mem.is_freed (Mem.of_node n)));
       let go link =
         match Link.get_quiescent link with
         | Tagged.Ptr (m, _) -> walk m

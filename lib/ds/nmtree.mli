@@ -15,19 +15,16 @@ module Make :
         sig
           val uid_of_hdr : Ds_common.Mem.header -> int
           val trace_step :
-            node_header:('a -> Ds_common.Mem.header) ->
             src:Ds_common.Mem.header ->
             validated:bool -> 'a Ds_common.Tagged.t -> unit
           val try_protect :
             src:Ds_common.Mem.header ->
-            node_header:('a -> Ds_common.Mem.header) ->
             S.guard ->
             S.handle ->
             src_link:'a Ds_common.Link.t ->
             'a Ds_common.Tagged.t -> 'a Ds_common.Tagged.t
           val protect_pessimistic :
             src:Ds_common.Mem.header ->
-            node_header:('a -> Ds_common.Mem.header) ->
             S.guard ->
             S.handle ->
             src_link:'a Ds_common.Link.t ->
@@ -45,14 +42,13 @@ module Make :
       val inf2 : int
       type kind = Leaf | Internal
       type 'v node = {
-        hdr : Mem.header;
         key : int;
+        mutable hdr : Mem.cell;
         value : 'v option;
         kind : kind;
         left : 'v node Link.t;
         right : 'v node Link.t;
       }
-      val node_header : 'a node -> Mem.header
       type 'v t = { scheme : S.t; root : 'v node; s : 'v node; }
       type local = {
         handle : S.handle;

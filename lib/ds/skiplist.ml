@@ -22,15 +22,16 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let max_height = 16
 
+  (* [hdr] is the node's embedded header word: field 1 and mutable, read
+     and written only through [Mem.of_node]. *)
   type 'v node = {
-    hdr : Mem.header;
     key : int;
+    mutable hdr : Mem.cell;
     value : 'v;
     next : 'v node Link.t array;
     remaining : int Atomic.t;
   }
 
-  let node_header n = n.hdr
   let height n = Array.length n.next
 
   (* A position above a tower: either the head's link array or a node's. *)
@@ -86,7 +87,9 @@ module Make (S : Smr.Smr_intf.S) = struct
   let snip l ~pred_links ~lvl ~cur ~cur_t ~next_t =
     let desired = Tagged.with_tag next_t 0 in
     let frontier =
-      match next_t with Tagged.Ptr (f, _) -> [ f.hdr ] | Tagged.Null _ -> []
+      match next_t with
+      | Tagged.Ptr (f, _) -> [ Mem.of_node f ]
+      | Tagged.Null _ -> []
     in
     let ok =
       S.try_unlink l.handle ~frontier
@@ -96,7 +99,7 @@ module Make (S : Smr.Smr_intf.S) = struct
               (if Atomic.fetch_and_add cur.remaining (-1) = 1 then [ cur ]
                else [])
           else None)
-        ~node_header
+        ~node_header:Mem.of_node
         ~invalidate:(invalidate_level cur lvl)
     in
     if ok then Some desired else None
@@ -113,7 +116,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       ignore
         (S.try_unlink l.handle ~frontier:[]
            ~do_unlink:(fun () -> Some [ node ])
-           ~node_header
+           ~node_header:Mem.of_node
            ~invalidate:(fun _ ->
              Array.iter Link.mark_invalid node.next))
 
@@ -127,12 +130,12 @@ module Make (S : Smr.Smr_intf.S) = struct
     let protect_cur gcur pred_links lvl cur_t =
       if S.supports_optimistic then
         let cur_t =
-          C.try_protect ~src:Mem.phantom ~node_header gcur l.handle
+          C.try_protect ~src:Mem.phantom gcur l.handle
             ~src_link:pred_links.(lvl) cur_t
         in
         if Tagged.is_invalid cur_t then None else Some cur_t
       else if
-        C.protect_pessimistic ~src:Mem.phantom ~node_header gcur l.handle
+        C.protect_pessimistic ~src:Mem.phantom gcur l.handle
           ~src_link:pred_links.(lvl) cur_t
       then Some cur_t
       else None
@@ -155,7 +158,7 @@ module Make (S : Smr.Smr_intf.S) = struct
               match cur_t with
               | Tagged.Null _ -> descend gpred gcur pred cur_t None
               | Tagged.Ptr (cur, _) ->
-                  Mem.check_access cur.hdr;
+                  Mem.check_access (Mem.of_node cur);
                   let next_t = Link.get cur.next.(lvl) in
                   if Tagged.is_deleted next_t then
                     match
@@ -171,7 +174,7 @@ module Make (S : Smr.Smr_intf.S) = struct
           pred_ts.(lvl) <- cur_t;
           succs.(lvl) <- succ;
           (match pred.node with
-          | Some p -> S.protect l.pred_guards.(lvl) p.hdr
+          | Some p -> S.protect l.pred_guards.(lvl) (Mem.of_node p)
           | None -> ());
           level gpred gcur (lvl - 1) pred
         in
@@ -220,7 +223,7 @@ module Make (S : Smr.Smr_intf.S) = struct
   let get_optimistic t l key =
     let rec level gpred gcur lvl links cur_t =
       let cur_t =
-        C.try_protect ~src:Mem.phantom ~node_header gcur l.handle
+        C.try_protect ~src:Mem.phantom gcur l.handle
           ~src_link:links.(lvl) cur_t
       in
       if Tagged.is_invalid cur_t then `Prot
@@ -228,7 +231,7 @@ module Make (S : Smr.Smr_intf.S) = struct
         match cur_t with
         | Tagged.Null _ -> descend gpred gcur lvl links
         | Tagged.Ptr (cur, _) ->
-            Mem.check_access cur.hdr;
+            Mem.check_access (Mem.of_node cur);
             let next_t = Link.get cur.next.(lvl) in
             if cur.key < key then level gcur gpred lvl cur.next next_t
             else if cur.key = key && lvl = 0 then
@@ -265,7 +268,7 @@ module Make (S : Smr.Smr_intf.S) = struct
         | `Done (found, preds, pred_ts, succs) ->
             if found then begin
               (match !fresh with
-              | Some n -> Mem.discard (stats t) n.hdr
+              | Some n -> Mem.discard (stats t) (Mem.of_node n)
               | None -> ());
               `Done false
             end
@@ -277,7 +280,7 @@ module Make (S : Smr.Smr_intf.S) = struct
                     let h = random_height l in
                     let n =
                       {
-                        hdr = Mem.make (stats t);
+                        hdr = Mem.cell (stats t);
                         key;
                         value;
                         next = Array.init h (fun _ -> Link.null ());
@@ -305,7 +308,7 @@ module Make (S : Smr.Smr_intf.S) = struct
             if not found then `Done false
             else begin
               let x = Option.get succs.(0) in
-              S.protect l.target_guard x.hdr;
+              S.protect l.target_guard (Mem.of_node x);
               (* Mark from the top down; level 0 last — winning its mark CAS
                  is the linearization point and makes us the remover. *)
               for lvl = height x - 1 downto 1 do
@@ -371,7 +374,7 @@ module Make (S : Smr.Smr_intf.S) = struct
           match tg with
           | Tagged.Null _ -> ()
           | Tagged.Ptr (n, _) ->
-              assert (not (Mem.is_freed n.hdr));
+              assert (not (Mem.is_freed (Mem.of_node n)));
               walk (Link.get_quiescent n.next.(0))
         in
         walk (Link.get_quiescent link))

@@ -16,19 +16,16 @@ module Make :
         sig
           val uid_of_hdr : Ds_common.Mem.header -> int
           val trace_step :
-            node_header:('a -> Ds_common.Mem.header) ->
             src:Ds_common.Mem.header ->
             validated:bool -> 'a Ds_common.Tagged.t -> unit
           val try_protect :
             src:Ds_common.Mem.header ->
-            node_header:('a -> Ds_common.Mem.header) ->
             S.guard ->
             S.handle ->
             src_link:'a Ds_common.Link.t ->
             'a Ds_common.Tagged.t -> 'a Ds_common.Tagged.t
           val protect_pessimistic :
             src:Ds_common.Mem.header ->
-            node_header:('a -> Ds_common.Mem.header) ->
             S.guard ->
             S.handle ->
             src_link:'a Ds_common.Link.t ->
@@ -40,13 +37,12 @@ module Make :
         end
       val max_height : int
       type 'v node = {
-        hdr : Mem.header;
         key : int;
+        mutable hdr : Mem.cell;
         value : 'v;
         next : 'v node Link.t array;
         remaining : int Atomic.t;
       }
-      val node_header : 'a node -> Mem.header
       val height : 'a node -> int
       type 'v pred = { links : 'v node Link.t array; node : 'v node option; }
       type 'v t = { scheme : S.t; head : 'v node Link.t array; }

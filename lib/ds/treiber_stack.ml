@@ -1,7 +1,7 @@
 (** Treiber's stack (1986) — the paper's §2.2 running example for
     HP-with-over-approximation (Figure 2).
 
-    Nodes are immutable once pushed, and deletion happens only at the entry
+    Nodes do not change once pushed, and deletion happens only at the entry
     point (the top), so classic [retire] is safe with every scheme. With
     HP-family schemes, [pop] validates protection by re-checking that [top]
     still holds the protected node. *)
@@ -13,9 +13,14 @@ module Link = Smr_core.Link
 module Make (S : Smr.Smr_intf.S) = struct
   module C = Ds_common.Make (S)
 
-  type 'v node = { hdr : Mem.header; value : 'v; next : 'v node option }
-
-  let node_header n = n.hdr
+  (* [hdr] is the node's embedded header word: second and mutable, read and
+     written only through [Mem.of_node]. [next] is written only before the
+     push's CAS publishes the node. *)
+  type 'v node = {
+    mutable next : 'v node option;
+    mutable hdr : Mem.cell;
+    value : 'v;
+  }
 
   type 'v t = { scheme : S.t; top : 'v node Link.t }
   type local = { handle : S.handle; hp : S.guard }
@@ -27,11 +32,13 @@ module Make (S : Smr.Smr_intf.S) = struct
   let clear_local l = S.release l.hp
 
   let push t l value =
-    let hdr = Mem.make (stats t) in
+    let node = { next = None; hdr = Mem.cell (stats t); value } in
     C.with_crit l.handle (stats t) (fun () ->
         let top_t = Link.get t.top in
-        let next = match top_t with Tagged.Ptr (n, _) -> Some n | Tagged.Null _ -> None in
-        let node = { hdr; value; next } in
+        node.next <-
+          (match top_t with
+          | Tagged.Ptr (n, _) -> Some n
+          | Tagged.Null _ -> None);
         if Link.cas_clean t.top top_t (Tagged.make node) then `Done ()
         else `Retry)
 
@@ -43,13 +50,13 @@ module Make (S : Smr.Smr_intf.S) = struct
         | Tagged.Ptr (n, _) ->
             if
               not
-                (C.protect_pessimistic ~src:Mem.phantom ~node_header l.hp
+                (C.protect_pessimistic ~src:Mem.phantom l.hp
                    l.handle ~src_link:t.top top_t)
             then `Prot
             else begin
-              Mem.check_access n.hdr;
+              Mem.check_access (Mem.of_node n);
               if Link.cas_clean t.top top_t (Tagged.of_option n.next) then begin
-                S.retire l.handle n.hdr;
+                S.retire l.handle (Mem.of_node n);
                 `Done (Some n.value)
               end
               else `Retry
@@ -63,11 +70,11 @@ module Make (S : Smr.Smr_intf.S) = struct
         | Tagged.Ptr (n, _) ->
             if
               not
-                (C.protect_pessimistic ~src:Mem.phantom ~node_header l.hp
+                (C.protect_pessimistic ~src:Mem.phantom l.hp
                    l.handle ~src_link:t.top top_t)
             then `Prot
             else begin
-              Mem.check_access n.hdr;
+              Mem.check_access (Mem.of_node n);
               `Done (Some n.value)
             end)
 

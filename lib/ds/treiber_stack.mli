@@ -14,19 +14,16 @@ module Make :
         sig
           val uid_of_hdr : Ds_common.Mem.header -> int
           val trace_step :
-            node_header:('a -> Ds_common.Mem.header) ->
             src:Ds_common.Mem.header ->
             validated:bool -> 'a Ds_common.Tagged.t -> unit
           val try_protect :
             src:Ds_common.Mem.header ->
-            node_header:('a -> Ds_common.Mem.header) ->
             S.guard ->
             S.handle ->
             src_link:'a Ds_common.Link.t ->
             'a Ds_common.Tagged.t -> 'a Ds_common.Tagged.t
           val protect_pessimistic :
             src:Ds_common.Mem.header ->
-            node_header:('a -> Ds_common.Mem.header) ->
             S.guard ->
             S.handle ->
             src_link:'a Ds_common.Link.t ->
@@ -36,8 +33,11 @@ module Make :
             Smr_core.Stats.t ->
             (unit -> [< `Done of 'a | `Prot | `Retry ]) -> 'a
         end
-      type 'v node = { hdr : Mem.header; value : 'v; next : 'v node option; }
-      val node_header : 'a node -> Mem.header
+      type 'v node = {
+        mutable next : 'v node option;
+        mutable hdr : Mem.cell;
+        value : 'v;
+      }
       type 'v t = { scheme : S.t; top : 'v node Link.t; }
       type local = { handle : S.handle; hp : S.guard; }
       val create : S.t -> 'a t

@@ -4,8 +4,27 @@ exception Invalid_free of int
 
 (* One word per header: [uid | incoming-link count | state], uid in the
    high bits so an arithmetic shift recovers negative uids (the phantom's
-   -2). The count is RC's; every other scheme leaves it at 1. *)
-type header = int Atomic.t
+   -2). The count is RC's; every other scheme leaves it at 1.
+
+   A header is any block whose field 1 holds that word: a node whose
+   second declared field is [mutable hdr : cell], viewed through
+   [of_node], or the two-field block [make] builds. Reads are plain loads
+   of field 1; every write is a CAS on it through [cas_word], a [noalloc]
+   call into the runtime's [caml_atomic_cas_field]. The word is always an
+   immediate, so that CAS's write barrier has nothing to record.
+
+   The invariant that makes [of_node]'s cast sound: its argument is a
+   record whose field 1 is a [mutable] [cell]. [cell] is abstract, so
+   nothing outside this module reads or writes the field; [mutable] keeps
+   the compiler from sharing the block or lifting it to a static constant,
+   and field 0 (whatever the node keeps there) is never touched here. *)
+type cell = int
+type header = { _owner : Obj.t; mutable word : cell }
+
+external cas_word : header -> cell -> cell -> bool = "smr_mem_cas_word"
+[@@noalloc]
+
+let[@inline] of_node (n : 'a) : header = Obj.magic n
 
 let state_live = 0
 let state_retired = 1
@@ -59,11 +78,13 @@ let uid_counter_value () = Atomic.get uid_counter
 
 module Trace = Obs.Trace
 
-let make stats =
+let cell stats =
   Stats.on_alloc stats;
   let uid = fresh_uid () in
   if Trace.enabled () then Trace.emit Trace.Alloc uid 0 0;
-  Atomic.make (pack ~uid ~count:1 ~state:state_live)
+  pack ~uid ~count:1 ~state:state_live
+
+let make stats = { _owner = Obj.repr (); word = cell stats }
 
 (* A shared placeholder header: array filler for retire batches. Never
    retired, freed or dereferenced. Its uid is -2, NOT -1: -1 is the "no
@@ -71,31 +92,33 @@ let make stats =
    must stay distinguishable in traces — the replay checker rejects any
    event carrying the phantom uid. *)
 let phantom_uid = -2
-let phantom = Atomic.make (pack ~uid:phantom_uid ~count:1 ~state:state_live)
+let phantom =
+  {
+    _owner = Obj.repr ();
+    word = pack ~uid:phantom_uid ~count:1 ~state:state_live;
+  }
 
-let[@inline] uid h = uid_of_word (Atomic.get h)
+let[@inline] uid h = uid_of_word h.word
 
 let reject_phantom op h =
   if uid h = phantom_uid then
     invalid_arg ("Mem." ^ op ^ ": phantom header escaped into a retire/free path")
 
-let ref_count h = count_of_word (Atomic.get h)
+let ref_count h = count_of_word h.word
 
 let rec incr_ref h =
-  let w = Atomic.get h in
+  let w = h.word in
   if count_of_word w = count_max then
     failwith "Mem.incr_ref: incoming-link count overflows its field";
-  if not (Atomic.compare_and_set h w (w + count_one)) then incr_ref h
+  if not (cas_word h w (w + count_one)) then incr_ref h
 
-let decr_ref h =
-  let w = Atomic.fetch_and_add h (-count_one) in
+let rec decr_ref h =
+  let w = h.word in
   match count_of_word w with
-  | 0 ->
-      ignore (Atomic.fetch_and_add h count_one);
-      invalid_arg "Mem.decr_ref: incoming-link count already zero"
-  | c -> c = 1
+  | 0 -> invalid_arg "Mem.decr_ref: incoming-link count already zero"
+  | c -> if cas_word h w (w - count_one) then c = 1 else decr_ref h
 
-let state h = Atomic.get h land state_mask
+let state h = h.word land state_mask
 let is_live h = state h = state_live
 let is_retired h = state h = state_retired
 let is_freed h = state h = state_freed
@@ -105,10 +128,10 @@ let is_freed h = state h = state_freed
    bits can, unless a racing transition won — so re-read and re-check.
    Returns -1 when the state read was not allowed. *)
 let rec transition h ~allowed ~next =
-  let w = Atomic.get h in
+  let w = h.word in
   let s = w land state_mask in
   if not (allowed s) then -1
-  else if Atomic.compare_and_set h w (w land lnot state_mask lor next) then s
+  else if cas_word h w (w land lnot state_mask lor next) then s
   else transition h ~allowed ~next
 
 (* Each mark counts in [stats] right where it emits its trace event, so the
@@ -156,7 +179,7 @@ let discard stats h =
 let[@inline never] use_after_free h = raise (Use_after_free (uid h))
 
 let[@inline] check_access h =
-  if Atomic.get enabled && Atomic.get h land state_mask = state_freed then
+  if Atomic.get enabled && h.word land state_mask = state_freed then
     use_after_free h
 
 let set_checking b = Atomic.set enabled b

@@ -7,7 +7,8 @@
     {v Live --retire--> Retired --free--> Freed v}
 
     (plus [Live --discard--> Freed] for a block that was never published).
-    A block is a {!header} embedded in a data-structure node. Schemes mark
+    A block is a data-structure node, and its {!header} is a word the
+    node holds itself (see {!of_node}). Schemes mark
     headers, and each mark both emits its trace event and bumps its
     {!Stats} counter, so the two cannot disagree. Data structures call
     {!check_access} on every dereference, which
@@ -21,17 +22,37 @@ exception Double_retire of int
 exception Invalid_free of int
 
 type header
-(** One [int Atomic.t] word: the uid in the high bits (arithmetic shift, so
-    negative uids survive), RC's incoming-link count in the next 20 bits and
-    the 2-bit lifecycle state in the low bits. A dereference check reads
-    node → header word, one hop. *)
+(** A block whose field 1 is the header word: the uid in the high bits
+    (arithmetic shift, so negative uids survive), RC's incoming-link count
+    in the next 20 bits and the 2-bit lifecycle state in the low bits.
+    Every node embeds that word ({!of_node}), so a header is the node
+    itself and a dereference check loads field 1 of the node it is about
+    to read: no block in between. Reads are plain loads; every state or
+    count change is a CAS on the word. *)
 
-val make : Stats.t -> header
-(** Allocate a fresh block header, counted in [stats]. Uids are drawn from
-    per-domain blocks of 1024 off one global counter, so allocation does
-    not contend; uids are unique but not globally ordered.
+type cell
+(** The type of an embedded header field. It is abstract: the field is
+    read and written only through {!of_node}. *)
+
+val cell : Stats.t -> cell
+(** The header word of a fresh block, for the node's record literal:
+    [{ ...; hdr = Mem.cell stats; ... }]. Counted as an allocation in
+    [stats] and traced. Uids are drawn from per-domain blocks of 1024 off
+    one global counter, so allocation does not contend; uids are unique but
+    not globally ordered.
     @raise Failure when the next block would leave the packed uid range
     (checked once per block). *)
+
+val of_node : 'a -> header
+(** [of_node n] is the header embedded in [n], for a record type whose
+    field 1 (its second declared field) is [mutable hdr : cell]. The result
+    aliases [n]: no allocation, no copy, and [of_node n == of_node n].
+    Passing any other value is undefined behaviour. *)
+
+val make : Stats.t -> header
+(** A standalone header: a block of its own with the same two-field layout
+    as a node (field 0 unused), for headers no node carries — tests, and
+    benchmarks of a scheme alone. Counted and traced as {!cell}. *)
 
 val max_uid : int
 (** Largest uid the header word can hold. *)

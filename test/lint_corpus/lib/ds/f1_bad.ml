@@ -9,7 +9,7 @@ let lookup t l key =
   let rec go src link =
     let expected = Link.get link in
     let cur =
-      C.try_protect ~src ~node_header l.hp l.handle ~src_link:link expected
+      C.try_protect ~src l.hp l.handle ~src_link:link expected
     in
     if Tagged.is_invalid cur then
       match expected with
@@ -19,6 +19,6 @@ let lookup t l key =
       match cur with
       | Tagged.Null _ -> None
       | Tagged.Ptr (n, _) ->
-          if n.key = key then Some n.value else go n.hdr n.next
+          if n.key = key then Some n.value else go (Mem.of_node n) n.next
   in
   go Mem.phantom t.head

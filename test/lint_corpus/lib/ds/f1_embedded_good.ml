@@ -6,7 +6,7 @@
 let length t l =
   let rec go acc src link expected =
     let cur =
-      C.try_protect ~src ~node_header l.hp l.handle ~src_link:link expected
+      C.try_protect ~src l.hp l.handle ~src_link:link expected
     in
     if Tagged.is_invalid cur then None
     else
@@ -14,6 +14,6 @@ let length t l =
       | Tagged.Null _ -> Some acc
       | Tagged.Ptr (n, _) ->
           let next = Link.of_node n in
-          go (acc + 1) n.hdr next (Link.get next)
+          go (acc + 1) (Mem.of_node n) next (Link.get next)
   in
   go 0 Mem.phantom t.head (Link.get t.head)

@@ -7,7 +7,7 @@
 let lookup t l key =
   let rec go src link expected =
     let cur =
-      C.try_protect ~src ~node_header l.hp l.handle ~src_link:link expected
+      C.try_protect ~src l.hp l.handle ~src_link:link expected
     in
     if Tagged.is_invalid cur then None
     else
@@ -15,6 +15,6 @@ let lookup t l key =
       | Tagged.Null _ -> None
       | Tagged.Ptr (n, _) ->
           if n.key = key then Some n.value
-          else go n.hdr n.next (Link.get n.next)
+          else go (Mem.of_node n) n.next (Link.get n.next)
   in
   go Mem.phantom t.head (Link.get t.head)

@@ -6,7 +6,7 @@
 
 let pop t l =
   let cur =
-    C.try_protect ~src:Mem.phantom ~node_header l.hp l.handle ~src_link:t.head
+    C.try_protect ~src:Mem.phantom l.hp l.handle ~src_link:t.head
       (Link.get t.head)
   in
   if Tagged.is_invalid cur then None

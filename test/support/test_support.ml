@@ -56,7 +56,7 @@ struct
 
   (* A traversal step (protect, validate, step) allocates nothing, so a get
      costs a fixed handful of words per operation — the crit-section
-     closure, its backoff and the result — however many nodes it walks. *)
+     closure and the result — however many nodes it walks. *)
   let test_alloc_per_get ~size ~bound () =
     let words = minor_words_per_get ~size in
     Printf.printf "%s: %.1f minor words per get over %d entries\n%!" S.name

@@ -56,7 +56,7 @@ let raw_good_protected =
 let lookup t l key =
   let rec go src link expected =
     let cur =
-      C.try_protect ~src ~node_header l.hp l.handle ~src_link:link expected
+      C.try_protect ~src l.hp l.handle ~src_link:link expected
     in
     if Tagged.is_invalid cur then None
     else
@@ -64,7 +64,7 @@ let lookup t l key =
       | Tagged.Null _ -> None
       | Tagged.Ptr (n, _) ->
           if n.key = key then Some n.value
-          else go n.hdr n.next (Link.get n.next)
+          else go (Mem.of_node n) n.next (Link.get n.next)
   in
   go Mem.phantom t.head (Link.get t.head)
 |}
@@ -202,7 +202,7 @@ let to_list t =
     {|
 let peek t l =
   match
-    C.try_protect ~src:Mem.phantom ~node_header l.hp l.handle ~src_link:t.head
+    C.try_protect ~src:Mem.phantom l.hp l.handle ~src_link:t.head
       (Link.get t.head)
   with
   | Tagged.Ptr (n, _) -> n.key
@@ -212,7 +212,7 @@ let peek t l =
     {|
 let peek t l =
   let r =
-    C.try_protect ~src:Mem.phantom ~node_header l.hp l.handle ~src_link:t.head
+    C.try_protect ~src:Mem.phantom l.hp l.handle ~src_link:t.head
       (Link.get t.head)
   in
   let r = Link.get t.head in
@@ -294,7 +294,7 @@ let read_key n = n.key
 
 let lookup t l =
   let cur =
-    C.try_protect ~src:Mem.phantom ~node_header l.hp l.handle ~src_link:t.head
+    C.try_protect ~src:Mem.phantom l.hp l.handle ~src_link:t.head
       (Link.get t.head)
   in
   if Tagged.is_invalid cur then 0
@@ -340,7 +340,7 @@ let drop l cur =
     {|
 let pop t l =
   let cur =
-    C.try_protect ~src:Mem.phantom ~node_header l.hp l.handle ~src_link:t.head
+    C.try_protect ~src:Mem.phantom l.hp l.handle ~src_link:t.head
       (Link.get t.head)
   in
   if Tagged.is_invalid cur then None
@@ -499,7 +499,7 @@ let mutual_src =
   {|
 let rec walk t l link expected =
   let cur =
-    C.try_protect ~src:Mem.phantom ~node_header l.hp l.handle ~src_link:link
+    C.try_protect ~src:Mem.phantom l.hp l.handle ~src_link:link
       expected
   in
   if Tagged.is_invalid cur then None else step t l cur
@@ -561,7 +561,7 @@ let test_mutual_behavior () =
     {|
 let rec walk t l link expected =
   let cur =
-    C.try_protect ~src:Mem.phantom ~node_header l.hp l.handle ~src_link:link
+    C.try_protect ~src:Mem.phantom l.hp l.handle ~src_link:link
       expected
   in
   if Tagged.is_invalid cur then step t l (Link.get link) else step t l cur

@@ -190,7 +190,7 @@ let test_cross_batch_frontier () =
   Hp_plus.do_invalidation u2;
   Hp_plus.reclaim u2;
   Alcotest.(check bool) "frontier protection keeps shared child alive" false
-    (Mem.is_freed c.B.hdr);
+    (Mem.is_freed (Mem.of_node c));
   (* U1 finishes its batch: p invalidated, frontier released. *)
   B.clear_local lo1;
   Hp_plus.do_invalidation u1;
@@ -199,7 +199,7 @@ let test_cross_batch_frontier () =
   Hp_plus.reclaim u2;
   Hp_plus.reclaim u1;
   Alcotest.(check bool) "shared child reclaimed afterwards" true
-    (Mem.is_freed c.B.hdr);
+    (Mem.is_freed (Mem.of_node c));
   Hp_plus.unregister u1;
   Hp_plus.unregister u2
 

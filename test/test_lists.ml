@@ -64,9 +64,10 @@ let test_hpp_plain_fence_list () =
 
 (* Minor-heap words per successful HHSList insert under HP++, on one
    domain. Keys go in descending order, so each insert lands at the head
-   and retires nothing. An insert allocates the node, its header word, the
-   tagged block its own link is set to, the one that publishes it and the
-   crit-section closures; the node embeds its link, so no link block. *)
+   and retires nothing. An insert allocates the node, the tagged block its
+   own link is set to, the one that publishes it and the crit-section
+   closures; the node embeds its link and its header word, so neither a
+   link block nor a header block. *)
 let minor_words_per_insert () =
   let module L = Smr_ds.Hhslist.Make (Hp_plus) in
   let scheme = Hp_plus.create () in
@@ -90,8 +91,58 @@ let test_alloc_per_insert ~bound () =
   if words > bound then
     Alcotest.failf
       "HP++: %.2f minor words per HHSList insert exceeds %.0f: the node no \
-       longer embeds its link"
+       longer embeds its link or its header, or the crit section allocates \
+       before its first restart"
       words bound
+
+(* [C.with_crit] restarts its body on [`Prot] and [`Retry] and counts a
+   protection failure for each [`Prot] restart only. *)
+let test_with_crit_counts_prot () =
+  let module C = Smr_ds.Ds_common.Make (Hp_plus) in
+  let scheme = Hp_plus.create () in
+  let stats = Hp_plus.stats scheme in
+  let h = Hp_plus.register scheme in
+  let script = [ `Prot; `Retry; `Prot; `Prot; `Retry; `Done 42 ] in
+  let rest = ref script and calls = ref 0 in
+  let body () =
+    incr calls;
+    match !rest with
+    | r :: tl ->
+        rest := tl;
+        r
+    | [] -> Alcotest.fail "body called after it was done"
+  in
+  let before = Stats.protection_failures stats in
+  Alcotest.(check int) "result" 42 (C.with_crit h stats body);
+  Alcotest.(check int) "one call per scripted outcome" (List.length script)
+    !calls;
+  Alcotest.(check int) "one failure per `Prot restart" 3
+    (Stats.protection_failures stats - before);
+  Alcotest.(check int) "none for a first-attempt completion" 0
+    (let before = Stats.protection_failures stats in
+     ignore (C.with_crit h stats (fun () -> `Done ()));
+     Stats.protection_failures stats - before);
+  Hp_plus.unregister h
+
+(* An operation that completes on its first attempt allocates nothing in
+   [C.with_crit]: no backoff state, no retry closure. *)
+let test_with_crit_first_attempt_alloc () =
+  let module C = Smr_ds.Ds_common.Make (Hp_plus) in
+  let scheme = Hp_plus.create () in
+  let stats = Hp_plus.stats scheme in
+  let h = Hp_plus.register scheme in
+  let body () = `Done 0 in
+  ignore (C.with_crit h stats body);
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (C.with_crit h stats body))
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  Hp_plus.unregister h;
+  if words > 0. then
+    Alcotest.failf "%.2f minor words per first-attempt with_crit, want 0"
+      words
 
 let () =
   Alcotest.run "lists"
@@ -131,10 +182,17 @@ let () =
       ( "alloc per step",
         [
           Alcotest.test_case "hhslist get over 512 nodes HP++" `Quick
-            (Hhs_hpp.test_alloc_per_get ~size:512 ~bound:48.);
+            (Hhs_hpp.test_alloc_per_get ~size:512 ~bound:19.);
           Alcotest.test_case "hhslist get over 512 nodes EBR" `Quick
-            (Hhs_ebr.test_alloc_per_get ~size:512 ~bound:48.);
+            (Hhs_ebr.test_alloc_per_get ~size:512 ~bound:19.);
           Alcotest.test_case "hhslist insert HP++" `Quick
-            (test_alloc_per_insert ~bound:67.);
+            (test_alloc_per_insert ~bound:51.);
+        ] );
+      ( "with_crit",
+        [
+          Alcotest.test_case "counts one failure per Prot restart" `Quick
+            test_with_crit_counts_prot;
+          Alcotest.test_case "first attempt allocates nothing" `Quick
+            test_with_crit_first_attempt_alloc;
         ] );
     ]

@@ -91,8 +91,8 @@ let () =
       ( "alloc per step",
         [
           Alcotest.test_case "hashmap get HP++" `Quick
-            (Map_hpp.test_alloc_per_get ~size:16384 ~bound:48.);
+            (Map_hpp.test_alloc_per_get ~size:16384 ~bound:19.);
           Alcotest.test_case "hashmap get EBR" `Quick
-            (Map_ebr.test_alloc_per_get ~size:16384 ~bound:48.);
+            (Map_ebr.test_alloc_per_get ~size:16384 ~bound:19.);
         ] );
     ]

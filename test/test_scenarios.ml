@@ -63,7 +63,7 @@ let test_scenario_one () =
   (* T1 walks h->p and validates protection of p. *)
   let hp_prev = Hp_plus.guard t1 and hp_cur = Hp_plus.guard t1 in
   (match
-     C.try_protect ~src:Mem.phantom ~node_header:L.node_header hp_cur t1
+     C.try_protect ~src:Mem.phantom hp_cur t1
        ~src_link:t.L.head (Link.get t.L.head)
    with
   | Tagged.Ptr (n, 0) when n == p -> ()
@@ -82,16 +82,16 @@ let test_scenario_one () =
   Hp_plus.reclaim t2;
   (* Guarantee (1): nothing of the chain is freed before invalidation. *)
   Alcotest.(check bool) "q unreclaimable before invalidation" false
-    (Mem.is_freed q.L.hdr);
+    (Mem.is_freed (Mem.of_node q));
   (* T1 now tries the optimistic step p -> q. p is not invalidated yet, so
      the step is allowed — and it is SAFE, because q is not freed. *)
   (let tg =
-     C.try_protect ~src:p.L.hdr ~node_header:L.node_header hp_prev t1
+     C.try_protect ~src:(Mem.of_node p) hp_prev t1
        ~src_link:(Link.of_node p) (Link.get (Link.of_node p))
    in
    if Tagged.is_invalid tg then Alcotest.fail "p is not invalidated yet";
    assert (Tagged.same_ptr tg (Tagged.make q));
-   Mem.check_access q.L.hdr (* would raise on a use-after-free *));
+   Mem.check_access (Mem.of_node q) (* would raise on a use-after-free *));
   (* T1 releases q and moves on; T2 completes its deferred invalidation. *)
   Hp_plus.release hp_prev;
   Hp_plus.release hp_cur;
@@ -102,14 +102,14 @@ let test_scenario_one () =
   L.clear_local lo2;
   Hp_plus.reclaim t2;
   Alcotest.(check bool) "q freed after invalidation" true
-    (Mem.is_freed q.L.hdr);
+    (Mem.is_freed (Mem.of_node q));
   (* Figure 5's unsafe access, had the traverser ignored invalidation: *)
   Alcotest.check_raises "naive HP step would be use-after-free"
-    (Mem.Use_after_free (Mem.uid q.L.hdr)) (fun () ->
-      Mem.check_access q.L.hdr);
+    (Mem.Use_after_free (Mem.uid (Mem.of_node q))) (fun () ->
+      Mem.check_access (Mem.of_node q));
   (* And the HP++ traverser is told to restart instead: *)
   (let tg =
-     C.try_protect ~src:p.L.hdr ~node_header:L.node_header hp_cur t1
+     C.try_protect ~src:(Mem.of_node p) hp_cur t1
        ~src_link:(Link.of_node p) (Link.get (Link.of_node p))
    in
    if not (Tagged.is_invalid tg) then
@@ -146,13 +146,13 @@ let test_scenario_two () =
      against invalidation and succeeds because T2 has not invalidated. *)
   let g1 = Hp_plus.guard t1 and g2 = Hp_plus.guard t1 in
   (let tg =
-     C.try_protect ~src:p.L.hdr ~node_header:L.node_header g1 t1
+     C.try_protect ~src:(Mem.of_node p) g1 t1
        ~src_link:(Link.of_node p) (Link.get (Link.of_node p))
    in
    if Tagged.is_invalid tg then Alcotest.fail "q step";
    assert (Tagged.same_ptr tg (Tagged.make q)));
   (let tg =
-     C.try_protect ~src:q.L.hdr ~node_header:L.node_header g2 t1
+     C.try_protect ~src:(Mem.of_node q) g2 t1
        ~src_link:(Link.of_node q) (Link.get (Link.of_node q))
    in
    if Tagged.is_invalid tg then Alcotest.fail "r step";
@@ -164,20 +164,20 @@ let test_scenario_two () =
   (* r survives: it is protected by T1's hazard pointers, by leftover
      traversal guards, and by T2's pending frontier protection. Release
      everything except the frontier slot to isolate guarantee (2): *)
-  Mem.check_access r.L.hdr;
+  Mem.check_access (Mem.of_node r);
   Hp_plus.release g1;
   Hp_plus.release g2;
   L.clear_local lo2;
   L.clear_local lo3;
   Hp_plus.reclaim t3;
   Alcotest.(check bool) "frontier protection alone keeps r alive" false
-    (Mem.is_freed r.L.hdr);
+    (Mem.is_freed (Mem.of_node r));
   (* Once T2 finishes its invalidation batch, its frontier protection is
      revoked and T3 may finally reclaim r. *)
   Hp_plus.do_invalidation t2;
   Hp_plus.reclaim t3;
   Alcotest.(check bool) "r reclaimed after T2's batch" true
-    (Mem.is_freed r.L.hdr);
+    (Mem.is_freed (Mem.of_node r));
   Hp_plus.unregister t1;
   Hp_plus.unregister t2;
   Hp_plus.unregister t3

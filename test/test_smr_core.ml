@@ -154,10 +154,13 @@ let test_header_uid_round_trip () =
 
 (* State CASes retry when only the count bits moved: one domain churns the
    counts of a small batch of headers in a tight loop while the other
-   retires and then frees each of them, batch after batch. *)
-let test_header_state_races_count () =
+   retires and then frees each of them, batch after batch. [node] builds a
+   block carrying a header, [hdr] views it, and [intact] checks the block's
+   other fields after the race: a standalone header, or a list node whose
+   header word is embedded next to its link and key. *)
+let header_state_races_count ~node ~hdr ~intact () =
   let stats = Stats.create () in
-  let batch () = Array.init 8 (fun _ -> Mem.make stats) in
+  let batch () = Array.init 8 (fun _ -> node stats) in
   let current = Atomic.make (batch ()) in
   let passes = Atomic.make 0 and stop = Atomic.make false in
   let lost_update = Atomic.make false in
@@ -165,7 +168,8 @@ let test_header_state_races_count () =
     Domain.spawn (fun () ->
         while not (Atomic.get stop) do
           Array.iter
-            (fun h ->
+            (fun n ->
+              let h = hdr n in
               Mem.incr_ref h;
               match Mem.decr_ref h with
               | false -> ()
@@ -177,29 +181,51 @@ let test_header_state_races_count () =
   in
   let all = ref [] in
   for _ = 1 to 500 do
-    let hs = batch () in
-    Atomic.set current hs;
+    let ns = batch () in
+    Atomic.set current ns;
     (* let the churn domain reach this batch before the transitions *)
     let seen = Atomic.get passes in
     while Atomic.get passes < seen + 2 do
       Domain.cpu_relax ()
     done;
-    Array.iter (Mem.retire_mark stats) hs;
-    Array.iter (Mem.free_mark stats) hs;
-    all := hs :: !all
+    Array.iter (fun n -> Mem.retire_mark stats (hdr n)) ns;
+    Array.iter (fun n -> Mem.free_mark stats (hdr n)) ns;
+    all := ns :: !all
   done;
   Atomic.set stop true;
   Domain.join churn;
   Alcotest.(check bool) "no count update lost to a state change" false
     (Atomic.get lost_update);
   List.iter
-    (Array.iter (fun h ->
-         Alcotest.(check bool) "freed" true (Mem.is_freed h);
-         Alcotest.(check int) "count back to 1" 1 (Mem.ref_count h)))
+    (Array.iter (fun n ->
+         Alcotest.(check bool) "freed" true (Mem.is_freed (hdr n));
+         Alcotest.(check int) "count back to 1" 1 (Mem.ref_count (hdr n));
+         Alcotest.(check bool) "other fields intact" true (intact n)))
     !all;
-  let uids = List.concat_map (fun hs -> Array.to_list (Array.map Mem.uid hs)) !all in
+  let uids =
+    List.concat_map
+      (fun ns -> Array.to_list (Array.map (fun n -> Mem.uid (hdr n)) ns))
+      !all
+  in
   Alcotest.(check int) "uids intact and distinct" (List.length uids)
     (List.length (List.sort_uniq compare uids))
+
+let test_header_state_races_count =
+  header_state_races_count ~node:Mem.make ~hdr:Fun.id ~intact:(fun _ -> true)
+
+let test_embedded_header_state_races_count =
+  let module L = Smr_ds.Hhslist.Make (Ebr) in
+  let node stats =
+    {
+      L.next = Link.cell Tagged.null;
+      hdr = Mem.cell stats;
+      key = 7;
+      value = 11;
+    }
+  in
+  header_state_races_count ~node ~hdr:Mem.of_node ~intact:(fun n ->
+      n.L.key = 7 && n.L.value = 11
+      && Tagged.is_null (Link.get (Link.of_node n)))
 
 (* The packed-range check runs once per 1024-uid block: a block that fits
    hands out all its uids, the next block fails loudly. *)
@@ -517,7 +543,7 @@ let test_link_embedded_nodes () =
   (let module L = Smr_ds.Hhslist.Make (Ebr) in
    let tg = Tagged.of_option ~tag:Tagged.deleted_bit None in
    reads_constructed ~what:"hhslist"
-     { L.next = Link.cell tg; hdr = Mem.make stats; key = 0; value = "" }
+     { L.next = Link.cell tg; hdr = Mem.cell stats; key = 0; value = "" }
      tg;
    let t = L.create scheme and l = L.make_local h in
    assert (L.insert t l 2 "b" && L.insert t l 1 "a");
@@ -527,7 +553,7 @@ let test_link_embedded_nodes () =
   (let module L = Smr_ds.Hmlist.Make (Ebr) in
    let tg = Tagged.of_option ~tag:Tagged.deleted_bit None in
    reads_constructed ~what:"hmlist"
-     { L.next = Link.cell tg; hdr = Mem.make stats; key = 0; value = "" }
+     { L.next = Link.cell tg; hdr = Mem.cell stats; key = 0; value = "" }
      tg;
    let t = L.create scheme and l = L.make_local h in
    assert (L.insert t l 2 "b" && L.insert t l 1 "a");
@@ -539,7 +565,7 @@ let test_link_embedded_nodes () =
    reads_constructed ~what:"lazylist"
      {
        L.next = Link.cell tg;
-       hdr = Mem.make stats;
+       hdr = Mem.cell stats;
        key = 0;
        value = "";
        marked = Atomic.make false;
@@ -554,7 +580,7 @@ let test_link_embedded_nodes () =
   (let module Q = Smr_ds.Ms_queue.Make (Ebr) in
    let tg = Tagged.of_option ~tag:Tagged.deleted_bit None in
    reads_constructed ~what:"msqueue"
-     { Q.next = Link.cell tg; hdr = Mem.make stats; value = None }
+     { Q.next = Link.cell tg; hdr = Mem.cell stats; value = None }
      tg;
    let t = Q.create scheme and l = Q.make_local h in
    Q.enqueue t l 1;
@@ -569,6 +595,157 @@ let test_link_embedded_nodes () =
      ~head:(succ dummy) ~succ;
    Q.clear_local l);
   Ebr.unregister h
+
+(* --- the header embedded in every node -------------------------------- *)
+
+(* Each structure's nodes carry their header word in field 1, read through
+   [Mem.of_node]. Every structure is built on a fresh domain whose uids
+   start at [embedded_base], so every node it allocated has a uid in
+   [embedded_base, embedded_base + allocated). For each reachable node,
+   [Mem.of_node] must read such a uid, distinct from the others, on a live
+   block with the count at 1. The node holding [key] then goes through
+   retire and free on that very word: the detector must name its uid, and
+   the node's key must be untouched by the CASes. A record whose header is
+   not field 1 would read another field as the word and fail here. *)
+let embedded_base = Mem.max_uid - 4095
+
+let check_embedded ~what ~stats ~key_of ~key nodes =
+  let allocated = Stats.allocated stats in
+  let uids =
+    List.map
+      (fun n ->
+        let h = Mem.of_node n in
+        let uid = Mem.uid h in
+        if uid < embedded_base || uid >= embedded_base + allocated then
+          Alcotest.failf
+            "%s: Mem.of_node reads uid %d, outside the %d the structure \
+             allocated from %d"
+            what uid allocated embedded_base;
+        Alcotest.(check bool) (what ^ ": live") true (Mem.is_live h);
+        Alcotest.(check int) (what ^ ": count") 1 (Mem.ref_count h);
+        uid)
+      nodes
+  in
+  Alcotest.(check int) (what ^ ": distinct uids") (List.length uids)
+    (List.length (List.sort_uniq compare uids));
+  let n =
+    match List.find_opt (fun n -> key_of n = key) nodes with
+    | Some n -> n
+    | None -> Alcotest.failf "%s: no node holds key %d" what key
+  in
+  let h = Mem.of_node n in
+  let uid = Mem.uid h in
+  Mem.retire_mark stats h;
+  Alcotest.(check bool) (what ^ ": retired") true (Mem.is_retired h);
+  Mem.check_access h;
+  Mem.free_mark stats h;
+  Alcotest.check_raises (what ^ ": a freed node trips the detector")
+    (Mem.Use_after_free uid) (fun () -> Mem.check_access h);
+  Alcotest.(check int) (what ^ ": the key survives the header CASes") key
+    (key_of n);
+  Alcotest.(check int) (what ^ ": the uid survives the header CASes") uid
+    (Mem.uid (Mem.of_node n))
+
+let embedded_in f =
+  with_uid_counter embedded_base (fun () ->
+      let scheme = Ebr.create () in
+      let h = Ebr.register scheme in
+      f (Ebr.stats scheme) scheme h;
+      Ebr.unregister h)
+
+let rec chain next acc = function
+  | Tagged.Null _ -> List.rev acc
+  | Tagged.Ptr (n, _) -> chain next (n :: acc) (next n)
+
+let rec subtree children n =
+  n :: List.concat_map (subtree children) (children n)
+
+let test_embedded_header_nodes () =
+  let keys = [ 5; 3; 8 ] in
+  embedded_in (fun stats scheme h ->
+      let module L = Smr_ds.Hhslist.Make (Ebr) in
+      let t = L.create scheme and l = L.make_local h in
+      List.iter (fun k -> assert (L.insert t l k k)) keys;
+      let next n = Link.get_quiescent (Link.of_node n) in
+      check_embedded ~what:"hhslist" ~stats ~key_of:(fun n -> n.L.key) ~key:3
+        (chain next [] (Link.get_quiescent t.L.head)));
+  embedded_in (fun stats scheme h ->
+      let module L = Smr_ds.Hmlist.Make (Ebr) in
+      let t = L.create scheme and l = L.make_local h in
+      List.iter (fun k -> assert (L.insert t l k k)) keys;
+      let next n = Link.get_quiescent (Link.of_node n) in
+      check_embedded ~what:"hmlist" ~stats ~key_of:(fun n -> n.L.key) ~key:3
+        (chain next [] (Link.get_quiescent t.L.head)));
+  embedded_in (fun stats scheme h ->
+      let module L = Smr_ds.Lazylist.Make (Ebr) in
+      let t = L.create scheme and l = L.make_local h in
+      List.iter (fun k -> assert (L.insert t l k k)) keys;
+      let next n = Link.get_quiescent (Link.of_node n) in
+      check_embedded ~what:"lazylist" ~stats ~key_of:(fun n -> n.L.key) ~key:3
+        (chain next [] (Link.get_quiescent t.L.head_link)));
+  embedded_in (fun stats scheme h ->
+      let module Q = Smr_ds.Ms_queue.Make (Ebr) in
+      let t = Q.create scheme and l = Q.make_local h in
+      List.iter (Q.enqueue t l) keys;
+      let next n = Link.get_quiescent (Link.of_node n) in
+      check_embedded ~what:"msqueue" ~stats
+        ~key_of:(fun n -> Option.value n.Q.value ~default:0)
+        ~key:3
+        (chain next [] (Link.get_quiescent t.Q.head)));
+  embedded_in (fun stats scheme h ->
+      let module T = Smr_ds.Treiber_stack.Make (Ebr) in
+      let t = T.create scheme and l = T.make_local h in
+      List.iter (T.push t l) keys;
+      let next n = Tagged.of_option n.T.next in
+      check_embedded ~what:"treiber" ~stats ~key_of:(fun n -> n.T.value) ~key:3
+        (chain next [] (Link.get_quiescent t.T.top)));
+  embedded_in (fun stats scheme h ->
+      let module L = Smr_ds.Skiplist.Make (Ebr) in
+      let t = L.create scheme and l = L.make_local h in
+      List.iter (fun k -> assert (L.insert t l k k)) keys;
+      let next n = Link.get_quiescent n.L.next.(0) in
+      check_embedded ~what:"skiplist" ~stats ~key_of:(fun n -> n.L.key) ~key:3
+        (chain next [] (Link.get_quiescent t.L.head.(0))));
+  embedded_in (fun stats scheme h ->
+      let module B = Smr_ds.Nmtree.Make (Ebr) in
+      let t = B.create scheme and l = B.make_local h in
+      List.iter (fun k -> assert (B.insert t l k k)) keys;
+      let children n =
+        List.filter_map
+          (fun link ->
+            match Link.get_quiescent link with
+            | Tagged.Ptr (c, _) -> Some c
+            | Tagged.Null _ -> None)
+          [ n.B.left; n.B.right ]
+      in
+      check_embedded ~what:"nmtree" ~stats ~key_of:(fun n -> n.B.key) ~key:3
+        (subtree children t.B.root));
+  embedded_in (fun stats scheme h ->
+      let module B = Smr_ds.Efrbtree.Make (Ebr) in
+      let t = B.create scheme and l = B.make_local h in
+      List.iter (fun k -> assert (B.insert t l k k)) keys;
+      let children n =
+        List.filter_map
+          (fun link ->
+            match Link.get_quiescent link with
+            | Tagged.Ptr (c, _) -> Some c
+            | Tagged.Null _ -> None)
+          [ n.B.left; n.B.right ]
+      in
+      check_embedded ~what:"efrbtree" ~stats ~key_of:(fun n -> n.B.key) ~key:3
+        (subtree children t.B.root));
+  embedded_in (fun stats scheme h ->
+      let module B = Smr_ds.Bonsai.Make (Ebr) in
+      let t = B.create scheme and l = B.make_local h in
+      List.iter (fun k -> assert (B.insert t l k k)) keys;
+      let children n = List.filter_map Fun.id [ n.B.left; n.B.right ] in
+      let root =
+        match Link.get_quiescent t.B.root with
+        | Tagged.Ptr (r, _) -> r
+        | Tagged.Null _ -> Alcotest.fail "bonsai: empty after inserts"
+      in
+      check_embedded ~what:"bonsai" ~stats ~key_of:(fun n -> n.B.key) ~key:3
+        (subtree children root))
 
 let test_backoff_caps () =
   let b = Smr_core.Backoff.create ~min_spins:2 ~max_spins:8 () in
@@ -677,6 +854,10 @@ let () =
             test_header_uid_round_trip;
           Alcotest.test_case "header state races count" `Quick
             test_header_state_races_count;
+          Alcotest.test_case "embedded header state races count" `Quick
+            test_embedded_header_state_races_count;
+          Alcotest.test_case "embedded header in every node" `Quick
+            test_embedded_header_nodes;
           Alcotest.test_case "header uid range exhaustion" `Quick
             test_header_uid_range_exhaustion;
           QCheck_alcotest.to_alcotest prop_mem_state_machine;
