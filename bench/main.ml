@@ -15,15 +15,13 @@ let parse_threads s =
   |> List.filter (fun x -> x <> "")
   |> List.map int_of_string
 
-(* No experiment names: [--micro] alone runs only the micro-benchmarks;
-   without it, the whole suite runs, micro-benchmarks included. *)
-let run_exps settings exps with_micro =
-  let default_run = exps = [] && not with_micro in
-  let exps = if default_run then E.known @ [ "hotpath" ] else exps in
+(* No experiment names: the whole suite runs. *)
+let run_exps settings exps =
+  let exps = if exps = [] then E.known @ [ "hotpath" ] else exps in
   Printf.printf
     "HP++ reproduction benchmark suite\n\
      host: %d cores | threads=%s duration=%.2fs paper_scale=%b\n\
-     note: 1-core container; thread counts > 1 measure preemptive \
+     note: thread counts above the host's cores measure preemptive \
      interleaving, not parallel speedup (DESIGN.md section 2)\n%!"
     (Domain.recommended_domain_count ())
     (String.concat "," (List.map string_of_int settings.E.threads_list))
@@ -36,8 +34,7 @@ let run_exps settings exps with_micro =
           ~duration:settings.E.duration
       end
       else E.run settings exp)
-    exps;
-  if with_micro || default_run then Micro.run ()
+    exps
 
 open Cmdliner
 
@@ -55,13 +52,6 @@ let paper_scale_arg =
      of container-sized ones."
   in
   Arg.(value & flag & info [ "paper-scale" ] ~doc)
-
-let micro_arg =
-  let doc =
-    "Run the bechamel micro-benchmarks of SMR primitives: alone, only \
-     them; with experiment names, after those."
-  in
-  Arg.(value & flag & info [ "micro" ] ~doc)
 
 let no_uaf_arg =
   let doc = "Disable the use-after-free detector during measurement." in
@@ -82,7 +72,7 @@ let json_arg =
   in
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
 
-let main threads duration paper_scale micro no_uaf json exps =
+let main threads duration paper_scale no_uaf json exps =
   if no_uaf then Smr_core.Mem.set_checking false;
   let settings =
     {
@@ -93,7 +83,7 @@ let main threads duration paper_scale micro no_uaf json exps =
   in
   (* strip a leading "exp" subcommand word if present *)
   let exps = List.filter (fun e -> e <> "exp") exps in
-  run_exps settings exps micro;
+  run_exps settings exps;
   Option.iter Bench_harness.Results.write json
 
 let cmd =
@@ -101,7 +91,7 @@ let cmd =
   Cmd.v
     (Cmd.info "hp-plus-bench" ~doc)
     Term.(
-      const main $ threads_arg $ duration_arg $ paper_scale_arg $ micro_arg
-      $ no_uaf_arg $ json_arg $ exps_arg)
+      const main $ threads_arg $ duration_arg $ paper_scale_arg $ no_uaf_arg
+      $ json_arg $ exps_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -2,7 +2,6 @@ module Mem = Smr_core.Mem
 module Stats = Smr_core.Stats
 module Fence = Smr_core.Fence
 module Slots = Smr.Slots
-module Retire_bag = Smr.Retire_bag
 module Trace = Obs.Trace
 module R = Smr.Reclaim.Make (Smr.Reclaim.Header)
 
@@ -46,7 +45,7 @@ type handle = {
   mutable epoched_hps : (int * Slots.slot list) list;
 }
 
-type guard = { slot : Slots.slot }
+type guard = Slots.slot
 
 let stats t = t.stats
 
@@ -56,9 +55,9 @@ let crit_exit _ = ()
 let crit_refresh _ = ()
 let protection_valid _ = true
 
-let guard h = { slot = Slots.acquire h.local }
-let[@inline] protect g hdr = Slots.set g.slot hdr
-let release g = Slots.clear g.slot
+let guard h = Slots.acquire h.local
+let protect = Slots.set
+let release = Slots.clear
 
 (* Algorithm 5 FenceEpoch: a heavy fence, then the epoch increment that
    drives piggybacked hazard revocation. The fence must come first (Lemma
@@ -95,6 +94,16 @@ let release_epoched h =
     h.epoched_hps;
   h.epoched_hps <- []
 
+(* Invalidate events are emitted after the links are actually marked, so
+   in merged seq order a batch member's Invalidate always precedes the Free
+   that the trace checker pairs it with. *)
+let invalidate_batch d =
+  d.invalidate_all ();
+  if Trace.enabled () then
+    List.iter
+      (fun hdr -> Trace.emit Trace.Invalidate (Mem.uid hdr) d.batch_id 0)
+      d.hdrs
+
 (* Paper Algorithm 3 lines 22-31 / Algorithm 5 lines 3-10. *)
 let do_invalidation h =
   let t = h.shared in
@@ -103,17 +112,7 @@ let do_invalidation h =
   | batch ->
       h.unlinkeds <- [];
       h.unlinks_since_invalidation <- 0;
-      (* Invalidate events are emitted after the links are actually marked,
-         so in merged seq order a batch member's Invalidate always precedes
-         the Free that the trace checker pairs it with. *)
-      List.iter
-        (fun d ->
-          d.invalidate_all ();
-          if Trace.enabled () then
-            List.iter
-              (fun hdr -> Trace.emit Trace.Invalidate (Mem.uid hdr) d.batch_id 0)
-              d.hdrs)
-        batch;
+      List.iter invalidate_batch batch;
       let hdrs = List.concat_map (fun d -> d.hdrs) batch in
       let slots = List.concat_map (fun d -> d.frontier_slots) batch in
       if t.config.epoched_fence then begin
@@ -136,39 +135,15 @@ let do_invalidation h =
       end;
       List.iter (R.push h.retireds) hdrs
 
-(* One scan-and-free pass over [bag]; shared by inline reclaim and the
-   collector drain. The caller has adopted orphans, noted peaks, and paid
-   whatever fence its mode requires. *)
-let scan_and_free t ~scan bag =
-  Slots.scan_snapshot t.registry scan;
-  let before = Retire_bag.length bag in
-  Retire_bag.filter_in_place
-    (fun hdr ->
-      (* Crash window: a kill mid-filter leaves the bag torn (compacted
-         prefix + stale already-processed window + unprocessed tail);
-         report_crashed (or scheme shutdown) salvages it with dedup. *)
-      if Fault.enabled () then Fault.hit Fault.Reclaim;
-      if Slots.scan_mem scan (Mem.uid hdr) then true
-      else begin
-        Mem.free_mark t.stats hdr;
-        false
-      end)
-    bag;
-  if Trace.enabled () then
-    Trace.emit Trace.Reclaim_pass (-1)
-      (before - Retire_bag.length bag)
-      (Slots.scan_size scan)
-
-(* Paper Algorithm 3 lines 32-35 / Algorithm 5 lines 11-16. The hazard
-   snapshot is sorted once and each retired uid binary-searched; survivors
-   compact in place, so the pass allocates nothing at steady state. *)
+(* Paper Algorithm 3 lines 32-35 / Algorithm 5 lines 11-16. *)
 let reclaim h =
   let t = h.shared in
   R.begin_pass t.reclaim h.retireds;
   h.unlinks_since_reclaim <- 0;
   fence_before_scan t;
   if t.config.epoched_fence then release_epoched h;
-  scan_and_free t ~scan:h.scan (R.bag h.retireds)
+  Smr.Reclaim.hazard_pass t.stats t.registry h.scan ~header:Fun.id
+    (R.bag h.retireds)
 
 let create ?(config = Smr.Smr_intf.default_config) () =
   let stats = Stats.create () in
@@ -191,7 +166,7 @@ let create ?(config = Smr.Smr_intf.default_config) () =
   R.start t.reclaim
     ~drain:(fun bag ->
       fence_before_scan t;
-      scan_and_free t ~scan:cscan bag)
+      Smr.Reclaim.hazard_pass t.stats t.registry cscan ~header:Fun.id bag)
     ();
   t
 
@@ -313,14 +288,7 @@ let shutdown t = R.shutdown t.reclaim
    every one of them. *)
 let report_crashed h =
   let t = h.shared in
-  List.iter
-    (fun d ->
-      d.invalidate_all ();
-      if Trace.enabled () then
-        List.iter
-          (fun hdr -> Trace.emit Trace.Invalidate (Mem.uid hdr) d.batch_id 0)
-          d.hdrs)
-    h.unlinkeds;
+  List.iter invalidate_batch h.unlinkeds;
   let unlinked = List.concat_map (fun d -> d.hdrs) h.unlinkeds in
   h.unlinkeds <- [];
   h.unlinks_since_invalidation <- 0;
@@ -337,5 +305,4 @@ let pending_unlinked h =
 
 let pending_retired h = R.length h.retireds
 
-let collector_counters t = R.collector_counters t.reclaim
 let collector_stats t = R.collector_stats t.reclaim

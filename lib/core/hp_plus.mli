@@ -41,7 +41,3 @@ val pending_unlinked : handle -> int
 
 val pending_retired : handle -> int
 (** Blocks invalidated by this handle and not yet reclaimed. *)
-
-val collector_counters : t -> Smr.Collector.counters option
-(** Handoff/fallback/drain counters of the background collector, when
-    [config.async_reclaim] started one; [None] in inline mode. *)

@@ -2,20 +2,13 @@ module Mem = Smr_core.Mem
 module Stats = Smr_core.Stats
 module Retire_bag = Smr.Retire_bag
 module Trace = Obs.Trace
+module Epoch = Smr.Epoch
 
 let name = "EBR"
 let robust = false
 let supports_optimistic = true
 let counts_references = false
 let needs_protection = false
-
-(* A participant's presence word: 0 when quiescent, [epoch * 2 + 1] when
-   inside a critical section pinned at [epoch]. One word so that enter/exit
-   are single SC stores. *)
-let quiescent = 0
-let pinned_at epoch = (epoch lsl 1) lor 1
-let is_pinned status = status land 1 = 1
-let pinned_epoch status = status lsr 1
 
 module R = Smr.Reclaim.Make (struct
   type t = int * (unit -> unit)
@@ -28,18 +21,11 @@ module R = Smr.Reclaim.Make (struct
   let salvage = None
 end)
 
-type t = {
-  stats : Stats.t;
-  global_epoch : int Atomic.t;
-  participants : participant list Atomic.t;
-  reclaim : R.t;
-}
-
-and participant = { status : int Atomic.t; alive : bool Atomic.t }
+type t = { stats : Stats.t; epoch : Epoch.t; reclaim : R.t }
 
 type handle = {
   shared : t;
-  me : participant;
+  me : Epoch.participant;
   dom : int; (* registering domain, stamped on Crash trace events *)
   bag : R.local;
   mutable defers_since_collect : int;
@@ -49,21 +35,8 @@ type guard = unit
 
 let stats t = t.stats
 
-let rec push_participant t p =
-  let cur = Atomic.get t.participants in
-  if not (Atomic.compare_and_set t.participants cur (p :: cur)) then
-    push_participant t p
-
-let global_epoch t = Atomic.get t.global_epoch
-
-let crit_enter h =
-  Atomic.set h.me.status (pinned_at (Atomic.get h.shared.global_epoch));
-  (* Crash window: the critical section is pinned. A kill leaves this
-     participant pinning the epoch forever (EBR's non-robustness) until
-     report_crashed marks it dead; a stall parks the victim pinned. *)
-  if Fault.enabled () then Fault.hit Fault.Crit
-
-let crit_exit h = Atomic.set h.me.status quiescent
+let crit_enter h = Epoch.pin h.shared.epoch h.me
+let crit_exit h = Epoch.unpin h.me
 let crit_refresh h = crit_enter h
 
 let guard _ = ()
@@ -71,35 +44,10 @@ let protect () _ = ()
 let release () = ()
 let protection_valid _ = true
 
-(* Advance the global epoch iff every live pinned participant has observed
-   the current one. A stalled critical section therefore pins the epoch:
-   this is exactly EBR's non-robustness. Dead participants encountered along
-   the way are pruned from the list (best-effort CAS) instead of being
-   re-filtered on every future attempt. *)
-let try_advance t =
-  let epoch = Atomic.get t.global_epoch in
-  let ps = Atomic.get t.participants in
-  let all_current = ref true and any_dead = ref false in
-  List.iter
-    (fun p ->
-      if not (Atomic.get p.alive) then any_dead := true
-      else
-        let s = Atomic.get p.status in
-        if is_pinned s && pinned_epoch s <> epoch then all_current := false)
-    ps;
-  if !any_dead then begin
-    let pruned = List.filter (fun p -> Atomic.get p.alive) ps in
-    (* Losing the race (a concurrent register) just postpones the pruning
-       to the next advance attempt. *)
-    ignore (Atomic.compare_and_set t.participants ps pruned)
-  end;
-  if !all_current && Atomic.compare_and_set t.global_epoch epoch (epoch + 1)
-  then Trace.emit Trace.Epoch_advance (-1) (epoch + 1) 0
-
 (* Free every entry whose grace period has passed. Shared by the inline
    pass and the collector drain; the caller has adopted orphans already. *)
 let free_ripe t bag =
-  let epoch = Atomic.get t.global_epoch in
+  let epoch = Epoch.current t.epoch in
   let before = Retire_bag.length bag in
   Retire_bag.filter_in_place
     (fun (e, thunk) ->
@@ -123,19 +71,12 @@ let collect h =
   if Fault.enabled () then Fault.hit Fault.Reclaim;
   h.defers_since_collect <- 0;
   R.begin_pass t.reclaim h.bag;
-  try_advance t;
+  Epoch.try_advance t.epoch;
   free_ripe t (R.bag h.bag)
 
 let create ?(config = Smr.Smr_intf.default_config) () =
   let stats = Stats.create () in
-  let t =
-    {
-      stats;
-      global_epoch = Atomic.make 0;
-      participants = Atomic.make [];
-      reclaim = R.create config stats;
-    }
-  in
+  let t = { stats; epoch = Epoch.create (); reclaim = R.create config stats } in
   (* Collector drain: advance the epoch once for the whole batch, free
      what is ripe. No fault point inside the filter for the same tearing
      reason as [collect]; the [Fault.Collector] point at the loop top
@@ -145,19 +86,17 @@ let create ?(config = Smr.Smr_intf.default_config) () =
      its grace period has passed, and on a busy machine its own advance
      attempts may lag. An attempt is one participant-list scan + CAS. *)
   R.start t.reclaim
-    ~on_handoff:(fun () -> try_advance t)
+    ~on_handoff:(fun () -> Epoch.try_advance t.epoch)
     ~drain:(fun bag ->
-      try_advance t;
+      Epoch.try_advance t.epoch;
       free_ripe t bag)
     ();
   t
 
 let register shared =
-  let me = { status = Atomic.make quiescent; alive = Atomic.make true } in
-  push_participant shared me;
   {
     shared;
-    me;
+    me = Epoch.register shared.epoch;
     dom = (Domain.self () :> int);
     bag = R.register shared.reclaim;
     defers_since_collect = 0;
@@ -165,7 +104,7 @@ let register shared =
 
 let defer h thunk =
   let t = h.shared in
-  R.push h.bag (Atomic.get t.global_epoch, thunk);
+  R.push h.bag (Epoch.current t.epoch, thunk);
   h.defers_since_collect <- h.defers_since_collect + 1;
   if h.defers_since_collect >= R.threshold t.reclaim then begin
     h.defers_since_collect <- 0;
@@ -180,12 +119,7 @@ let retire h hdr =
 let retire_with_children h hdr ~children:_ = retire h hdr
 let incr_ref _ = ()
 
-let try_unlink h ~frontier:_ ~do_unlink ~node_header ~invalidate:_ =
-  match do_unlink () with
-  | None -> false
-  | Some nodes ->
-      List.iter (fun n -> retire h (node_header n)) nodes;
-      true
+let try_unlink h = Smr.Reclaim.unlink_then_retire retire h
 
 let flush h =
   (* Up to three passes so a quiescent system drains completely: each pass
@@ -198,7 +132,7 @@ let unregister h =
   crit_exit h;
   collect h;
   R.donate h.shared.reclaim h.bag;
-  Atomic.set h.me.alive false
+  Epoch.leave h.me
 
 let shutdown t = R.shutdown t.reclaim
 
@@ -210,8 +144,7 @@ let shutdown t = R.shutdown t.reclaim
    it torn. *)
 let report_crashed h =
   Trace.emit Trace.Crash (-1) h.dom 0;
-  Atomic.set h.me.alive false;
+  Epoch.leave h.me;
   R.report_crashed h.shared.reclaim h.bag
 
-let collector_counters t = R.collector_counters t.reclaim
 let collector_stats t = R.collector_stats t.reclaim

@@ -18,10 +18,3 @@ val defer : handle -> (unit -> unit) -> unit
 (** Run a thunk after the current grace period (two epoch advances). Used by
     the reference-counting scheme to defer decrements; [retire] is
     [defer (free)]. *)
-
-val global_epoch : t -> int
-val try_advance : t -> unit
-
-val collector_counters : t -> Smr.Collector.counters option
-(** Handoff/fallback/drain counters of the background collector, when
-    [config.async_reclaim] started one; [None] in inline mode. *)

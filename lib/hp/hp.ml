@@ -2,7 +2,6 @@ module Mem = Smr_core.Mem
 module Stats = Smr_core.Stats
 module Fence = Smr_core.Fence
 module Slots = Smr.Slots
-module Retire_bag = Smr.Retire_bag
 module Trace = Obs.Trace
 module R = Smr.Reclaim.Make (Smr.Reclaim.Header)
 
@@ -21,7 +20,7 @@ type handle = {
   scan : Slots.scan;
 }
 
-type guard = { slot : Slots.slot }
+type guard = Slots.slot
 
 let stats t = t.stats
 
@@ -30,41 +29,21 @@ let crit_exit _ = ()
 let crit_refresh _ = ()
 let protection_valid _ = true
 
-let guard h = { slot = Slots.acquire h.local }
-let[@inline] protect g hdr = Slots.set g.slot hdr
-let release g = Slots.clear g.slot
+let guard h = Slots.acquire h.local
+let protect = Slots.set
+let release = Slots.clear
 
 (* One scan-and-free pass over [bag]: the core of both the inline reclaim
    (per-handle bag and scan scratch) and the collector drain (its pending
-   bag and private scan scratch). The caller has already adopted orphans
-   and noted peaks. The heavy fence makes every slot store issued before it
-   visible to the snapshot; everything in [bag] was unlinked before it. *)
+   bag and private scan scratch). The heavy fence makes every slot store
+   issued before it visible to the snapshot. *)
 let scan_and_free t ~scan bag =
   Fence.heavy t.stats;
-  Slots.scan_snapshot t.registry scan;
-  let before = Retire_bag.length bag in
-  Retire_bag.filter_in_place
-    (fun hdr ->
-      (* Crash window: a kill mid-filter tears the bag; report_crashed (or
-         scheme shutdown, when this runs on the collector domain) salvages
-         it with dedup. *)
-      if Fault.enabled () then Fault.hit Fault.Reclaim;
-      if Slots.scan_mem scan (Mem.uid hdr) then true
-      else begin
-        Mem.free_mark t.stats hdr;
-        false
-      end)
-    bag;
-  if Trace.enabled () then
-    Trace.emit Trace.Reclaim_pass (-1)
-      (before - Retire_bag.length bag)
-      (Slots.scan_size scan)
+  Smr.Reclaim.hazard_pass t.stats t.registry scan ~header:Fun.id bag
 
 (* Paper Algorithm 2 Reclaim, inline flavour. The asymmetric-fence
    optimization makes the reclaimer pay the heavy fence (a membarrier) so
-   that TryProtect pays none. The hazard snapshot is sorted once and each
-   retired uid binary-searched (Michael's amortized scan); survivors
-   compact in place, so the pass allocates nothing at steady state. *)
+   that TryProtect pays none. *)
 let reclaim h =
   let t = h.shared in
   R.begin_pass t.reclaim h.retireds;
@@ -98,12 +77,7 @@ let retire_with_children h hdr ~children:_ = retire h hdr
 let incr_ref _ = ()
 
 (* No frontier protection, no invalidation: unlink then classic retire. *)
-let try_unlink h ~frontier:_ ~do_unlink ~node_header ~invalidate:_ =
-  match do_unlink () with
-  | None -> false
-  | Some nodes ->
-      List.iter (fun n -> retire h (node_header n)) nodes;
-      true
+let try_unlink h = Smr.Reclaim.unlink_then_retire retire h
 
 let flush h = reclaim h
 
@@ -125,5 +99,4 @@ let report_crashed h =
   Slots.reap h.local;
   R.report_crashed h.shared.reclaim h.retireds
 
-let collector_counters t = R.collector_counters t.reclaim
 let collector_stats t = R.collector_stats t.reclaim

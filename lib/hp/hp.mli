@@ -12,7 +12,3 @@ include Smr.Smr_intf.S
 
 val reclaim : handle -> unit
 (** Run a reclamation pass now. Exposed for tests. *)
-
-val collector_counters : t -> Smr.Collector.counters option
-(** Handoff/fallback/drain counters of the background collector, when
-    [config.async_reclaim] started one; [None] in inline mode. *)

@@ -19,8 +19,3 @@
 include Smr.Smr_intf.S
 
 val neutralized : handle -> bool
-val global_epoch : t -> int
-
-val collector_counters : t -> Smr.Collector.counters option
-(** Handoff/fallback/drain counters of the background collector, when
-    [config.async_reclaim] started one; [None] in inline mode. *)

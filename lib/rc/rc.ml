@@ -78,12 +78,7 @@ let retire_with_children h hdr ~children =
 
 let retire h hdr = retire_with_children h hdr ~children:(fun () -> [])
 
-let try_unlink h ~frontier:_ ~do_unlink ~node_header ~invalidate:_ =
-  match do_unlink () with
-  | None -> false
-  | Some nodes ->
-      List.iter (fun n -> retire h (node_header n)) nodes;
-      true
+let try_unlink h = Smr.Reclaim.unlink_then_retire retire h
 
 let flush h = Ebr.flush h.ebr_h
 

@@ -25,6 +25,49 @@ module Header = struct
   let salvage = Some (Mem.uid, skip_header)
 end
 
+(* The hazard pass of HP, HP++ and PEBR: snapshot the slots, free every
+   [ripe] entry whose block no slot names, keep the rest in place. The
+   caller has adopted orphans, noted peaks and paid its fence: every slot
+   store issued before that fence is visible to the snapshot, and
+   everything in [bag] was unlinked before it. The snapshot is sorted once
+   and each retired uid binary-searched (Michael's amortized scan);
+   survivors compact in place, so the pass allocates nothing at steady
+   state. *)
+let hazard_pass stats registry scan ?ripe ~header bag =
+  Slots.scan_snapshot registry scan;
+  let before = Retire_bag.length bag in
+  Retire_bag.filter_in_place
+    (fun e ->
+      (* Crash window: a kill mid-filter tears the bag (compacted prefix +
+         stale already-processed window + unprocessed tail); report_crashed
+         (or scheme shutdown, for the collector's pending bag) salvages it
+         with dedup. *)
+      if Fault.enabled () then Fault.hit Fault.Reclaim;
+      let hdr = header e in
+      if
+        (match ripe with None -> true | Some ripe -> ripe e)
+        && not (Slots.scan_mem scan (Mem.uid hdr))
+      then begin
+        Mem.free_mark stats hdr;
+        false
+      end
+      else true)
+    bag;
+  if Trace.enabled () then
+    Trace.emit Trace.Reclaim_pass (-1)
+      (before - Retire_bag.length bag)
+      (Slots.scan_size scan)
+
+(* TryUnlink for the schemes with no frontier to protect and nothing to
+   invalidate: unlink, then retire each node classically. *)
+let unlink_then_retire retire h ~frontier:_ ~do_unlink ~node_header
+    ~invalidate:_ =
+  match do_unlink () with
+  | None -> false
+  | Some nodes ->
+      List.iter (fun n -> retire h (node_header n)) nodes;
+      true
+
 module Make (E : ENTRY) = struct
   type bag = E.t Retire_bag.t
   type async = { ring : bag Collector.t; on_handoff : unit -> unit }
@@ -204,9 +247,6 @@ module Make (E : ENTRY) = struct
            place, then donate it whole for inline passes to adopt. *)
         salvage t.pending;
         Orphanage.add t.orphans t.pending
-
-  let collector_counters t =
-    Option.map (fun a -> Collector.counters a.ring) t.async
 
   let collector_stats t = Option.map (fun a -> Collector.stats a.ring) t.async
 end

@@ -43,6 +43,31 @@ val skip_header : Smr_core.Mem.header -> bool
 (** The salvage rejection test of {!Header}: phantom filler or already
     freed. *)
 
+val hazard_pass :
+  Smr_core.Stats.t ->
+  Slots.registry ->
+  Slots.scan ->
+  ?ripe:('e -> bool) ->
+  header:('e -> Smr_core.Mem.header) ->
+  'e Retire_bag.t ->
+  unit
+(** The hazard scan-and-free pass of HP, HP++ and PEBR: snapshot the slots
+    into [scan], free ({!Smr_core.Mem.free_mark}) every entry that is
+    [ripe] (default: all) and whose block no slot protects, keep the rest,
+    and emit one [Reclaim_pass] event (freed, snapshot size). The caller
+    pays its fence first ({!Smr_core.Fence.heavy}, or HP++'s FenceEpoch). *)
+
+val unlink_then_retire :
+  ('h -> Smr_core.Mem.header -> unit) ->
+  'h ->
+  frontier:'f ->
+  do_unlink:(unit -> 'n list option) ->
+  node_header:('n -> Smr_core.Mem.header) ->
+  invalidate:'i ->
+  bool
+(** [try_unlink] for the schemes that need no patch-up (HP, EBR, PEBR,
+    RC): run [do_unlink], then [retire] every unlinked node. *)
+
 module Make (E : ENTRY) : sig
   type t
   (** Shared pipeline state of one scheme instance. *)
@@ -104,6 +129,5 @@ module Make (E : ENTRY) : sig
   (** Stop the collector (see {!Collector.shutdown}); queued bags and the
       salvaged pending bag go to the orphanage. Idempotent. *)
 
-  val collector_counters : t -> Collector.counters option
   val collector_stats : t -> Collector.stats option
 end

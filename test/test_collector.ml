@@ -196,9 +196,9 @@ let test_hp_async_clean_shutdown () =
         (Format.asprintf "%a" Check.pp_violation v)
         (List.length rest)
   | Error [] -> assert false);
-  match Hp.collector_counters t with
+  match Hp.collector_stats t with
   | None -> Alcotest.fail "async HP has no collector"
-  | Some k ->
+  | Some { ctrs = k; _ } ->
       Alcotest.(check bool) "collector saw the handoffs" true
         (k.Collector.handoffs > 0)
 
@@ -366,8 +366,8 @@ let hhs_churn_peak ?(stall = false) cfg =
     peak := max !peak (Stats.unreclaimed (Hp_plus.stats t))
   done;
   let steals =
-    match Hp_plus.collector_counters t with
-    | Some k -> k.Collector.steals
+    match Hp_plus.collector_stats t with
+    | Some s -> s.ctrs.steals
     | None -> 0
   in
   if stall then Fault.release ();
@@ -435,7 +435,7 @@ let async_smoke (module S : Smr.Smr_intf.S) () =
 let test_flag_off_no_collector () =
   let t = Hp.create ~config:base () in
   Alcotest.(check bool) "no collector when async_reclaim is off" true
-    (Hp.collector_counters t = None);
+    (Hp.collector_stats t = None);
   let h = Hp.register t in
   for _ = 1 to 100 do
     Hp.retire h (Mem.make (Hp.stats t))

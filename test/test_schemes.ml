@@ -88,6 +88,24 @@ module Contract (S : Smr.Smr_intf.S) = struct
     Alcotest.(check bool) "adopted and freed" expect_free (Mem.is_freed hdr);
     S.unregister h2
 
+  (* The shared hazard pass keeps a guarded block however ripe it is, and
+     frees it once the guard is released. *)
+  let test_protection_blocks_free () =
+    let t = S.create ~config:{ cfg with reclaim_threshold = 1 } () in
+    let protector = S.register t in
+    let reclaimer = S.register t in
+    let hdr = Mem.make (S.stats t) in
+    let g = S.guard protector in
+    S.protect g hdr;
+    S.retire reclaimer hdr;
+    S.flush reclaimer;
+    Alcotest.(check bool) "protected survives" false (Mem.is_freed hdr);
+    S.release g;
+    S.flush reclaimer;
+    Alcotest.(check bool) "freed after release" true (Mem.is_freed hdr);
+    S.unregister protector;
+    S.unregister reclaimer
+
   let tests =
     [
       Alcotest.test_case "retire then flush" `Quick test_retire_then_flush;
@@ -96,6 +114,13 @@ module Contract (S : Smr.Smr_intf.S) = struct
       Alcotest.test_case "bulk retires" `Quick test_many_retires_bounded_or_drained;
       Alcotest.test_case "unregister handover" `Quick test_unregister_hands_over;
     ]
+    @
+    if S.needs_protection then
+      [
+        Alcotest.test_case "protection blocks free" `Quick
+          test_protection_blocks_free;
+      ]
+    else []
 end
 
 module Contract_hp = Contract (Hp)
@@ -106,22 +131,6 @@ module Contract_rc = Contract (Rc)
 module Contract_nr = Contract (Nr)
 
 (* --- HP specifics ------------------------------------------------------- *)
-
-let test_hp_protection_blocks_free () =
-  let t = Hp.create ~config:{ cfg with reclaim_threshold = 1 } () in
-  let protector = Hp.register t in
-  let reclaimer = Hp.register t in
-  let hdr = Mem.make (Hp.stats t) in
-  let g = Hp.guard protector in
-  Hp.protect g hdr;
-  Hp.retire reclaimer hdr;
-  Hp.flush reclaimer;
-  Alcotest.(check bool) "protected survives" false (Mem.is_freed hdr);
-  Hp.release g;
-  Hp.flush reclaimer;
-  Alcotest.(check bool) "freed after release" true (Mem.is_freed hdr);
-  Hp.unregister protector;
-  Hp.unregister reclaimer
 
 let test_hp_not_optimistic () =
   Alcotest.(check bool) "flag" false Hp.supports_optimistic;
@@ -566,8 +575,6 @@ let () =
       ("contract:NR", Contract_nr.tests);
       ( "hp",
         [
-          Alcotest.test_case "protection blocks free" `Quick
-            test_hp_protection_blocks_free;
           Alcotest.test_case "capability flags" `Quick test_hp_not_optimistic;
         ] );
       ( "hp_plus",
