@@ -5,9 +5,7 @@
 
 open Cmdliner
 
-let scheme_names = [ "HP++"; "HP"; "EBR"; "PEBR"; "NR"; "RC" ]
-
-let scheme = Arg.enum (List.map (fun s -> (s, s)) scheme_names)
+let scheme = Arg.enum (List.map (fun s -> (s, s)) Schemes.names)
 let schemes = Arg.list scheme
 
 let dist = Arg.enum [ ("uniform", "uniform"); ("zipfian", "zipfian") ]

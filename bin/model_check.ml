@@ -30,7 +30,7 @@ let names_arg name names default what =
   Arg.(value & opt (list names) default & info [ name ] ~doc)
 
 let ds_arg = names_arg "ds" Sut.structures [ "treiber"; "msqueue" ] "structures"
-let scheme_arg = names_arg "scheme" Sut.schemes Sut.schemes "schemes"
+let scheme_arg = names_arg "scheme" Schemes.names Schemes.names "schemes"
 
 let threads_arg =
   Arg.(value & opt int 2 & info [ "threads" ] ~doc:"Logical threads.")

@@ -149,26 +149,9 @@ module Drive (S : Smr.Smr_intf.S) = struct
 end
 
 let run_cell p ~scheme ~rate =
-  match scheme with
-  | "HP++" ->
-      let module D = Drive (Hp_plus) in
-      D.run_cell p ~rate
-  | "HP" ->
-      let module D = Drive (Hp) in
-      D.run_cell p ~rate
-  | "EBR" ->
-      let module D = Drive (Ebr) in
-      D.run_cell p ~rate
-  | "PEBR" ->
-      let module D = Drive (Pebr) in
-      D.run_cell p ~rate
-  | "NR" ->
-      let module D = Drive (Nr) in
-      D.run_cell p ~rate
-  | "RC" ->
-      let module D = Drive (Rc) in
-      D.run_cell p ~rate
-  | s -> invalid_arg ("unknown scheme: " ^ s)
+  let module S = (val Option.get (Schemes.find scheme)) in
+  let module D = Drive (S) in
+  D.run_cell p ~rate
 
 let run_remote p ~addr ~rate =
   let cfg = cfg_of p ~addr ~rate in

@@ -104,26 +104,9 @@ module Run (S : Smr.Smr_intf.S) = struct
 end
 
 let run p =
-  match p.scheme with
-  | "HP++" ->
-      let module R = Run (Hp_plus) in
-      R.go p
-  | "HP" ->
-      let module R = Run (Hp) in
-      R.go p
-  | "EBR" ->
-      let module R = Run (Ebr) in
-      R.go p
-  | "PEBR" ->
-      let module R = Run (Pebr) in
-      R.go p
-  | "NR" ->
-      let module R = Run (Nr) in
-      R.go p
-  | "RC" ->
-      let module R = Run (Rc) in
-      R.go p
-  | s -> invalid_arg ("unknown scheme: " ^ s)
+  let module S = (val Option.get (Schemes.find p.scheme)) in
+  let module R = Run (S) in
+  R.go p
 
 open Cmdliner
 
@@ -135,7 +118,9 @@ let listen_arg =
     & info [ "listen" ] ~docv:"ADDR" ~doc)
 
 let scheme_arg =
-  let doc = "Reclamation scheme (HP++, HP, EBR, PEBR, NR, RC)." in
+  let doc =
+    Printf.sprintf "Reclamation scheme (%s)." (String.concat ", " Schemes.names)
+  in
   Arg.(value & opt Bench_cli.scheme "HP" & info [ "scheme" ] ~doc)
 
 let shards_arg =

@@ -122,26 +122,9 @@ module Drive (S : Smr.Smr_intf.S) = struct
 end
 
 let run_cell p ~scheme ~shards =
-  match scheme with
-  | "HP++" ->
-      let module D = Drive (Hp_plus) in
-      D.run_cell p ~shards
-  | "HP" ->
-      let module D = Drive (Hp) in
-      D.run_cell p ~shards
-  | "EBR" ->
-      let module D = Drive (Ebr) in
-      D.run_cell p ~shards
-  | "PEBR" ->
-      let module D = Drive (Pebr) in
-      D.run_cell p ~shards
-  | "NR" ->
-      let module D = Drive (Nr) in
-      D.run_cell p ~shards
-  | "RC" ->
-      let module D = Drive (Rc) in
-      D.run_cell p ~shards
-  | s -> invalid_arg ("unknown scheme: " ^ s)
+  let module S = (val Option.get (Schemes.find scheme)) in
+  let module D = Drive (S) in
+  D.run_cell p ~shards
 
 let lat_summary cell op = List.assoc_opt op cell.snap.St.per_op
 
@@ -230,7 +213,10 @@ let prefill_arg =
   Arg.(value & opt float 0.5 & info [ "prefill" ] ~doc)
 
 let schemes_arg =
-  let doc = "Comma-separated reclamation schemes (HP++,EBR,PEBR,HP,NR,RC)." in
+  let doc =
+    Printf.sprintf "Comma-separated reclamation schemes (%s)."
+      (String.concat "," Schemes.names)
+  in
   Arg.(value & opt Bench_cli.schemes [ "HP++"; "EBR" ] & info [ "schemes" ] ~doc)
 
 let json_arg =

@@ -71,18 +71,8 @@ let spawn_ticker period =
 let metrics_reg = Obs.Metrics.create ()
 
 module Drive
-    (S : Smr.Smr_intf.S) (L : sig
-      type 'v t
-      type local
-
-      val create : S.t -> 'v t
-      val make_local : S.handle -> local
-      val clear_local : local -> unit
-      val get : 'v t -> local -> int -> 'v option
-      val insert : 'v t -> local -> int -> 'v -> bool
-      val remove : 'v t -> local -> int -> bool
-      val to_list : 'v t -> (int * 'v) list
-    end) =
+    (S : Smr.Smr_intf.S)
+    (L : Smr_ds.Ds_intf.MAP with type scheme = S.t and type handle = S.handle) =
 struct
   let run name =
     progress.label <- name;
@@ -133,19 +123,8 @@ end
    worker is released by a watchdog domain after the round's duration so
    the pool can join. *)
 module Chaos_drive
-    (S : Smr.Smr_intf.S) (L : sig
-      type 'v t
-      type local
-
-      val create : S.t -> 'v t
-      val make_local : S.handle -> local
-      val clear_local : local -> unit
-      val get : 'v t -> local -> int -> 'v option
-      val insert : 'v t -> local -> int -> 'v -> bool
-      val remove : 'v t -> local -> int -> bool
-      val to_list : 'v t -> (int * 'v) list
-      val assert_reachable_not_freed : 'v t -> unit
-    end) =
+    (S : Smr.Smr_intf.S)
+    (L : Smr_ds.Ds_intf.MAP with type scheme = S.t and type handle = S.handle) =
 struct
   let run ?(config = Smr.Smr_intf.default_config) name ~seed ~salt ~points =
     progress.label <- name;

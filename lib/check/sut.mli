@@ -57,12 +57,8 @@ end
 type sut = (module SUT)
 
 val structures : string list
-val schemes : string list
-
-val valid : ds:string -> scheme:string -> bool
-(** False for the pairs the paper marks unsupported (hhslist and nmtree
-    under HP). *)
-
-val all_pairs : (string * string) list
+(** Every structure the registry knows, in sweep order. *)
 
 val find : ds:string -> scheme:string -> sut option
+(** [None] for an unknown name, or for a pair whose structure is not
+    applicable under the scheme (its [unsupported], e.g. nmtree under HP). *)

@@ -50,6 +50,11 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   exception Restart
 
+  type scheme = S.t
+  type handle = S.handle
+
+  let unsupported = None
+
   let create scheme = { scheme; root = Link.null () }
   let scheme t = t.scheme
   let stats t = S.stats t.scheme

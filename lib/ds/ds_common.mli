@@ -1,26 +1,41 @@
-(** Scheme-generic protection helpers shared by the data structures: TryProtect (optimistic and pessimistic), critical-section retry loop, trace hooks.
+(** Scheme-generic protection helpers shared by the data structures:
+    TryProtect (optimistic and pessimistic), the critical-section retry
+    loop and the traversal trace hook. *)
 
-    Signature inferred from the implementation; the full surface stays
-    exported because the harness, tests and sibling modules consume the
-    node representations directly. *)
+module Make (S : Smr.Smr_intf.S) : sig
+  val uid_of_hdr : Smr_core.Mem.header -> int
 
-module Mem = Smr_core.Mem
-module Tagged = Smr_core.Tagged
-module Link = Smr_core.Link
-module Trace = Obs.Trace
-module Make :
-  functor (S : Smr.Smr_intf.S) ->
-    sig
-      val uid_of_hdr : Mem.header -> int
-      val trace_step :
-        src:Mem.header -> validated:bool -> 'a Tagged.t -> unit
-      val try_protect :
-        src:Mem.header ->
-        S.guard -> S.handle -> src_link:'a Link.t -> 'a Tagged.t -> 'a Tagged.t
-      val protect_pessimistic :
-        src:Mem.header ->
-        S.guard -> S.handle -> src_link:'a Link.t -> 'a Tagged.t -> bool
-      val with_crit :
-        S.handle ->
-        Smr_core.Stats.t -> (unit -> [< `Done of 'a | `Prot | `Retry ]) -> 'a
-    end
+  val trace_step :
+    src:Smr_core.Mem.header -> validated:bool -> 'a Smr_core.Tagged.t -> unit
+  (** Record one traversal step out of [src] (armed tracing only). *)
+
+  val try_protect :
+    src:Smr_core.Mem.header ->
+    S.guard ->
+    S.handle ->
+    src_link:'a Smr_core.Link.t ->
+    'a Smr_core.Tagged.t ->
+    'a Smr_core.Tagged.t
+  (** TryProtect with under-approximating validation (paper Algorithm 3):
+      fails only when [src_link] is invalidated or the thread was
+      neutralized, returning {!Smr_core.Tagged.invalid}; otherwise returns
+      [src_link]'s current value, chasing it if it moved. *)
+
+  val protect_pessimistic :
+    src:Smr_core.Mem.header ->
+    S.guard ->
+    S.handle ->
+    src_link:'a Smr_core.Link.t ->
+    'a Smr_core.Tagged.t ->
+    bool
+  (** HP's over-approximation: protect, then validate that [src_link]
+      still holds the record, untagged. *)
+
+  val with_crit :
+    S.handle ->
+    Smr_core.Stats.t ->
+    (unit -> [< `Done of 'a | `Prot | `Retry ]) ->
+    'a
+  (** Run an operation attempt inside a critical section, restarting on
+      [`Prot] (counted as a protection failure) and [`Retry]. *)
+end

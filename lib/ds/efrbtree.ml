@@ -112,12 +112,20 @@ module Make (S : Smr.Smr_intf.S) = struct
       update = Atomic.make clean_update;
     }
 
+  type scheme = S.t
+  type handle = S.handle
+
+  let unsupported =
+    if S.counts_references then
+      Some
+        "EFRBTree with reference counting needs weak pointers to break \
+         descriptor cycles (paper footnote 12)"
+    else None
+
   let create scheme =
-    if S.name = "RC" then
-      raise
-        (Smr.Smr_intf.Unsupported_scheme
-           "EFRBTree with reference counting needs weak pointers to break \
-            descriptor cycles (paper footnote 12)");
+    Option.iter
+      (fun m -> raise (Smr.Smr_intf.Unsupported_scheme m))
+      unsupported;
     let stats = S.stats scheme in
     let leaf k =
       mk_node stats ~key:k ~value:None ~kind:Leaf ~left:Tagged.null

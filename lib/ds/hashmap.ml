@@ -15,6 +15,11 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   type local = { hm : HM.local; hhs : HHS.local }
 
+  type scheme = S.t
+  type handle = S.handle
+
+  let unsupported = None
+
   let default_buckets = 512
 
   (* Fibonacci hashing spreads consecutive integer keys across buckets. *)

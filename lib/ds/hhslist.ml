@@ -46,12 +46,20 @@ module Make (S : Smr.Smr_intf.S) = struct
     a_first : 'v node; (* = anchor_next: first node of the deleted chain *)
   }
 
+  type scheme = S.t
+  type handle = S.handle
+
+  let unsupported =
+    if S.supports_optimistic then None
+    else
+      Some
+        ("HHSList traverses logically deleted chains, which " ^ S.name
+       ^ " cannot protect (paper 2.3)")
+
   let create scheme =
-    if not S.supports_optimistic then
-      raise
-        (Smr.Smr_intf.Unsupported_scheme
-           ("HHSList traverses logically deleted chains, which " ^ S.name
-          ^ " cannot protect (paper 2.3)"));
+    Option.iter
+      (fun m -> raise (Smr.Smr_intf.Unsupported_scheme m))
+      unsupported;
     { scheme; head = Link.null () }
 
   let scheme t = t.scheme

@@ -1,76 +1,37 @@
-(** Harris list with the paper's HP++-style TryProtect/TryUnlink discipline (Algorithm 4).
+(** Harris list with the wait-free get of Herlihy–Shavit ("HHSList"),
+    protected as in paper Algorithm 4. Its traversal walks logically
+    deleted chains, so schemes without optimistic-traversal support (HP)
+    are {!Ds_intf.MAP.unsupported}. *)
 
-    Signature inferred from the implementation; the full surface stays
-    exported because the harness, tests and sibling modules consume the
-    node representations directly. *)
+module Make (S : Smr.Smr_intf.S) : sig
+  type 'v node = {
+    mutable next : 'v node Smr_core.Link.cell;
+    mutable hdr : Smr_core.Mem.cell;
+    key : int;
+    value : 'v;
+  }
 
-module Mem = Smr_core.Mem
-module Tagged = Smr_core.Tagged
-module Link = Smr_core.Link
-module Stats = Smr_core.Stats
-module Make :
-  functor (S : Smr.Smr_intf.S) ->
-    sig
-      module C :
-        sig
-          val uid_of_hdr : Ds_common.Mem.header -> int
-          val trace_step :
-            src:Ds_common.Mem.header ->
-            validated:bool -> 'a Ds_common.Tagged.t -> unit
-          val try_protect :
-            src:Ds_common.Mem.header ->
-            S.guard ->
-            S.handle ->
-            src_link:'a Ds_common.Link.t ->
-            'a Ds_common.Tagged.t -> 'a Ds_common.Tagged.t
-          val protect_pessimistic :
-            src:Ds_common.Mem.header ->
-            S.guard ->
-            S.handle ->
-            src_link:'a Ds_common.Link.t ->
-            'a Ds_common.Tagged.t -> bool
-          val with_crit :
-            S.handle ->
-            Smr_core.Stats.t ->
-            (unit -> [< `Done of 'a | `Prot | `Retry ]) -> 'a
-        end
-      type 'v node = {
-        mutable next : 'v node Link.cell;
-        mutable hdr : Mem.cell;
-        key : int;
-        value : 'v;
-      }
-      type 'v t = { scheme : S.t; head : 'v node Link.t; }
-      type local = {
-        handle : S.handle;
-        hp_prev : S.guard;
-        hp_cur : S.guard;
-        hp_anchor : S.guard;
-        hp_anchor_next : S.guard;
-      }
-      type 'v anchor_info = {
-        a_link : 'v node Link.t;
-        a_expected : 'v node Tagged.t;
-        a_first : 'v node;
-      }
-      val create : S.t -> 'a t
-      val scheme : 'a t -> S.t
-      val stats : 'a t -> Smr_core.Stats.t
-      val make_local : S.handle -> local
-      val clear_local : local -> unit
-      val collect_chain : 'a node -> 'a node option -> 'a node list
-      val invalidate_node : 'a node -> unit
-      val search_attempt :
-        'a t ->
-        local ->
-        int ->
-        [> `Done of bool * 'a node Link.t * 'a node Tagged.t * 'a node option
-         | `Prot
-         | `Retry ]
-      val get : 'a t -> local -> int -> 'a option
-      val insert : 'a t -> local -> int -> 'a -> bool
-      val remove : 'a t -> local -> int -> bool
-      val to_list : 'a t -> (int * 'a) list
-      val size : 'a t -> int
-      val assert_reachable_not_freed : 'a t -> unit
-    end
+  type 'v t = { scheme : S.t; head : 'v node Smr_core.Link.t }
+
+  include
+    Ds_intf.MAP
+      with type scheme = S.t
+       and type handle = S.handle
+       and type 'v t := 'v t
+
+  val search_attempt :
+    'v t ->
+    local ->
+    int ->
+    [ `Done of
+      bool
+      * 'v node Smr_core.Link.t
+      * 'v node Smr_core.Tagged.t
+      * 'v node option
+    | `Prot
+    | `Retry ]
+  (** One attempt of paper Algorithm 4's TrySearch, unlinking any deleted
+      chain it meets: [`Done (found, prev_link, expected, cur)] leaves
+      [prev_link] holding [expected], whose target [cur] is the first
+      undeleted node with a key >= the one sought. *)
+end

@@ -33,6 +33,11 @@ module Make (S : Smr.Smr_intf.S) = struct
     hp_cur : S.guard;
   }
 
+  type scheme = S.t
+  type handle = S.handle
+
+  let unsupported = None
+
   let create scheme = { scheme; head = Link.null () }
   let scheme t = t.scheme
   let stats t = S.stats t.scheme

@@ -1,69 +1,19 @@
-(** Harris-Michael list: unlinks marked nodes during traversal, one node per TryUnlink batch.
+(** Harris–Michael list: the HP-compatible list, which unlinks marked nodes
+    during traversal, one node per unlink. Works with every scheme. *)
 
-    Signature inferred from the implementation; the full surface stays
-    exported because the harness, tests and sibling modules consume the
-    node representations directly. *)
+module Make (S : Smr.Smr_intf.S) : sig
+  type 'v node = {
+    mutable next : 'v node Smr_core.Link.cell;
+    mutable hdr : Smr_core.Mem.cell;
+    key : int;
+    value : 'v;
+  }
 
-module Mem = Smr_core.Mem
-module Tagged = Smr_core.Tagged
-module Link = Smr_core.Link
-module Stats = Smr_core.Stats
-module Make :
-  functor (S : Smr.Smr_intf.S) ->
-    sig
-      module C :
-        sig
-          val uid_of_hdr : Ds_common.Mem.header -> int
-          val trace_step :
-            src:Ds_common.Mem.header ->
-            validated:bool -> 'a Ds_common.Tagged.t -> unit
-          val try_protect :
-            src:Ds_common.Mem.header ->
-            S.guard ->
-            S.handle ->
-            src_link:'a Ds_common.Link.t ->
-            'a Ds_common.Tagged.t -> 'a Ds_common.Tagged.t
-          val protect_pessimistic :
-            src:Ds_common.Mem.header ->
-            S.guard ->
-            S.handle ->
-            src_link:'a Ds_common.Link.t ->
-            'a Ds_common.Tagged.t -> bool
-          val with_crit :
-            S.handle ->
-            Smr_core.Stats.t ->
-            (unit -> [< `Done of 'a | `Prot | `Retry ]) -> 'a
-        end
-      type 'v node = {
-        mutable next : 'v node Link.cell;
-        mutable hdr : Mem.cell;
-        key : int;
-        value : 'v;
-      }
-      type 'v t = { scheme : S.t; head : 'v node Link.t; }
-      type local = {
-        handle : S.handle;
-        hp_prev : S.guard;
-        hp_cur : S.guard;
-      }
-      val create : S.t -> 'a t
-      val scheme : 'a t -> S.t
-      val stats : 'a t -> Smr_core.Stats.t
-      val make_local : S.handle -> local
-      val clear_local : local -> unit
-      val find_attempt :
-        'a t ->
-        local ->
-        int ->
-        [> `Done of
-             bool * 'a node Ds_common.Link.t * 'a node Tagged.t *
-             'a node option
-         | `Prot
-         | `Retry ]
-      val get : 'a t -> local -> int -> 'a option
-      val insert : 'a t -> local -> int -> 'a -> bool
-      val remove : 'a t -> local -> int -> bool
-      val to_list : 'a t -> (int * 'a) list
-      val size : 'a t -> int
-      val assert_reachable_not_freed : 'a t -> unit
-    end
+  type 'v t = { scheme : S.t; head : 'v node Smr_core.Link.t }
+
+  include
+    Ds_intf.MAP
+      with type scheme = S.t
+       and type handle = S.handle
+       and type 'v t := 'v t
+end

@@ -53,12 +53,20 @@ module Make (S : Smr.Smr_intf.S) = struct
     hp_cur : S.guard;
   }
 
+  type scheme = S.t
+  type handle = S.handle
+
+  let unsupported =
+    if S.supports_optimistic then None
+    else
+      Some
+        ("the lazy list's wait-free contains walks marked nodes, which "
+       ^ S.name ^ " cannot protect (paper Table 2)")
+
   let create scheme =
-    if not S.supports_optimistic then
-      raise
-        (Smr.Smr_intf.Unsupported_scheme
-           ("the lazy list's wait-free contains walks marked nodes, which "
-          ^ S.name ^ " cannot protect (paper Table 2)"));
+    Option.iter
+      (fun m -> raise (Smr.Smr_intf.Unsupported_scheme m))
+      unsupported;
     { scheme; head_link = Link.null (); head_lock = Mutex.create () }
 
   let scheme t = t.scheme

@@ -76,12 +76,20 @@ module Make (S : Smr.Smr_intf.S) = struct
       right = Link.make right;
     }
 
+  type scheme = S.t
+  type handle = S.handle
+
+  let unsupported =
+    if S.supports_optimistic then None
+    else
+      Some
+        ("NMTree's traversal ignores in-progress deletions, which " ^ S.name
+       ^ " cannot protect (paper Table 2)")
+
   let create scheme =
-    if not S.supports_optimistic then
-      raise
-        (Smr.Smr_intf.Unsupported_scheme
-           ("NMTree's traversal ignores in-progress deletions, which "
-          ^ S.name ^ " cannot protect (paper Table 2)"));
+    Option.iter
+      (fun m -> raise (Smr.Smr_intf.Unsupported_scheme m))
+      unsupported;
     let stats = S.stats scheme in
     let leaf k =
       mk_node stats ~key:k ~value:None ~kind:Leaf ~left:Tagged.null

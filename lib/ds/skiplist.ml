@@ -48,6 +48,11 @@ module Make (S : Smr.Smr_intf.S) = struct
     target_guard : S.guard;
   }
 
+  type scheme = S.t
+  type handle = S.handle
+
+  let unsupported = None
+
   let create scheme =
     { scheme; head = Array.init max_height (fun _ -> Link.null ()) }
 

@@ -38,18 +38,16 @@ let run_instance s (i : Instances.instance) ~threads ~key_range ~workload =
 
 (* One data structure, thread rows, scheme columns. *)
 let ds_sweep s ~ds ~workload ~key_range ~(metric : metric) =
-  let insts = Instances.for_ds ds in
-  let columns = Instances.schemes_order in
+  let columns = Schemes.names in
   let rows =
     List.map
       (fun threads ->
         ( string_of_int threads,
           List.map
             (fun scheme ->
-              match List.find_opt (fun i -> i.Instances.scheme = scheme) insts with
-              | None -> None
-              | Some i ->
-                  Some (metric (run_instance s i ~threads ~key_range ~workload)))
+              Instances.find ~ds ~scheme
+              |> Option.map (fun i ->
+                     metric (run_instance s i ~threads ~key_range ~workload)))
             columns ))
       s.threads_list
   in
@@ -140,22 +138,16 @@ let fig10 s =
       prefill_ratio = 0.5;
     }
   in
-  let columns = [ "NR"; "EBR"; "PEBR"; "HP"; "HP++"; "RC" ] in
+  let columns = Schemes.names in
   let run_one scheme key_range =
-    let c = cfg key_range in
-    let r =
-      match scheme with
-      | "NR" -> Instances.Hhs_nr.run_long_reads ~writer_range:64 c
-      | "EBR" -> Instances.Hhs_ebr.run_long_reads ~writer_range:64 c
-      | "PEBR" -> Instances.Hhs_pebr.run_long_reads ~writer_range:64 c
-      | "HP" -> Instances.Hm_hp.run_long_reads ~writer_range:64 c
-      | "HP++" -> Instances.Hhs_hpp.run_long_reads ~writer_range:64 c
-      | "RC" -> Instances.Hhs_rc.run_long_reads ~writer_range:64 c
-      | _ -> assert false
+    (* HHSList where the scheme supports it, HMList otherwise (HP). *)
+    let i =
+      match Instances.find ~ds:"HHSList" ~scheme with
+      | Some i -> i
+      | None -> Option.get (Instances.find ~ds:"HMList" ~scheme)
     in
-    Results.add
-      ~ds:(if scheme = "HP" then "HMList" else "HHSList")
-      ~scheme ~threads ~key_range ~workload:"long-reads" r;
+    let r = i.run_long_reads ~writer_range:64 (cfg key_range) in
+    Results.add ~ds:i.ds ~scheme ~threads ~key_range ~workload:"long-reads" r;
     r
   in
   let results =
@@ -264,6 +256,8 @@ let tab2 _s =
 
 (* --- Ablation: Algorithm 3 vs Algorithm 5 -------------------------------- *)
 
+let hhs_hpp = Option.get (Instances.find ~ds:"HHSList" ~scheme:"HP++")
+
 let alg5 s =
   Report.note
     "Ablation: HP++ with per-batch fences (Algorithm 3) vs epoched heavy \
@@ -283,7 +277,7 @@ let alg5 s =
           List.map
             (fun (variant, config) ->
               let r =
-                Instances.Hhs_hpp.run ~config
+                hhs_hpp.run ~config
                   {
                     threads;
                     duration = s.duration;
@@ -349,7 +343,7 @@ let thresholds s =
         in
         let name = Printf.sprintf "inv=%d/rec=%d" inv rec_ in
         let r =
-          Instances.Hhs_hpp.run ~config
+          hhs_hpp.run ~config
             {
               threads;
               duration = s.duration;
@@ -391,17 +385,8 @@ let thresholds s =
    the mechanism behind the paper's Figure 11 split, isolated: EBR's curve
    tracks the churn, the robust schemes stay flat. *)
 module Stalled
-    (S : Smr.Smr_intf.S) (L : sig
-      type 'v t
-      type local
-
-      val create : S.t -> 'v t
-      val make_local : S.handle -> local
-      val clear_local : local -> unit
-      val get : 'v t -> local -> int -> 'v option
-      val insert : 'v t -> local -> int -> 'v -> bool
-      val remove : 'v t -> local -> int -> bool
-    end) =
+    (S : Smr.Smr_intf.S)
+    (L : Smr_ds.Ds_intf.MAP with type scheme = S.t and type handle = S.handle) =
 struct
   let run ~point ~checkpoints =
     Fault.reset ();

@@ -1,8 +1,8 @@
 (* smr-lint: allow R5 — internal benchmark-harness plumbing consumed only by bin/ and test/; the surface tracks the experiment set and changes too often for a separate interface to earn its keep *)
 (** The benchmark matrix: every data structure of the paper's evaluation
-    instantiated with every applicable reclamation scheme. Invalid cells
-    (HHSList/NMTree with HP, EFRBTree with RC) are exactly the paper's "not
-    applicable" entries and are absent from {!all}. *)
+    instantiated with every scheme of {!Schemes.all}. A cell whose
+    structure answers [unsupported] (HHSList/NMTree with HP, EFRBTree with
+    RC: the paper's "not applicable" entries) is absent from {!all}. *)
 
 open Bench_types
 
@@ -10,141 +10,42 @@ type instance = {
   ds : string;
   scheme : string;
   run : ?config:Smr.Smr_intf.config -> cfg -> result;
+  run_long_reads :
+    ?config:Smr.Smr_intf.config -> writer_range:int -> cfg -> result;
 }
 
-let schemes_order = [ "NR"; "EBR"; "PEBR"; "HP"; "HP++"; "RC" ]
+let structures : (string * (module Smr_ds.Ds_intf.MAKE_MAP)) list =
+  [
+    ("HMList", (module Smr_ds.Hmlist.Make));
+    ("HHSList", (module Smr_ds.Hhslist.Make));
+    ("HashMap", (module Smr_ds.Hashmap.Make));
+    ("SkipList", (module Smr_ds.Skiplist.Make));
+    ("NMTree", (module Smr_ds.Nmtree.Make));
+    ("EFRBTree", (module Smr_ds.Efrbtree.Make));
+    ("Bonsai", (module Smr_ds.Bonsai.Make));
+  ]
 
-let ds_order =
-  [ "HMList"; "HHSList"; "HashMap"; "SkipList"; "NMTree"; "EFRBTree"; "Bonsai" ]
+let ds_order = List.map fst structures
 
 let category = function
   | "HMList" | "HHSList" -> `List
   | _ -> `Other
 
-(* Mechanical instantiations. *)
-
-module Hm_nr = Runner.Make (Runner.Mono (Nr) (Smr_ds.Hmlist.Make (Nr)))
-
-module Hm_ebr = Runner.Make (Runner.Mono (Ebr) (Smr_ds.Hmlist.Make (Ebr)))
-
-module Hm_pebr = Runner.Make (Runner.Mono (Pebr) (Smr_ds.Hmlist.Make (Pebr)))
-
-module Hm_hp = Runner.Make (Runner.Mono (Hp) (Smr_ds.Hmlist.Make (Hp)))
-
-module Hm_hpp = Runner.Make (Runner.Mono (Hp_plus) (Smr_ds.Hmlist.Make (Hp_plus)))
-
-module Hm_rc = Runner.Make (Runner.Mono (Rc) (Smr_ds.Hmlist.Make (Rc)))
-
-module Hhs_nr = Runner.Make (Runner.Mono (Nr) (Smr_ds.Hhslist.Make (Nr)))
-
-module Hhs_ebr = Runner.Make (Runner.Mono (Ebr) (Smr_ds.Hhslist.Make (Ebr)))
-
-module Hhs_pebr = Runner.Make (Runner.Mono (Pebr) (Smr_ds.Hhslist.Make (Pebr)))
-
-module Hhs_hpp = Runner.Make (Runner.Mono (Hp_plus) (Smr_ds.Hhslist.Make (Hp_plus)))
-
-module Hhs_rc = Runner.Make (Runner.Mono (Rc) (Smr_ds.Hhslist.Make (Rc)))
-
-module Map_nr = Runner.Make (Runner.Mono (Nr) (Smr_ds.Hashmap.Make (Nr)))
-
-module Map_ebr = Runner.Make (Runner.Mono (Ebr) (Smr_ds.Hashmap.Make (Ebr)))
-
-module Map_pebr = Runner.Make (Runner.Mono (Pebr) (Smr_ds.Hashmap.Make (Pebr)))
-
-module Map_hp = Runner.Make (Runner.Mono (Hp) (Smr_ds.Hashmap.Make (Hp)))
-
-module Map_hpp = Runner.Make (Runner.Mono (Hp_plus) (Smr_ds.Hashmap.Make (Hp_plus)))
-
-module Map_rc = Runner.Make (Runner.Mono (Rc) (Smr_ds.Hashmap.Make (Rc)))
-
-module Sk_nr = Runner.Make (Runner.Mono (Nr) (Smr_ds.Skiplist.Make (Nr)))
-
-module Sk_ebr = Runner.Make (Runner.Mono (Ebr) (Smr_ds.Skiplist.Make (Ebr)))
-
-module Sk_pebr = Runner.Make (Runner.Mono (Pebr) (Smr_ds.Skiplist.Make (Pebr)))
-
-module Sk_hp = Runner.Make (Runner.Mono (Hp) (Smr_ds.Skiplist.Make (Hp)))
-
-module Sk_hpp = Runner.Make (Runner.Mono (Hp_plus) (Smr_ds.Skiplist.Make (Hp_plus)))
-
-module Sk_rc = Runner.Make (Runner.Mono (Rc) (Smr_ds.Skiplist.Make (Rc)))
-
-module Nm_nr = Runner.Make (Runner.Mono (Nr) (Smr_ds.Nmtree.Make (Nr)))
-
-module Nm_ebr = Runner.Make (Runner.Mono (Ebr) (Smr_ds.Nmtree.Make (Ebr)))
-
-module Nm_pebr = Runner.Make (Runner.Mono (Pebr) (Smr_ds.Nmtree.Make (Pebr)))
-
-module Nm_hpp = Runner.Make (Runner.Mono (Hp_plus) (Smr_ds.Nmtree.Make (Hp_plus)))
-
-module Nm_rc = Runner.Make (Runner.Mono (Rc) (Smr_ds.Nmtree.Make (Rc)))
-
-module Ef_nr = Runner.Make (Runner.Mono (Nr) (Smr_ds.Efrbtree.Make (Nr)))
-
-module Ef_ebr = Runner.Make (Runner.Mono (Ebr) (Smr_ds.Efrbtree.Make (Ebr)))
-
-module Ef_pebr = Runner.Make (Runner.Mono (Pebr) (Smr_ds.Efrbtree.Make (Pebr)))
-
-module Ef_hp = Runner.Make (Runner.Mono (Hp) (Smr_ds.Efrbtree.Make (Hp)))
-
-module Ef_hpp = Runner.Make (Runner.Mono (Hp_plus) (Smr_ds.Efrbtree.Make (Hp_plus)))
-
-module Bo_nr = Runner.Make (Runner.Mono (Nr) (Smr_ds.Bonsai.Make (Nr)))
-
-module Bo_ebr = Runner.Make (Runner.Mono (Ebr) (Smr_ds.Bonsai.Make (Ebr)))
-
-module Bo_pebr = Runner.Make (Runner.Mono (Pebr) (Smr_ds.Bonsai.Make (Pebr)))
-
-module Bo_hp = Runner.Make (Runner.Mono (Hp) (Smr_ds.Bonsai.Make (Hp)))
-
-module Bo_hpp = Runner.Make (Runner.Mono (Hp_plus) (Smr_ds.Bonsai.Make (Hp_plus)))
-
-module Bo_rc = Runner.Make (Runner.Mono (Rc) (Smr_ds.Bonsai.Make (Rc)))
+(* Each functor is applied once, here, so functor-level state (SkipList's
+   [locals_seed]) lives as long as the program. *)
+let instantiate (ds, (module Make : Smr_ds.Ds_intf.MAKE_MAP))
+    (scheme, (module S : Smr.Smr_intf.S)) =
+  let module M = Make (S) in
+  match M.unsupported with
+  | Some _ -> None
+  | None ->
+      let module R = Runner.Make (S) (M) in
+      Some { ds; scheme; run = R.run; run_long_reads = R.run_long_reads }
 
 let all : instance list =
-  [
-    { ds = "HMList"; scheme = "NR"; run = Hm_nr.run };
-    { ds = "HMList"; scheme = "EBR"; run = Hm_ebr.run };
-    { ds = "HMList"; scheme = "PEBR"; run = Hm_pebr.run };
-    { ds = "HMList"; scheme = "HP"; run = Hm_hp.run };
-    { ds = "HMList"; scheme = "HP++"; run = Hm_hpp.run };
-    { ds = "HMList"; scheme = "RC"; run = Hm_rc.run };
-    { ds = "HHSList"; scheme = "NR"; run = Hhs_nr.run };
-    { ds = "HHSList"; scheme = "EBR"; run = Hhs_ebr.run };
-    { ds = "HHSList"; scheme = "PEBR"; run = Hhs_pebr.run };
-    { ds = "HHSList"; scheme = "HP++"; run = Hhs_hpp.run };
-    { ds = "HHSList"; scheme = "RC"; run = Hhs_rc.run };
-    { ds = "HashMap"; scheme = "NR"; run = Map_nr.run };
-    { ds = "HashMap"; scheme = "EBR"; run = Map_ebr.run };
-    { ds = "HashMap"; scheme = "PEBR"; run = Map_pebr.run };
-    { ds = "HashMap"; scheme = "HP"; run = Map_hp.run };
-    { ds = "HashMap"; scheme = "HP++"; run = Map_hpp.run };
-    { ds = "HashMap"; scheme = "RC"; run = Map_rc.run };
-    { ds = "SkipList"; scheme = "NR"; run = Sk_nr.run };
-    { ds = "SkipList"; scheme = "EBR"; run = Sk_ebr.run };
-    { ds = "SkipList"; scheme = "PEBR"; run = Sk_pebr.run };
-    { ds = "SkipList"; scheme = "HP"; run = Sk_hp.run };
-    { ds = "SkipList"; scheme = "HP++"; run = Sk_hpp.run };
-    { ds = "SkipList"; scheme = "RC"; run = Sk_rc.run };
-    { ds = "NMTree"; scheme = "NR"; run = Nm_nr.run };
-    { ds = "NMTree"; scheme = "EBR"; run = Nm_ebr.run };
-    { ds = "NMTree"; scheme = "PEBR"; run = Nm_pebr.run };
-    { ds = "NMTree"; scheme = "HP++"; run = Nm_hpp.run };
-    { ds = "NMTree"; scheme = "RC"; run = Nm_rc.run };
-    { ds = "EFRBTree"; scheme = "NR"; run = Ef_nr.run };
-    { ds = "EFRBTree"; scheme = "EBR"; run = Ef_ebr.run };
-    { ds = "EFRBTree"; scheme = "PEBR"; run = Ef_pebr.run };
-    { ds = "EFRBTree"; scheme = "HP"; run = Ef_hp.run };
-    { ds = "EFRBTree"; scheme = "HP++"; run = Ef_hpp.run };
-    { ds = "Bonsai"; scheme = "NR"; run = Bo_nr.run };
-    { ds = "Bonsai"; scheme = "EBR"; run = Bo_ebr.run };
-    { ds = "Bonsai"; scheme = "PEBR"; run = Bo_pebr.run };
-    { ds = "Bonsai"; scheme = "HP"; run = Bo_hp.run };
-    { ds = "Bonsai"; scheme = "HP++"; run = Bo_hpp.run };
-    { ds = "Bonsai"; scheme = "RC"; run = Bo_rc.run };
-  ]
+  List.concat_map
+    (fun d -> List.filter_map (instantiate d) Schemes.all)
+    structures
 
 let find ~ds ~scheme =
   List.find_opt (fun i -> i.ds = ds && i.scheme = scheme) all
-
-let for_ds ds = List.filter (fun i -> i.ds = ds) all

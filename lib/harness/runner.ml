@@ -8,47 +8,6 @@ module Rng = Smr_core.Rng
 module Barrier = Smr_core.Domain_pool.Barrier
 open Bench_types
 
-module type DS = sig
-  module S : Smr.Smr_intf.S
-
-  type t
-  type local
-
-  val create : S.t -> t
-  val make_local : S.handle -> local
-  val clear_local : local -> unit
-  val get : t -> local -> int -> int option
-  val insert : t -> local -> int -> int -> bool
-  val remove : t -> local -> int -> bool
-end
-
-(* Adapt a polymorphic-value structure to the int-keyed, int-valued DS the
-   runner drives. *)
-module Mono
-    (S_ : Smr.Smr_intf.S) (T : sig
-      type 'v t
-      type local
-
-      val create : S_.t -> 'v t
-      val make_local : S_.handle -> local
-      val clear_local : local -> unit
-      val get : 'v t -> local -> int -> 'v option
-      val insert : 'v t -> local -> int -> 'v -> bool
-      val remove : 'v t -> local -> int -> bool
-    end) : DS with module S = S_ = struct
-  module S = S_
-
-  type t = int T.t
-  type local = T.local
-
-  let create = T.create
-  let make_local = T.make_local
-  let clear_local = T.clear_local
-  let get = T.get
-  let insert = T.insert
-  let remove = T.remove
-end
-
 (* The sampler domain shared by every run shape: waits on the same start
    barrier as the workers, samples the garbage backlog every 2ms for
    [duration] seconds, then flips [stop] and returns (wall time, average
@@ -82,9 +41,11 @@ let assemble_result ~ops ~wall ~avg_unreclaimed stats =
     retired_total = Stats.retired_total stats;
   }
 
-module Make (D : DS) = struct
-  module S = D.S
-
+(* Drives one structure, int-keyed and int-valued, under one scheme. *)
+module Make
+    (S : Smr.Smr_intf.S)
+    (D : Smr_ds.Ds_intf.MAP with type scheme = S.t and type handle = S.handle) =
+struct
   (* Insert a random half of the key range (paper: "pre-filled to 50%").
      Random order matters: the unbalanced trees (EFRBTree, NMTree) would
      degenerate to paths under sequential insertion. *)

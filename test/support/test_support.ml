@@ -12,20 +12,8 @@ module Rng = Smr_core.Rng
 module Domain_pool = Smr_core.Domain_pool
 
 module Suite
-    (S : Smr.Smr_intf.S) (L : sig
-      type 'v t
-      type local
-
-      val create : S.t -> 'v t
-      val make_local : S.handle -> local
-      val clear_local : local -> unit
-      val get : 'v t -> local -> int -> 'v option
-      val insert : 'v t -> local -> int -> 'v -> bool
-      val remove : 'v t -> local -> int -> bool
-      val to_list : 'v t -> (int * 'v) list
-      val size : 'v t -> int
-      val assert_reachable_not_freed : 'v t -> unit
-    end) =
+    (S : Smr.Smr_intf.S)
+    (L : Smr_ds.Ds_intf.MAP with type scheme = S.t and type handle = S.handle) =
 struct
   let with_list f =
     let scheme = S.create () in

@@ -62,18 +62,7 @@ let test_seeded_plans_deterministic () =
 
 module Kill_matrix
     (S : Smr.Smr_intf.S)
-    (L : sig
-      type local
-      type 'v t
-
-      val create : S.t -> 'v t
-      val make_local : S.handle -> local
-      val clear_local : local -> unit
-      val insert : 'v t -> local -> int -> 'v -> bool
-      val remove : 'v t -> local -> int -> bool
-      val get : 'v t -> local -> int -> 'v option
-      val assert_reachable_not_freed : 'v t -> unit
-    end) =
+    (L : Smr_ds.Ds_intf.MAP with type scheme = S.t and type handle = S.handle) =
 struct
   let keys = 240
 

@@ -112,6 +112,60 @@ let test_collector_rows () =
     ];
   Bench_harness.Results.reset ()
 
+(* The paper's "not applicable" cells, derived rather than listed: over
+   every map structure under every scheme, a structure's [unsupported]
+   answer is exactly what its [create] raises, and the cells it rejects
+   are optimistic traversals under HP plus EFRBTree under RC. *)
+let test_not_applicable () =
+  let structures =
+    ("LazyList", (module Smr_ds.Lazylist.Make : Smr_ds.Ds_intf.MAKE_MAP))
+    :: Bench_harness.Instances.structures
+  in
+  let rejected =
+    List.concat_map
+      (fun (ds, (module Make : Smr_ds.Ds_intf.MAKE_MAP)) ->
+        List.filter_map
+          (fun (scheme, (module S : Smr.Smr_intf.S)) ->
+            let module M = Make (S) in
+            let raised =
+              match M.create (S.create ()) with
+              | (_ : int M.t) -> None
+              | exception Smr.Smr_intf.Unsupported_scheme m -> Some m
+            in
+            Alcotest.(check (option string))
+              (ds ^ "/" ^ scheme ^ ": create raises unsupported")
+              M.unsupported raised;
+            Option.map (fun _ -> ds ^ "/" ^ scheme) raised)
+          Schemes.all)
+      structures
+  in
+  Alcotest.(check (list string))
+    "not-applicable cells"
+    [ "EFRBTree/RC"; "HHSList/HP"; "LazyList/HP"; "NMTree/HP" ]
+    (List.sort compare rejected)
+
+(* The benchmark matrix is every paper structure under every scheme, in
+   figure order, less the three not-applicable cells: 39 of 42. *)
+let test_instances_matrix () =
+  let module I = Bench_harness.Instances in
+  let expected =
+    List.concat_map
+      (fun ds ->
+        List.filter_map
+          (fun scheme ->
+            if
+              List.mem (ds, scheme)
+                [ ("HHSList", "HP"); ("NMTree", "HP"); ("EFRBTree", "RC") ]
+            then None
+            else Some (ds, scheme))
+          Schemes.names)
+      I.ds_order
+  in
+  Alcotest.(check int) "cells" 39 (List.length I.all);
+  Alcotest.(check (list (pair string string)))
+    "cells in figure order" expected
+    (List.map (fun (i : I.instance) -> (i.ds, i.scheme)) I.all)
+
 let case name f = Alcotest.test_case name `Quick f
 
 let () =
@@ -128,4 +182,9 @@ let () =
           case "metric_of_name rejects unknown" test_metric_of_name_unknown;
         ] );
       ("collector", [ case "rows serialize to JSON" test_collector_rows ]);
+      ( "matrix",
+        [
+          case "unsupported iff create raises" test_not_applicable;
+          case "instances are the applicable cells" test_instances_matrix;
+        ] );
     ]

@@ -8,17 +8,8 @@ module Pool = Smr_core.Domain_pool
 module Rng = Smr_core.Rng
 
 module Check
-    (S : Smr.Smr_intf.S) (L : sig
-      type 'v t
-      type local
-
-      val create : S.t -> 'v t
-      val make_local : S.handle -> local
-      val clear_local : local -> unit
-      val get : 'v t -> local -> int -> 'v option
-      val insert : 'v t -> local -> int -> 'v -> bool
-      val remove : 'v t -> local -> int -> bool
-    end) =
+    (S : Smr.Smr_intf.S)
+    (L : Smr_ds.Ds_intf.MAP with type scheme = S.t and type handle = S.handle) =
 struct
   let run () =
     for round = 1 to 3 do

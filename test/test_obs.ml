@@ -270,17 +270,8 @@ let test_horizon_suppresses_incomplete () =
 (* --- real traces from the actual schemes --------------------------------- *)
 
 module Churn
-    (S : Smr.Smr_intf.S) (L : sig
-      type 'v t
-      type local
-
-      val create : S.t -> 'v t
-      val make_local : S.handle -> local
-      val clear_local : local -> unit
-      val get : 'v t -> local -> int -> 'v option
-      val insert : 'v t -> local -> int -> 'v -> bool
-      val remove : 'v t -> local -> int -> bool
-    end) =
+    (S : Smr.Smr_intf.S)
+    (L : Smr_ds.Ds_intf.MAP with type scheme = S.t and type handle = S.handle) =
 struct
   let run () =
     let scheme = S.create () in
