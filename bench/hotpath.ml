@@ -105,9 +105,6 @@ end
 
 module Hp_loop = Retire_loop (Hp)
 module Hpp_loop = Retire_loop (Hp_plus)
-module Ebr_loop = Retire_loop (Ebr)
-module Pebr_loop = Retire_loop (Pebr)
-module Rc_loop = Retire_loop (Rc)
 
 (* Paired rows per scheme: the inline baseline ([workload = "hotpath"]) and
    the asynchronous pipeline ([workload = "hotpath-async"]) over the
@@ -121,15 +118,15 @@ module Rc_loop = Retire_loop (Rc)
 let async_config =
   { Smr.Smr_intf.default_config with async_reclaim = true; handoff_capacity = 2 }
 
+(* Every scheme of the table that reclaims: NR's loop would only measure
+   allocation. *)
 let retire_reclaim_bench ~threads ~duration =
   let schemes =
-    [
-      ("HP", fun config -> Hp_loop.run ~config ~threads ~duration ());
-      ("HP++", fun config -> Hpp_loop.run ~config ~threads ~duration ());
-      ("EBR", fun config -> Ebr_loop.run ~config ~threads ~duration ());
-      ("PEBR", fun config -> Pebr_loop.run ~config ~threads ~duration ());
-      ("RC", fun config -> Rc_loop.run ~config ~threads ~duration ());
-    ]
+    List.map
+      (fun (name, (module S : Smr.Smr_intf.S)) ->
+        let module L = Retire_loop (S) in
+        (name, fun config -> L.run ~config ~threads ~duration ()))
+      (Schemes.reclaiming ())
   in
   let one ~mode ~workload config (name, f) =
     let t0 = Unix.gettimeofday () in

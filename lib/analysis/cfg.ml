@@ -224,13 +224,16 @@ let is_blocking qual last =
 (* Value-preserving wrappers: the result aliases the arguments.
    [Mem.of_node n] is [n]'s embedded header, and a node's header is the
    node itself: protecting or retiring it protects or retires [n], and
-   taking it reads nothing. *)
+   taking it reads nothing. [Tagged.node r] is [r]'s target (a clean [r]
+   is that very node), so a field read through it dereferences [r]; and
+   [Tagged.shape r] stands for [r] as a match scrutinee, so its [Null] arm
+   refines [r]. *)
 let is_transparent qual last =
   match (qual, last) with
   | Some "Mem", "of_node" -> true
   | ( Some "Tagged",
-      ("make" | "of_option" | "get_exn" | "untagged" | "set_bits" | "with_tag")
-    ) ->
+      ( "make" | "of_option" | "node" | "shape" | "untagged" | "set_bits"
+      | "with_tag" ) ) ->
       true
   | Some "Option", ("get" | "some" | "value") -> true
   | Some "Array", "get" -> true
@@ -844,13 +847,14 @@ and eval_match ctx env ~loc scrut cases =
       ctx.cur <- jn;
       (v, env)
 
-(* [match x with Tagged.Null _ -> ...]: the Null arm witnesses that [x]
-   is null, which carries no protection obligation (dereferencing requires
-   a Ptr arm, observed again). Refining the scrutinee to Neutral on that arm
-   keeps a null path from dragging the join of a sibling arm's
-   protect-and-validate chain down to Raw. A [Tagged.Ptr (n, _)] arm binds
-   [n] to the scrutinee's objects, so every field read through [n] is a
-   dereference of the tagged value. *)
+(* [match Tagged.shape x with Tagged.Null -> ...]: the Null arm witnesses
+   that [x] is null, which carries no protection obligation (dereferencing
+   requires a Ptr arm, observed again). [Tagged.shape] is transparent, so
+   the scrutinee's objects are [x]'s, and refining them to Neutral on that
+   arm keeps a null path from dragging the join of a sibling arm's
+   protect-and-validate chain down to Raw. On the Ptr arm, [Tagged.node x]
+   is transparent too, so every field read through it is a dereference of
+   the tagged value. *)
 and is_null_pat (p : Parsetree.pattern) =
   match p.ppat_desc with
   | Ppat_construct ({ txt; _ }, _) -> (

@@ -14,8 +14,8 @@ module type SUT = sig
   val kind : Gen.kind
 
   val reclaims : bool
-  (** False for NR, which never frees: the drained-to-zero check is
-      meaningless there. *)
+  (** {!Schemes.reclaims} of the scheme: false for NR, which never frees,
+      where the drained-to-zero check is meaningless. *)
 
   type t
   type local

@@ -127,7 +127,10 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   (* The root link's target in the option shape the tree's own child
      fields use. *)
-  let root_of = function Tagged.Ptr (n, _) -> Some n | Tagged.Null _ -> None
+  let root_of r =
+    match Tagged.shape r with
+    | Tagged.Ptr -> Some (Tagged.node r)
+    | Tagged.Null -> None
 
   let node_size = function None -> 0 | Some n -> n.size
   let weight n = node_size n + 1

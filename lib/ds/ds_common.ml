@@ -19,12 +19,12 @@ module Make (S : Smr.Smr_intf.S) = struct
   let trace_step ~src ~validated l =
     if Trace.enabled () then begin
       let dst =
-        match l with
-        | Tagged.Ptr (n, _) ->
-            let uid = Mem.uid (Mem.of_node n) in
+        match Tagged.shape l with
+        | Tagged.Ptr ->
+            let uid = Mem.uid (Mem.of_node (Tagged.node l)) in
             if validated then Trace.emit Trace.Protect uid 0 0;
             uid
-        | Tagged.Null _ -> -1
+        | Tagged.Null -> -1
       in
       Trace.emit Trace.Step (uid_of_hdr src) dst (Tagged.tag l)
     end
@@ -55,9 +55,9 @@ module Make (S : Smr.Smr_intf.S) = struct
   let rec protect_moved ~src guard handle ~src_link l =
     if Tagged.is_invalid l then validation_fail ~src (Tagged.tag l)
     else begin
-      (match l with
-      | Tagged.Ptr (n, _) -> S.protect guard (Mem.of_node n)
-      | Tagged.Null _ -> ());
+      (match Tagged.shape l with
+      | Tagged.Ptr -> S.protect guard (Mem.of_node (Tagged.node l))
+      | Tagged.Null -> ());
       if not (S.protection_valid handle) then validation_fail ~src 0
       else
         let l' = Link.get src_link in
@@ -76,9 +76,9 @@ module Make (S : Smr.Smr_intf.S) = struct
       expected
     end
     else begin
-      (match expected with
-      | Tagged.Ptr (n, _) -> S.protect guard (Mem.of_node n)
-      | Tagged.Null _ -> ());
+      (match Tagged.shape expected with
+      | Tagged.Ptr -> S.protect guard (Mem.of_node (Tagged.node expected))
+      | Tagged.Null -> ());
       if not (S.protection_valid handle) then validation_fail ~src 0
       else
         let l = Link.get src_link in
@@ -100,9 +100,9 @@ module Make (S : Smr.Smr_intf.S) = struct
       true
     end
     else begin
-      (match expected with
-      | Tagged.Ptr (n, _) -> S.protect guard (Mem.of_node n)
-      | Tagged.Null _ -> ());
+      (match Tagged.shape expected with
+      | Tagged.Ptr -> S.protect guard (Mem.of_node (Tagged.node expected))
+      | Tagged.Null -> ());
       if
         S.protection_valid handle
         &&

@@ -7,7 +7,10 @@
     reachability of the descriptor's nodes from the descriptor itself, this
     tree is protectable by the original HP (paper Table 2 and Appendix B) —
     unlike NMTree. With HP++, the delete splice is a [try_unlink] whose
-    frontier is the surviving sibling subtree root.
+    frontier is the surviving sibling subtree root. An insert links a copy
+    of the leaf it replaces and unlinks the old one through [try_unlink]
+    too, with no frontier, so no child link ever returns to a node it
+    left.
 
     Descriptors themselves are reclaimed by the runtime GC here; a C
     implementation must manage them too, which is why the paper's
@@ -39,9 +42,10 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   and 'v iinfo = {
     i_p : 'v node;
+    i_l : 'v node; (* the leaf the new internal node replaces *)
     i_l_rec : 'v node Tagged.t; (* p's child record pointing at l *)
     i_l_link : 'v node Link.t; (* the child field holding it *)
-    i_new_internal : 'v node;
+    i_new_internal : 'v node; (* holds the new leaf and a copy of l *)
   }
 
   and 'v dinfo = {
@@ -170,12 +174,25 @@ module Make (S : Smr.Smr_intf.S) = struct
         Link.mark_invalid n.right)
       nodes
 
-  (* HelpInsert: swing p's child from the old leaf to the new internal node
-     (the old leaf is reused below it, nothing is retired), then unflag. *)
-  let help_insert (op : 'v iinfo) iflag_rec =
+  (* HelpInsert: swing p's child from the old leaf to the new internal node,
+     then unflag. The new internal node holds a copy of the old leaf, not
+     the leaf itself (Ellen et al.'s newSibling), so the winning CAS
+     unlinks and retires the old leaf, and no link ever holds it again. A
+     clean link is the node itself, so reusing the leaf would let a
+     delete of the new leaf splice the old one back into p's child; a
+     helper stalled before this CAS would then find its expected value
+     again and re-link the retired internal node. The leaf has no
+     children, so the unlink has no frontier. *)
+  let help_insert l (op : 'v iinfo) iflag_rec =
     ignore
-      (Link.cas_clean op.i_l_link op.i_l_rec
-         (Tagged.make op.i_new_internal));
+      (S.try_unlink l.handle ~frontier:[]
+         ~do_unlink:(fun () ->
+           if
+             Link.cas_clean op.i_l_link op.i_l_rec
+               (Tagged.make op.i_new_internal)
+           then Some [ op.i_l ]
+           else None)
+         ~node_header:Mem.of_node ~invalidate:invalidate_nodes);
     ignore (Atomic.compare_and_set op.i_p.update iflag_rec (fresh_clean ()))
 
   (* HelpMarked: splice out [d_p] and [d_l]; the sibling subtree root is the
@@ -184,14 +201,14 @@ module Make (S : Smr.Smr_intf.S) = struct
   let help_marked l (op : 'v dinfo) dflag_rec =
     let p = op.d_p in
     let sibling_link =
-      match Link.get p.left with
-      | Tagged.Ptr (n, _) when n == op.d_l -> p.right
-      | _ -> p.left
+      if Tagged.same_ptr (Link.get p.left) (Tagged.make op.d_l) then p.right
+      else p.left
     in
     let sib_rec = Link.get sibling_link in
-    (match sib_rec with
-    | Tagged.Null _ -> ()
-    | Tagged.Ptr (sibling, _) ->
+    (match Tagged.shape sib_rec with
+    | Tagged.Null -> ()
+    | Tagged.Ptr ->
+        let sibling = Tagged.node sib_rec in
         ignore
           (S.try_unlink l.handle
              ~frontier:[ Mem.of_node sibling ]
@@ -226,7 +243,7 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   and help l (u : 'v update) =
     match (u.state, u.info) with
-    | IFlag, Some (I op) -> help_insert op u
+    | IFlag, Some (I op) -> help_insert l op u
     | Mark, Some (D op) -> help_marked l op u
     | DFlag, Some (D op) -> ignore (help_delete l op u)
     | _ -> ()
@@ -245,9 +262,10 @@ module Make (S : Smr.Smr_intf.S) = struct
   let search t l key =
     let rec walk g_gp g_p g_l g_cur gp p gpupdate pupdate p_rec p_link cur_rec
         cur_link =
-      match cur_rec with
-      | Tagged.Null _ -> `Retry
-      | Tagged.Ptr (cur, _) ->
+      match Tagged.shape cur_rec with
+      | Tagged.Null -> `Retry
+      | Tagged.Ptr ->
+          let cur = Tagged.node cur_rec in
           Mem.check_access (Mem.of_node cur);
           if cur.kind = Leaf then
             `Done
@@ -284,9 +302,9 @@ module Make (S : Smr.Smr_intf.S) = struct
                 walk g_p g_l g_cur g_gp p cur pupdate up cur_rec cur_link
                   next_rec link
             else begin
-              (match expected with
-              | Tagged.Ptr (n, _) -> S.protect g_cur (Mem.of_node n)
-              | Tagged.Null _ -> ());
+              (match Tagged.shape expected with
+              | Tagged.Ptr -> S.protect g_cur (Mem.of_node (Tagged.node expected))
+              | Tagged.Null -> ());
               if
                 S.protection_valid l.handle
                 && (Atomic.get cur.update).state <> Mark
@@ -336,8 +354,13 @@ module Make (S : Smr.Smr_intf.S) = struct
                 mk_node st ~key ~value:(Some value) ~kind:Leaf
                   ~left:Tagged.null ~right:Tagged.null
               in
+              let sibling =
+                mk_node st ~key:leaf.key ~value:leaf.value ~kind:Leaf
+                  ~left:Tagged.null ~right:Tagged.null
+              in
               let lo_leaf, hi_leaf =
-                if key < leaf.key then (new_leaf, leaf) else (leaf, new_leaf)
+                if key < leaf.key then (new_leaf, sibling)
+                else (sibling, new_leaf)
               in
               let internal =
                 mk_node st ~key:(max key leaf.key) ~value:None ~kind:Internal
@@ -347,6 +370,7 @@ module Make (S : Smr.Smr_intf.S) = struct
               let op =
                 {
                   i_p = sr.s_p;
+                  i_l = leaf;
                   i_l_rec = sr.s_l_rec;
                   i_l_link = sr.s_l_link;
                   i_new_internal = internal;
@@ -355,11 +379,12 @@ module Make (S : Smr.Smr_intf.S) = struct
               let iflag_rec = { state = IFlag; info = Some (I op); gen = 0 } in
               if Atomic.compare_and_set sr.s_p.update sr.s_pupdate iflag_rec
               then begin
-                help_insert op iflag_rec;
+                help_insert l op iflag_rec;
                 `Done true
               end
               else begin
                 Mem.discard st (Mem.of_node new_leaf);
+                Mem.discard st (Mem.of_node sibling);
                 Mem.discard st (Mem.of_node internal);
                 help l (Atomic.get sr.s_p.update);
                 `Retry
@@ -411,9 +436,10 @@ module Make (S : Smr.Smr_intf.S) = struct
           if n.key >= inf1 then acc else (n.key, Option.get n.value) :: acc
       | Internal ->
           let go link acc =
-            match Link.get_quiescent link with
-            | Tagged.Ptr (m, _) -> walk m acc
-            | Tagged.Null _ -> acc
+            let child = Link.get_quiescent link in
+            match Tagged.shape child with
+            | Tagged.Ptr -> walk (Tagged.node child) acc
+            | Tagged.Null -> acc
           in
           go n.left (go n.right acc)
     in
@@ -425,9 +451,10 @@ module Make (S : Smr.Smr_intf.S) = struct
     let rec walk n =
       assert (not (Mem.is_freed (Mem.of_node n)));
       let go link =
-        match Link.get_quiescent link with
-        | Tagged.Ptr (m, _) -> walk m
-        | Tagged.Null _ -> ()
+        let child = Link.get_quiescent link in
+        match Tagged.shape child with
+        | Tagged.Ptr -> walk (Tagged.node child)
+        | Tagged.Null -> ()
       in
       go n.left;
       go n.right

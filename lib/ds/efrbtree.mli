@@ -11,6 +11,7 @@ module Make (S : Smr.Smr_intf.S) : sig
 
   and 'v iinfo = {
     i_p : 'v node;
+    i_l : 'v node;
     i_l_rec : 'v node Smr_core.Tagged.t;
     i_l_link : 'v node Smr_core.Link.t;
     i_new_internal : 'v node;

@@ -89,9 +89,10 @@ module Make (S : Smr.Smr_intf.S) = struct
       if is_until n then List.rev acc
       else
         let acc = n :: acc in
-        match Link.get (Link.of_node n) with
-        | Tagged.Ptr (m, _) -> walk m acc
-        | Tagged.Null _ -> List.rev acc
+        let next_t = Link.get (Link.of_node n) in
+        match Tagged.shape next_t with
+        | Tagged.Ptr -> walk (Tagged.node next_t) acc
+        | Tagged.Null -> List.rev acc
     in
     walk first []
 
@@ -140,9 +141,10 @@ module Make (S : Smr.Smr_intf.S) = struct
       in
       if Tagged.is_invalid cur_t then `Prot
       else
-        match cur_t with
-        | Tagged.Null _ -> finish ~found:false prev_link cur_t None anchor
-        | Tagged.Ptr (cur, _) ->
+        match Tagged.shape cur_t with
+        | Tagged.Null -> finish ~found:false prev_link cur_t None anchor
+        | Tagged.Ptr ->
+            let cur = Tagged.node cur_t in
             let hcur = Mem.of_node cur in
             Mem.check_access hcur;
             let cur_link = Link.of_node cur in
@@ -187,9 +189,10 @@ module Make (S : Smr.Smr_intf.S) = struct
           in
           if Tagged.is_invalid cur_t then `Prot
           else
-            match cur_t with
-            | Tagged.Null _ -> `Done None
-            | Tagged.Ptr (cur, _) ->
+            match Tagged.shape cur_t with
+            | Tagged.Null -> `Done None
+            | Tagged.Ptr ->
+                let cur = Tagged.node cur_t in
                 Mem.check_access (Mem.of_node cur);
                 let cur_link = Link.of_node cur in
                 let next_t = Link.get cur_link in
@@ -254,9 +257,9 @@ module Make (S : Smr.Smr_intf.S) = struct
                    deletion must go through TryUnlink so the frontier is
                    protected and [cur] invalidated before it is retired. *)
                 let frontier =
-                  match next_t with
-                  | Tagged.Ptr (n, _) -> [ Mem.of_node n ]
-                  | Tagged.Null _ -> []
+                  match Tagged.shape next_t with
+                  | Tagged.Ptr -> [ Mem.of_node (Tagged.node next_t) ]
+                  | Tagged.Null -> []
                 in
                 ignore
                   (S.try_unlink l.handle ~frontier
@@ -275,9 +278,10 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let to_list t =
     let rec walk acc tg =
-      match tg with
-      | Tagged.Null _ -> List.rev acc
-      | Tagged.Ptr (n, _) ->
+      match Tagged.shape tg with
+      | Tagged.Null -> List.rev acc
+      | Tagged.Ptr ->
+          let n = Tagged.node tg in
           let next_t = Link.get_quiescent (Link.of_node n) in
           let acc =
             if Tagged.is_deleted next_t then acc else (n.key, n.value) :: acc
@@ -290,9 +294,10 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let assert_reachable_not_freed t =
     let rec walk tg =
-      match tg with
-      | Tagged.Null _ -> ()
-      | Tagged.Ptr (n, _) ->
+      match Tagged.shape tg with
+      | Tagged.Null -> ()
+      | Tagged.Ptr ->
+          let n = Tagged.node tg in
           assert (not (Mem.is_freed (Mem.of_node n)));
           walk (Link.get_quiescent (Link.of_node n))
     in

@@ -58,9 +58,10 @@ module Make (S : Smr.Smr_intf.S) = struct
      step swaps them at the recursive call. Steps trace no source node. *)
   let find_attempt t l key =
     let rec advance gprev gcur prev_link cur_t =
-      match cur_t with
-      | Tagged.Null _ -> `Done (false, prev_link, cur_t, None)
-      | Tagged.Ptr (cur, _) ->
+      match Tagged.shape cur_t with
+      | Tagged.Null -> `Done (false, prev_link, cur_t, None)
+      | Tagged.Ptr ->
+          let cur = Tagged.node cur_t in
           if
             not
               (C.protect_pessimistic ~src:Mem.phantom gcur
@@ -155,9 +156,10 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let to_list t =
     let rec walk acc tg =
-      match tg with
-      | Tagged.Null _ -> List.rev acc
-      | Tagged.Ptr (n, _) ->
+      match Tagged.shape tg with
+      | Tagged.Null -> List.rev acc
+      | Tagged.Ptr ->
+          let n = Tagged.node tg in
           let next_t = Link.get_quiescent (Link.of_node n) in
           let acc =
             if Tagged.is_deleted next_t then acc else (n.key, n.value) :: acc
@@ -172,9 +174,10 @@ module Make (S : Smr.Smr_intf.S) = struct
      marked nodes too. Quiescent test invariant. *)
   let assert_reachable_not_freed t =
     let rec walk tg =
-      match tg with
-      | Tagged.Null _ -> ()
-      | Tagged.Ptr (n, _) ->
+      match Tagged.shape tg with
+      | Tagged.Null -> ()
+      | Tagged.Ptr ->
+          let n = Tagged.node tg in
           assert (not (Mem.is_freed (Mem.of_node n)));
           walk (Link.get_quiescent (Link.of_node n))
     in

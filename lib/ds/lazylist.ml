@@ -92,9 +92,10 @@ module Make (S : Smr.Smr_intf.S) = struct
       in
       if Tagged.is_invalid cur_t then `Prot
       else
-        match cur_t with
-        | Tagged.Null _ -> `Done (prev, None)
-        | Tagged.Ptr (cur, _) ->
+        match Tagged.shape cur_t with
+        | Tagged.Null -> `Done (prev, None)
+        | Tagged.Ptr ->
+            let cur = Tagged.node cur_t in
             Mem.check_access (Mem.of_node cur);
             if cur.key >= key then `Done (prev, Some cur)
             else go gcur gprev (Node cur) (Link.get (Link.of_node cur))
@@ -123,11 +124,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     let ok =
       (not (pred_marked pred))
       && (match cur with Some c -> not (Atomic.get c.marked) | None -> true)
-      &&
-      match (Link.get (pred_link t pred), cur) with
-      | Tagged.Ptr (n, _), Some c -> n == c
-      | Tagged.Null _, None -> true
-      | _ -> false
+      && Tagged.same_ptr (Link.get (pred_link t pred)) (Tagged.of_option cur)
     in
     let result = if ok then Some (f ()) else None in
     (match cur with Some c -> Mutex.unlock c.lock | None -> ());
@@ -192,9 +189,9 @@ module Make (S : Smr.Smr_intf.S) = struct
                        successor, invalidated flag on cur's link. *)
                     let next_t = Link.get (Link.of_node cur) in
                     let frontier =
-                      match next_t with
-                      | Tagged.Ptr (n, _) -> [ Mem.of_node n ]
-                      | Tagged.Null _ -> []
+                      match Tagged.shape next_t with
+                      | Tagged.Ptr -> [ Mem.of_node (Tagged.node next_t) ]
+                      | Tagged.Null -> []
                     in
                     ignore
                       (S.try_unlink l.handle ~frontier
@@ -214,9 +211,10 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let to_list t =
     let rec go acc tg =
-      match tg with
-      | Tagged.Null _ -> List.rev acc
-      | Tagged.Ptr (n, _) ->
+      match Tagged.shape tg with
+      | Tagged.Null -> List.rev acc
+      | Tagged.Ptr ->
+          let n = Tagged.node tg in
           let acc =
             if Atomic.get n.marked then acc else (n.key, n.value) :: acc
           in
@@ -228,9 +226,10 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let assert_reachable_not_freed t =
     let rec go tg =
-      match tg with
-      | Tagged.Null _ -> ()
-      | Tagged.Ptr (n, _) ->
+      match Tagged.shape tg with
+      | Tagged.Null -> ()
+      | Tagged.Ptr ->
+          let n = Tagged.node tg in
           assert (not (Mem.is_freed (Mem.of_node n)));
           go (Link.get_quiescent (Link.of_node n))
     in

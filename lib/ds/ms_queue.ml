@@ -50,7 +50,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     in
     C.with_crit l.handle (stats t) (fun () ->
         let tail_t = Link.get t.tail in
-        let tl = Tagged.get_exn tail_t in
+        let tl = Tagged.node tail_t in
         if
           not
             (C.protect_pessimistic ~src:Mem.phantom l.hp_head
@@ -59,8 +59,8 @@ module Make (S : Smr.Smr_intf.S) = struct
         else begin
           Mem.check_access (Mem.of_node tl);
           let next_t = Link.get (Link.of_node tl) in
-          match next_t with
-          | Tagged.Null _ ->
+          match Tagged.shape next_t with
+          | Tagged.Null ->
               if Link.cas_clean (Link.of_node tl) next_t (Tagged.make node)
               then begin
                 (* Swing the tail; losing this CAS is fine (someone helped). *)
@@ -69,7 +69,7 @@ module Make (S : Smr.Smr_intf.S) = struct
                 `Done ()
               end
               else `Retry
-          | Tagged.Ptr _ ->
+          | Tagged.Ptr ->
               (* Tail lags behind: help advance it. *)
               ignore
                 (Link.cas_clean t.tail tail_t (Tagged.untagged next_t));
@@ -79,7 +79,7 @@ module Make (S : Smr.Smr_intf.S) = struct
   let dequeue t l =
     C.with_crit l.handle (stats t) (fun () ->
         let head_t = Link.get t.head in
-        let h = Tagged.get_exn head_t in
+        let h = Tagged.node head_t in
         if
           not
             (C.protect_pessimistic ~src:Mem.phantom l.hp_head
@@ -89,9 +89,10 @@ module Make (S : Smr.Smr_intf.S) = struct
           Mem.check_access (Mem.of_node h);
           let tail_t = Link.get t.tail in
           let next_t = Link.get (Link.of_node h) in
-          match next_t with
-          | Tagged.Null _ -> `Done None
-          | Tagged.Ptr (n, _) ->
+          match Tagged.shape next_t with
+          | Tagged.Null -> `Done None
+          | Tagged.Ptr ->
+              let n = Tagged.node next_t in
               if Tagged.same_ptr head_t tail_t then begin
                 (* Help the lagging tail past the dummy. *)
                 ignore (Link.cas_clean t.tail tail_t (Tagged.untagged next_t));
@@ -127,15 +128,18 @@ module Make (S : Smr.Smr_intf.S) = struct
      test/check_corpus/msqueue-to-list-model.case). *)
   let to_list t =
     let rec walk acc tg =
-      match tg with
-      | Tagged.Null _ -> List.rev acc
-      | Tagged.Ptr (n, _) ->
+      match Tagged.shape tg with
+      | Tagged.Null -> List.rev acc
+      | Tagged.Ptr ->
+          let n = Tagged.node tg in
           let acc = match n.value with Some v -> v :: acc | None -> acc in
           walk acc (Link.get_quiescent (Link.of_node n))
     in
-    match Link.get_quiescent t.head with
-    | Tagged.Null _ -> []
-    | Tagged.Ptr (dummy, _) -> walk [] (Link.get_quiescent (Link.of_node dummy))
+    let head_t = Link.get_quiescent t.head in
+    match Tagged.shape head_t with
+    | Tagged.Null -> []
+    | Tagged.Ptr ->
+        walk [] (Link.get_quiescent (Link.of_node (Tagged.node head_t)))
 
   let length t = List.length (to_list t)
 end

@@ -26,6 +26,10 @@ module Make (S : Smr.Smr_intf.S) = struct
   let is_flagged r = Tagged.tag r land flag_bit <> 0
   let is_tagged r = Tagged.tag r land tag_bit <> 0
 
+  (* [r] is a flagged edge to [leaf]: [leaf]'s delete is past its
+     linearization point. *)
+  let flagged_leaf r leaf = is_flagged r && Tagged.same_ptr r (Tagged.make leaf)
+
   (* Sentinel keys: all user keys must be < inf1. *)
   let inf1 = max_int - 1
   let inf2 = max_int
@@ -162,9 +166,10 @@ module Make (S : Smr.Smr_intf.S) = struct
         in
         if Tagged.is_invalid next_rec then `Prot
         else
-          match next_rec with
-          | Tagged.Null _ -> `Retry
-          | Tagged.Ptr (next, _) ->
+          match Tagged.shape next_rec with
+          | Tagged.Null -> `Retry
+          | Tagged.Ptr ->
+              let next = Tagged.node next_rec in
               Mem.check_access (Mem.of_node next);
               if is_tagged parent_rec then
                 (* The parent edge is frozen: ancestor and successor stay,
@@ -202,9 +207,10 @@ module Make (S : Smr.Smr_intf.S) = struct
       let acc = n :: acc in
       if n.kind = Leaf then List.rev acc
       else
-        match Link.get (child_link n key) with
-        | Tagged.Ptr (m, _) -> walk m acc
-        | Tagged.Null _ -> List.rev acc
+        let child = Link.get (child_link n key) in
+        match Tagged.shape child with
+        | Tagged.Ptr -> walk (Tagged.node child) acc
+        | Tagged.Null -> List.rev acc
     in
     walk successor []
 
@@ -215,9 +221,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     let parent = sr.sr_parent in
     Mem.check_access (Mem.of_node parent);
     let leaf_on_left =
-      match Link.get parent.left with
-      | Tagged.Ptr (n, _) -> n == sr.sr_leaf
-      | Tagged.Null _ -> false
+      Tagged.same_ptr (Link.get parent.left) (Tagged.make sr.sr_leaf)
     in
     let sibling_link = if leaf_on_left then parent.right else parent.left in
     let rec tag_sibling () =
@@ -228,9 +232,10 @@ module Make (S : Smr.Smr_intf.S) = struct
       else tag_sibling ()
     in
     let sib_rec = tag_sibling () in
-    match sib_rec with
-    | Tagged.Null _ -> false
-    | Tagged.Ptr (sibling, _) ->
+    match Tagged.shape sib_rec with
+    | Tagged.Null -> false
+    | Tagged.Ptr ->
+        let sibling = Tagged.node sib_rec in
         (* The sibling moves up with its tag cleared but its flag kept: a
            flagged sibling is a leaf whose own delete is pending, and
            dropping the flag would resurrect it unfrozen, letting an insert
@@ -298,11 +303,8 @@ module Make (S : Smr.Smr_intf.S) = struct
                    delete if that is what blocked us. *)
                 Mem.discard st (Mem.of_node new_leaf);
                 Mem.discard st (Mem.of_node internal);
-                let r = Link.get sr.sr_parent_link in
-                (match r with
-                | Tagged.Ptr (n, _) when n == leaf && is_flagged r ->
-                    ignore (cleanup l key sr)
-                | _ -> ());
+                if flagged_leaf (Link.get sr.sr_parent_link) leaf then
+                  ignore (cleanup l key sr);
                 `Retry
               end
             end)
@@ -326,11 +328,8 @@ module Make (S : Smr.Smr_intf.S) = struct
               end
               else begin
                 (* Someone else flagged this leaf: help, then retry. *)
-                let r = Link.get sr.sr_parent_link in
-                (match r with
-                | Tagged.Ptr (n, _) when n == leaf && is_flagged r ->
-                    ignore (cleanup l key sr)
-                | _ -> ());
+                if flagged_leaf (Link.get sr.sr_parent_link) leaf then
+                  ignore (cleanup l key sr);
                 injection ()
               end
         and pursue leaf =
@@ -362,9 +361,10 @@ module Make (S : Smr.Smr_intf.S) = struct
           else (n.key, Option.get n.value) :: acc
       | Internal ->
           let go link acc =
-            match Link.get_quiescent link with
-            | Tagged.Ptr (m, _) -> walk m acc
-            | Tagged.Null _ -> acc
+            let child = Link.get_quiescent link in
+            match Tagged.shape child with
+            | Tagged.Ptr -> walk (Tagged.node child) acc
+            | Tagged.Null -> acc
           in
           go n.left (go n.right acc)
     in
@@ -376,9 +376,10 @@ module Make (S : Smr.Smr_intf.S) = struct
     let rec walk n =
       assert (not (Mem.is_freed (Mem.of_node n)));
       let go link =
-        match Link.get_quiescent link with
-        | Tagged.Ptr (m, _) -> walk m
-        | Tagged.Null _ -> ()
+        let child = Link.get_quiescent link in
+        match Tagged.shape child with
+        | Tagged.Ptr -> walk (Tagged.node child)
+        | Tagged.Null -> ()
       in
       go n.left;
       go n.right

@@ -92,9 +92,9 @@ module Make (S : Smr.Smr_intf.S) = struct
   let snip l ~pred_links ~lvl ~cur ~cur_t ~next_t =
     let desired = Tagged.with_tag next_t 0 in
     let frontier =
-      match next_t with
-      | Tagged.Ptr (f, _) -> [ Mem.of_node f ]
-      | Tagged.Null _ -> []
+      match Tagged.shape next_t with
+      | Tagged.Ptr -> [ Mem.of_node (Tagged.node next_t) ]
+      | Tagged.Null -> []
     in
     let ok =
       S.try_unlink l.handle ~frontier
@@ -160,9 +160,10 @@ module Make (S : Smr.Smr_intf.S) = struct
           match protect_cur gcur pred.links lvl cur_t with
           | None -> `Prot
           | Some cur_t -> (
-              match cur_t with
-              | Tagged.Null _ -> descend gpred gcur pred cur_t None
-              | Tagged.Ptr (cur, _) ->
+              match Tagged.shape cur_t with
+              | Tagged.Null -> descend gpred gcur pred cur_t None
+              | Tagged.Ptr ->
+                  let cur = Tagged.node cur_t in
                   Mem.check_access (Mem.of_node cur);
                   let next_t = Link.get cur.next.(lvl) in
                   if Tagged.is_deleted next_t then
@@ -233,9 +234,10 @@ module Make (S : Smr.Smr_intf.S) = struct
       in
       if Tagged.is_invalid cur_t then `Prot
       else
-        match cur_t with
-        | Tagged.Null _ -> descend gpred gcur lvl links
-        | Tagged.Ptr (cur, _) ->
+        match Tagged.shape cur_t with
+        | Tagged.Null -> descend gpred gcur lvl links
+        | Tagged.Ptr ->
+            let cur = Tagged.node cur_t in
             Mem.check_access (Mem.of_node cur);
             let next_t = Link.get cur.next.(lvl) in
             if cur.key < key then level gcur gpred lvl cur.next next_t
@@ -359,9 +361,10 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let to_list t =
     let rec walk acc tg =
-      match tg with
-      | Tagged.Null _ -> List.rev acc
-      | Tagged.Ptr (n, _) ->
+      match Tagged.shape tg with
+      | Tagged.Null -> List.rev acc
+      | Tagged.Ptr ->
+          let n = Tagged.node tg in
           let next_t = Link.get_quiescent n.next.(0) in
           let acc =
             if Tagged.is_deleted next_t then acc else (n.key, n.value) :: acc
@@ -376,9 +379,10 @@ module Make (S : Smr.Smr_intf.S) = struct
     Array.iter
       (fun link ->
         let rec walk tg =
-          match tg with
-          | Tagged.Null _ -> ()
-          | Tagged.Ptr (n, _) ->
+          match Tagged.shape tg with
+          | Tagged.Null -> ()
+          | Tagged.Ptr ->
+              let n = Tagged.node tg in
               assert (not (Mem.is_freed (Mem.of_node n)));
               walk (Link.get_quiescent n.next.(0))
         in

@@ -36,18 +36,19 @@ module Make (S : Smr.Smr_intf.S) = struct
     C.with_crit l.handle (stats t) (fun () ->
         let top_t = Link.get t.top in
         node.next <-
-          (match top_t with
-          | Tagged.Ptr (n, _) -> Some n
-          | Tagged.Null _ -> None);
+          (match Tagged.shape top_t with
+          | Tagged.Ptr -> Some (Tagged.node top_t)
+          | Tagged.Null -> None);
         if Link.cas_clean t.top top_t (Tagged.make node) then `Done ()
         else `Retry)
 
   let pop t l =
     C.with_crit l.handle (stats t) (fun () ->
         let top_t = Link.get t.top in
-        match top_t with
-        | Tagged.Null _ -> `Done None
-        | Tagged.Ptr (n, _) ->
+        match Tagged.shape top_t with
+        | Tagged.Null -> `Done None
+        | Tagged.Ptr ->
+            let n = Tagged.node top_t in
             if
               not
                 (C.protect_pessimistic ~src:Mem.phantom l.hp
@@ -65,9 +66,10 @@ module Make (S : Smr.Smr_intf.S) = struct
   let peek t l =
     C.with_crit l.handle (stats t) (fun () ->
         let top_t = Link.get t.top in
-        match top_t with
-        | Tagged.Null _ -> `Done None
-        | Tagged.Ptr (n, _) ->
+        match Tagged.shape top_t with
+        | Tagged.Null -> `Done None
+        | Tagged.Ptr ->
+            let n = Tagged.node top_t in
             if
               not
                 (C.protect_pessimistic ~src:Mem.phantom l.hp
@@ -85,9 +87,10 @@ module Make (S : Smr.Smr_intf.S) = struct
       | None -> List.rev acc
       | Some n -> walk (n.value :: acc) n.next
     in
-    match Link.get_quiescent t.top with
-    | Tagged.Null _ -> []
-    | Tagged.Ptr (n, _) -> walk [] (Some n)
+    let top_t = Link.get_quiescent t.top in
+    match Tagged.shape top_t with
+    | Tagged.Null -> []
+    | Tagged.Ptr -> walk [] (Some (Tagged.node top_t))
 
   let length t = List.length (to_list t)
 end

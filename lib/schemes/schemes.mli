@@ -11,3 +11,11 @@ val all : (string * (module Smr.Smr_intf.S)) list
 val names : string list
 
 val find : string -> (module Smr.Smr_intf.S) option
+
+val reclaims : (module Smr.Smr_intf.S) -> bool
+(** Whether the scheme ever frees what it retires, found by running it: a
+    fresh instance retires one block nobody protects, flushes a few times,
+    and reports whether it freed anything. NR answers false. *)
+
+val reclaiming : unit -> (string * (module Smr.Smr_intf.S)) list
+(** The entries of {!all} that {!reclaims}, in column order. *)

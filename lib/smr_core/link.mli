@@ -4,8 +4,9 @@
     link ({!make}, {!null}) is a block of its own. A list node embeds its
     successor link instead: the node's record declares a [mutable] {!cell}
     as its {e first} field, and {!of_node} views the node itself as that
-    link, so a traversal step loads the node and the tagged block and
-    nothing in between. Structures with several successors per node (the
+    link. A clean value in the link is the successor node itself
+    ({!Tagged}), so a traversal step over a clean link loads one block, the
+    successor. Structures with several successors per node (the
     trees, the skip list) keep one {!make}/{!null} block per successor. *)
 
 type 'a t
@@ -39,8 +40,9 @@ val get_quiescent : 'a t -> 'a Tagged.t
     contract cannot silently leak into concurrent paths. *)
 
 val cas : 'a t -> 'a Tagged.t -> 'a Tagged.t -> bool
-(** Compare-and-set by physical equality of the tagged record previously
-    read with {!get}. *)
+(** Compare-and-set by physical equality with the value previously read
+    with {!get}: node identity for a clean value (the paper's word CAS),
+    the very mark block read for a tagged one. *)
 
 val cas_clean : 'a t -> 'a Tagged.t -> 'a Tagged.t -> bool
 (** Like {!cas}, but additionally fails when [expected] carries any tag
@@ -48,7 +50,7 @@ val cas_clean : 'a t -> 'a Tagged.t -> 'a Tagged.t -> bool
     [compare_exchange(untagged_ptr, desired)]: structural CASes (insert,
     unlink) must fail if the source link was logically deleted or
     invalidated in the meantime — even when the traversal legitimately kept
-    going past that point (optimistic traversal may hold a tagged record of
+    going past that point (optimistic traversal may hold a tagged value of
     the link after HP++'s TryProtect chased a concurrent update). *)
 
 val set : 'a t -> 'a Tagged.t -> unit

@@ -1,50 +1,62 @@
-(** Tagged pointers, the paper's low-bit encoding lifted to a variant.
+(** Tagged pointers: the paper's one-word pointer with mark bits in its low
+    bits.
 
-    The C/Rust implementations pack mark bits into pointer low bits. Here a
-    tagged pointer is an immutable block — [Null tag] or [Ptr (node, tag)] —
-    stored in an [Atomic.t]; a traversal step matches on the constructor, so
-    reading the target allocates nothing and chases no [option] box. Every
-    write stores a freshly allocated block and CAS compares blocks
-    physically, which gives the same single-word CAS semantics. Bit 0
-    ([deleted]) is logical deletion (Harris); bit 1 ([invalid]) is HP++
-    invalidation (§3.2). *)
+    A clean, non-null value {e is} the node, so {!make} allocates nothing
+    and a link that holds a clean value costs a reader one block, the node.
+    A null value is an immediate. Only a non-null value with tag bits set
+    is a small block of its own, made fresh by every {!with_tag} or
+    {!set_bits}. A link's CAS compares values physically: for a clean value
+    that is node identity, the paper's word CAS; the algorithms, not fresh
+    boxes, keep it free of ABA. Bit 0 ([deleted]) is logical deletion
+    (Harris); bit 1 ([invalid]) is HP++ invalidation (§3.2).
 
-type 'a t = private Null of int | Ptr of 'a * int
+    Nodes must be records with at least one non-float field (a tag-0
+    block); a value whose block tag is anything else breaks the
+    representation. *)
+
+type 'a t
+
+type shape = Null | Ptr
+(** What a value points at, without its target: read it with {!shape},
+    then take a [Ptr]'s target with {!node}. *)
 
 val deleted_bit : int
 val invalid_bit : int
 
 val null : 'a t
-(** [Null 0], shared. *)
+(** Null, tag 0. *)
 
 val invalid : 'a t
-(** [Null invalid_bit], shared: what [Ds_common.try_protect] returns on
+(** Null with the invalid bit: what [Ds_common.try_protect] returns on
     every failure, so a failed protection never hands out a node. *)
 
 val make : ?tag:int -> 'a -> 'a t
-(** A fresh [Ptr]. *)
+(** [make n] is [n] itself; [make ~tag n] with [tag <> 0] is a fresh
+    mark block. *)
 
 val of_option : ?tag:int -> 'a option -> 'a t
-(** A fresh [Ptr] or [Null]. *)
+
+val shape : 'a t -> shape
+val node : 'a t -> 'a
+(** The target of a non-null value, whatever its tag. Undefined on null:
+    test {!shape} or {!is_null} first. *)
 
 val tag : 'a t -> int
-
-val get_exn : 'a t -> 'a
-(** @raise Invalid_argument on null. *)
-
 val is_null : 'a t -> bool
 val is_deleted : 'a t -> bool
 val is_invalid : 'a t -> bool
 
 val with_tag : 'a t -> int -> 'a t
-(** Same pointer, new tag (a fresh block: safe wrt physical-equality CAS). *)
+(** Same target, new tag: the target itself for tag 0 and a fresh mark
+    block otherwise. *)
 
 val set_bits : 'a t -> int -> 'a t
 (** OR extra bits into the tag. *)
 
 val untagged : 'a t -> 'a t
-(** Same pointer, tag 0. Used by HP++ validation, which must ignore logical
+(** Same target, tag 0. Used by HP++ validation, which must ignore logical
     deletion marks (Algorithm 3 line 9). *)
 
 val same_ptr : 'a t -> 'a t -> bool
-(** Physical equality of targets, ignoring tags. *)
+(** Physical equality of targets, ignoring tags. Its first test is
+    [a == b], which settles two reads of one clean link at once. *)

@@ -12,13 +12,15 @@ let lookup t l key =
       C.try_protect ~src l.hp l.handle ~src_link:link expected
     in
     if Tagged.is_invalid cur then
-      match expected with
-      | Tagged.Ptr (n, _) when n.key = key -> Some n.value
+      match Tagged.shape expected with
+      | Tagged.Ptr when (Tagged.node expected).key = key ->
+          Some (Tagged.node expected).value
       | _ -> None
     else
-      match cur with
-      | Tagged.Null _ -> None
-      | Tagged.Ptr (n, _) ->
+      match Tagged.shape cur with
+      | Tagged.Null -> None
+      | Tagged.Ptr ->
+          let n = Tagged.node cur in
           if n.key = key then Some n.value else go (Mem.of_node n) n.next
   in
   go Mem.phantom t.head

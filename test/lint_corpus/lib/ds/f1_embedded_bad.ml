@@ -7,8 +7,9 @@
 
 let length t =
   let rec go acc l =
-    match Link.get l with
-    | Tagged.Null _ -> acc
-    | Tagged.Ptr (n, _) -> go (acc + 1) (Link.of_node n)
+    let r = Link.get l in
+    match Tagged.shape r with
+    | Tagged.Null -> acc
+    | Tagged.Ptr -> go (acc + 1) (Link.of_node (Tagged.node r))
   in
   go 0 t.head

@@ -10,9 +10,10 @@ let length t l =
     in
     if Tagged.is_invalid cur then None
     else
-      match cur with
-      | Tagged.Null _ -> Some acc
-      | Tagged.Ptr (n, _) ->
+      match Tagged.shape cur with
+      | Tagged.Null -> Some acc
+      | Tagged.Ptr ->
+          let n = Tagged.node cur in
           let next = Link.of_node n in
           go (acc + 1) (Mem.of_node n) next (Link.get next)
   in

@@ -11,9 +11,10 @@ let lookup t l key =
     in
     if Tagged.is_invalid cur then None
     else
-      match cur with
-      | Tagged.Null _ -> None
-      | Tagged.Ptr (n, _) ->
+      match Tagged.shape cur with
+      | Tagged.Null -> None
+      | Tagged.Ptr ->
+          let n = Tagged.node cur in
           if n.key = key then Some n.value
           else go (Mem.of_node n) n.next (Link.get n.next)
   in

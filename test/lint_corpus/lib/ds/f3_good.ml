@@ -11,9 +11,10 @@ let pop t l =
   in
   if Tagged.is_invalid cur then None
   else
-    match cur with
-    | Tagged.Null _ -> None
-    | Tagged.Ptr (n, _) ->
+    match Tagged.shape cur with
+    | Tagged.Null -> None
+    | Tagged.Ptr ->
+        let n = Tagged.node cur in
         if Link.cas t.head cur (Link.get n.next) then begin
           S.retire l.handle cur;
           Some n.value

@@ -5,8 +5,9 @@
 
 let length t =
   let rec go acc l =
-    match Link.get_quiescent l with
-    | Tagged.Null _ -> acc
-    | Tagged.Ptr (n, _) -> go (acc + 1) n.next
+    let r = Link.get_quiescent l in
+    match Tagged.shape r with
+    | Tagged.Null -> acc
+    | Tagged.Ptr -> go (acc + 1) (Tagged.node r).next
   in
   go 0 t.head

@@ -43,9 +43,12 @@ let raw_bad =
   {|
 let lookup t key =
   let rec go l =
-    match Link.get l with
-    | Tagged.Null _ -> None
-    | Tagged.Ptr (n, _) -> if n.key = key then Some n.value else go n.next
+    let r = Link.get l in
+    match Tagged.shape r with
+    | Tagged.Null -> None
+    | Tagged.Ptr ->
+        let n = Tagged.node r in
+        if n.key = key then Some n.value else go n.next
   in
   go t.head
 |}
@@ -60,9 +63,10 @@ let lookup t l key =
     in
     if Tagged.is_invalid cur then None
     else
-      match cur with
-      | Tagged.Null _ -> None
-      | Tagged.Ptr (n, _) ->
+      match Tagged.shape cur with
+      | Tagged.Null -> None
+      | Tagged.Ptr ->
+          let n = Tagged.node cur in
           if n.key = key then Some n.value
           else go (Mem.of_node n) n.next (Link.get n.next)
   in
@@ -187,9 +191,11 @@ let test_f1_basics () =
     {|
 let to_list t =
   let rec walk acc tg =
-    match tg with
-    | Tagged.Null _ -> List.rev acc
-    | Tagged.Ptr (n, _) -> walk (n.value :: acc) (Link.get n.next)
+    match Tagged.shape tg with
+    | Tagged.Null -> List.rev acc
+    | Tagged.Ptr ->
+        let n = Tagged.node tg in
+        walk (n.value :: acc) (Link.get n.next)
   in
   walk [] (Link.get t.head)
 |};
@@ -197,16 +203,18 @@ let to_list t =
   check_silent "no deref of fetched node" ~path:ds_path raw_good_no_deref;
   check_silent "out of ds scope" ~path:scheme_path raw_bad;
   (* a try_protect result is Validated only on its not-invalid branch:
-     matching it directly, or after rebinding its name, validates nothing *)
+     matching its shape unchecked, or checking it after rebinding its
+     name, validates nothing *)
   check_fires "try_protect result matched unchecked" "F1" ~path:ds_path
     {|
 let peek t l =
-  match
+  let r =
     C.try_protect ~src:Mem.phantom l.hp l.handle ~src_link:t.head
       (Link.get t.head)
-  with
-  | Tagged.Ptr (n, _) -> n.key
-  | Tagged.Null _ -> 0
+  in
+  match Tagged.shape r with
+  | Tagged.Ptr -> (Tagged.node r).key
+  | Tagged.Null -> 0
 |};
   check_fires "rebound name loses the refinement" "F1" ~path:ds_path
     {|
@@ -217,7 +225,7 @@ let peek t l =
   in
   let r = Link.get t.head in
   if Tagged.is_invalid r then 0
-  else match r with Tagged.Ptr (n, _) -> n.key | Tagged.Null _ -> 0
+  else match Tagged.shape r with Tagged.Ptr -> (Tagged.node r).key | Tagged.Null -> 0
 |};
   (* announced but never validated: still F1 *)
   check_fires "protected but never validated" "F1" ~path:ds_path
@@ -225,7 +233,7 @@ let peek t l =
 let peek t l =
   let cur = Link.get t.head in
   S.protect l.hp cur;
-  match cur with Tagged.Ptr (n, _) -> n.key | Tagged.Null _ -> 0
+  match Tagged.shape cur with Tagged.Ptr -> (Tagged.node cur).key | Tagged.Null -> 0
 |}
 
 (* Must-dominate at a join: one branch validates, the other does not, so
@@ -238,7 +246,7 @@ let lookup t l b =
   let cur = Link.get t.head in
   S.protect l.hp cur;
   (if b then if not (S.protection_valid l.handle) then raise Exit);
-  match cur with Tagged.Ptr (n, _) -> n.key | Tagged.Null _ -> 0
+  match Tagged.shape cur with Tagged.Ptr -> (Tagged.node cur).key | Tagged.Null -> 0
 |};
   check_silent "unconditional validation" ~path:ds_path
     {|
@@ -246,7 +254,7 @@ let lookup t l =
   let cur = Link.get t.head in
   S.protect l.hp cur;
   if not (S.protection_valid l.handle) then raise Exit;
-  match cur with Tagged.Ptr (n, _) -> n.key | Tagged.Null _ -> 0
+  match Tagged.shape cur with Tagged.Ptr -> (Tagged.node cur).key | Tagged.Null -> 0
 |}
 
 (* CFG corner cases: the deref lives in a while-loop condition, in a try
@@ -255,7 +263,7 @@ let test_f1_cfg_corners () =
   check_fires "deref in while condition" "F1" ~path:ds_path
     {|
 let spin t =
-  while (match Link.get t.head with Tagged.Ptr (n, _) -> n.key = 0 | Tagged.Null _ -> false) do
+  while (let h = Link.get t.head in match Tagged.shape h with Tagged.Ptr -> (Tagged.node h).key = 0 | Tagged.Null -> false) do
     ignore (Link.get t.head)
   done
 |};
@@ -263,7 +271,7 @@ let spin t =
     {|
 let risky t =
   try find t with Not_found ->
-    (match Link.get t.head with Tagged.Ptr (n, _) -> n.key | Tagged.Null _ -> 0)
+    (let h = Link.get t.head in match Tagged.shape h with Tagged.Ptr -> (Tagged.node h).key | Tagged.Null -> 0)
 |};
   check_silent "validate-or-raise with local handler" ~path:ds_path
     {|
@@ -272,7 +280,7 @@ let safe t l =
     let cur = Link.get t.head in
     S.protect l.hp cur;
     if not (S.protection_valid l.handle) then raise Restart;
-    match cur with Tagged.Ptr (n, _) -> Some n.key | Tagged.Null _ -> None
+    match Tagged.shape cur with Tagged.Ptr -> Some (Tagged.node cur).key | Tagged.Null -> None
   with Restart -> None
 |}
 
@@ -284,9 +292,10 @@ let test_f1_interprocedural () =
 let read_key n = n.key
 
 let lookup t =
-  match Link.get t.head with
-  | Tagged.Null _ -> 0
-  | Tagged.Ptr (n, _) -> read_key n
+  let h = Link.get t.head in
+  match Tagged.shape h with
+  | Tagged.Null -> 0
+  | Tagged.Ptr -> read_key (Tagged.node h)
 |};
   check_silent "validated arg into deref-ing helper" ~path:ds_path
     {|
@@ -298,7 +307,7 @@ let lookup t l =
       (Link.get t.head)
   in
   if Tagged.is_invalid cur then 0
-  else match cur with Tagged.Null _ -> 0 | Tagged.Ptr (n, _) -> read_key n
+  else match Tagged.shape cur with Tagged.Null -> 0 | Tagged.Ptr -> read_key (Tagged.node cur)
 |}
 
 let test_f2 () =
@@ -345,9 +354,10 @@ let pop t l =
   in
   if Tagged.is_invalid cur then None
   else
-    match cur with
-    | Tagged.Null _ -> None
-    | Tagged.Ptr (n, _) ->
+    match Tagged.shape cur with
+    | Tagged.Null -> None
+    | Tagged.Ptr ->
+        let n = Tagged.node cur in
         if Link.cas t.head cur (Link.get n.next) then begin
           S.retire l.handle cur;
           Some n.value
@@ -411,9 +421,10 @@ let rotate t =
     {|
 let length t =
   let rec go acc l =
-    match Link.get_quiescent l with
-    | Tagged.Null _ -> acc
-    | Tagged.Ptr (n, _) -> go (acc + 1) n.next
+    let r = Link.get_quiescent l in
+    match Tagged.shape r with
+    | Tagged.Null -> acc
+    | Tagged.Ptr -> go (acc + 1) (Tagged.node r).next
   in
   go 0 t.head
 |}
@@ -505,9 +516,11 @@ let rec walk t l link expected =
   if Tagged.is_invalid cur then None else step t l cur
 
 and step t l cur =
-  match cur with
-  | Tagged.Null _ -> None
-  | Tagged.Ptr (n, _) -> walk t l n.next (Link.get n.next)
+  match Tagged.shape cur with
+  | Tagged.Null -> None
+  | Tagged.Ptr ->
+      let n = Tagged.node cur in
+      walk t l n.next (Link.get n.next)
 |}
 
 let converge_summaries src =
@@ -567,9 +580,11 @@ let rec walk t l link expected =
   if Tagged.is_invalid cur then step t l (Link.get link) else step t l cur
 
 and step t l cur =
-  match cur with
-  | Tagged.Null _ -> None
-  | Tagged.Ptr (n, _) -> walk t l n.next (Link.get n.next)
+  match Tagged.shape cur with
+  | Tagged.Null -> None
+  | Tagged.Ptr ->
+      let n = Tagged.node cur in
+      walk t l n.next (Link.get n.next)
 |}
 
 (* --- Engine internals: sidecar round trip ------------------------------------ *)
@@ -642,10 +657,13 @@ let test_pragma_suppression () =
     {|
 let lookup t key =
   let rec go l =
-    match Link.get l with
-    | Tagged.Null _ -> None
-    (* smr-lint: allow F1 — fixture: reads run quiescently *)
-    | Tagged.Ptr (n, _) -> if n.key = key then Some n.value else go n.next
+    let r = Link.get l in
+    match Tagged.shape r with
+    | Tagged.Null -> None
+    | Tagged.Ptr ->
+        let n = Tagged.node r in
+        (* smr-lint: allow F1 — fixture: reads run quiescently *)
+        if n.key = key then Some n.value else go n.next
   in
   go t.head
 |}
@@ -678,9 +696,10 @@ let test_pragma_wrong_line_does_not_suppress () =
      let a = 0\n\
      let b = 0\n\
      let lookup t =\n\
-    \  match Link.get t.head with\n\
-     | Tagged.Ptr (n, _) -> Some n.value\n\
-     | Tagged.Null _ -> None\n"
+    \  let h = Link.get t.head in\n\
+    \  match Tagged.shape h with\n\
+     | Tagged.Ptr -> Some (Tagged.node h).value\n\
+     | Tagged.Null -> None\n"
   in
   let findings, _ = analyze ~path:ds_path text in
   let ids = rule_ids findings in

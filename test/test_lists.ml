@@ -62,13 +62,17 @@ let test_hpp_plain_fence_list () =
   Alcotest.(check int) "drained" 0 (Stats.unreclaimed (Hp_plus.stats scheme));
   Hp_plus.unregister h
 
-(* Minor-heap words per successful HHSList insert under HP++, on one
-   domain. Keys go in descending order, so each insert lands at the head
-   and retires nothing. An insert allocates the node, the tagged block its
-   own link is set to, the one that publishes it and the crit-section
-   closures; the node embeds its link and its header word, so neither a
-   link block nor a header block. *)
-let minor_words_per_insert () =
+(* Minor-heap words per successful HHSList insert and remove under HP++,
+   on one domain. Inserts go in descending key order, so each lands at the
+   head and retires nothing; the removes then take the keys in ascending
+   order, so each finds its node first and unlinks it alone. An insert
+   allocates the node and the crit-section closures: the node embeds its
+   link and its header word, and a clean link is the node itself, so the
+   insert makes neither a link block, a header block nor a tagged block.
+   A remove allocates its one mark block (the deleted bit on the node's
+   link), the crit-section closures and the TryUnlink batch (frontier,
+   unlinked list and the deferred invalidation). *)
+let minor_words_per_update () =
   let module L = Smr_ds.Hhslist.Make (Hp_plus) in
   let scheme = Hp_plus.create () in
   let t = L.create scheme in
@@ -80,19 +84,34 @@ let minor_words_per_insert () =
   for k = n downto 1 do
     assert (L.insert t lo k k)
   done;
-  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  let insert = (Gc.minor_words () -. before) /. float_of_int n in
+  let before = Gc.minor_words () in
+  for k = 1 to n do
+    assert (L.remove t lo k)
+  done;
+  let remove = (Gc.minor_words () -. before) /. float_of_int n in
   L.clear_local lo;
   Hp_plus.unregister h;
-  words
+  (insert, remove)
 
 let test_alloc_per_insert ~bound () =
-  let words = minor_words_per_insert () in
+  let words, _ = minor_words_per_update () in
   Printf.printf "HP++: %.2f minor words per HHSList insert\n%!" words;
   if words > bound then
     Alcotest.failf
       "HP++: %.2f minor words per HHSList insert exceeds %.0f: the node no \
-       longer embeds its link or its header, or the crit section allocates \
-       before its first restart"
+       longer embeds its link or its header, a clean link is boxed, or the \
+       crit section allocates before its first restart"
+      words bound
+
+let test_alloc_per_remove ~bound () =
+  let _, words = minor_words_per_update () in
+  Printf.printf "HP++: %.2f minor words per HHSList remove\n%!" words;
+  if words > bound then
+    Alcotest.failf
+      "HP++: %.2f minor words per HHSList remove exceeds %.0f: the remove \
+       allocates more than its mark block, the crit section and its \
+       TryUnlink batch"
       words bound
 
 (* [C.with_crit] restarts its body on [`Prot] and [`Retry] and counts a
@@ -186,7 +205,9 @@ let () =
           Alcotest.test_case "hhslist get over 512 nodes EBR" `Quick
             (Hhs_ebr.test_alloc_per_get ~size:512 ~bound:19.);
           Alcotest.test_case "hhslist insert HP++" `Quick
-            (test_alloc_per_insert ~bound:51.);
+            (test_alloc_per_insert ~bound:45.);
+          Alcotest.test_case "hhslist remove HP++" `Quick
+            (test_alloc_per_remove ~bound:101.);
         ] );
       ( "with_crit",
         [

@@ -31,9 +31,10 @@ let build_list scheme t lo =
   ignore scheme;
   let node k =
     let rec find tg =
-      match tg with
-      | Tagged.Null _ -> Alcotest.failf "node %d not found" k
-      | Tagged.Ptr (n, _) ->
+      match Tagged.shape tg with
+      | Tagged.Null -> Alcotest.failf "node %d not found" k
+      | Tagged.Ptr ->
+          let n = Tagged.node tg in
           if n.L.key = k then n else find (Link.get (Link.of_node n))
     in
     find (Link.get t.L.head)
@@ -62,12 +63,12 @@ let test_scenario_one () =
   let p, q, _r = build_list scheme t lo2 in
   (* T1 walks h->p and validates protection of p. *)
   let hp_prev = Hp_plus.guard t1 and hp_cur = Hp_plus.guard t1 in
-  (match
+  (let tg =
      C.try_protect ~src:Mem.phantom hp_cur t1
        ~src_link:t.L.head (Link.get t.L.head)
-   with
-  | Tagged.Ptr (n, 0) when n == p -> ()
-  | _ -> Alcotest.fail "protection of p must succeed");
+   in
+   if not (Tagged.tag tg = 0 && Tagged.same_ptr tg (Tagged.make p)) then
+     Alcotest.fail "protection of p must succeed");
   (* A stalled remover marked p and q; T2's traversal (any operation
      passing by) unlinks the whole chain with one CAS. *)
   mark p;

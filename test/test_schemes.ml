@@ -564,9 +564,19 @@ let test_nr_leaks () =
   Alcotest.(check int) "counted as garbage" 1 (Stats.unreclaimed (Nr.stats t));
   Nr.unregister h
 
+(* The table's reclaim probe: every scheme frees an unprotected retired
+   block after a few flushes, except NR, which never frees. *)
+let test_reclaim_probe () =
+  Alcotest.(check (list string))
+    "schemes that reclaim"
+    [ "EBR"; "PEBR"; "HP"; "HP++"; "RC" ]
+    (List.map fst (Schemes.reclaiming ()))
+
 let () =
   Alcotest.run "schemes"
     [
+      ( "table",
+        [ Alcotest.test_case "reclaim probe" `Quick test_reclaim_probe ] );
       ("contract:HP", Contract_hp.tests);
       ("contract:HP++", Contract_hpp.tests);
       ("contract:EBR", Contract_ebr.tests);

@@ -422,8 +422,12 @@ let test_fence_store_buffering () =
     (Printf.sprintf "rounds where both sides missed (of %d)" n)
     0 !both_missed
 
+(* A node stand-in: a record, so a tag-0 block like every real node. *)
+type tnode = { tid : int }
+
 let test_tagged_basics () =
-  let t = Tagged.make ~tag:0 42 in
+  let n = { tid = 42 } in
+  let t = Tagged.make ~tag:0 n in
   Alcotest.(check bool) "not deleted" false (Tagged.is_deleted t);
   let d = Tagged.set_bits t Tagged.deleted_bit in
   Alcotest.(check bool) "deleted" true (Tagged.is_deleted d);
@@ -433,29 +437,116 @@ let test_tagged_basics () =
     (Tagged.is_deleted i && Tagged.is_invalid i);
   Alcotest.(check int) "untag" 0 (Tagged.tag (Tagged.untagged i));
   Alcotest.(check bool) "null" true (Tagged.is_null Tagged.null);
-  Alcotest.(check int) "get_exn" 42 (Tagged.get_exn t)
+  Alcotest.(check int) "node" 42 (Tagged.node t).tid
+
+(* A clean value is the node block itself: making one, or clearing the tag
+   of one, allocates nothing. *)
+let test_tagged_clean_is_node () =
+  let n = { tid = 1 } in
+  Alcotest.(check bool) "make n is n" true
+    (Obj.repr (Tagged.make n) == Obj.repr n);
+  Alcotest.(check bool) "with_tag _ 0 of a clean value is the node" true
+    (Obj.repr (Tagged.with_tag (Tagged.make n) 0) == Obj.repr n);
+  let iters = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to iters do
+    let t = Sys.opaque_identity (Tagged.make (Sys.opaque_identity n)) in
+    ignore (Sys.opaque_identity (Tagged.untagged t));
+    ignore (Sys.opaque_identity (Tagged.with_tag t 0))
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words for clean make/untagged/with_tag 0"
+    0. words
+
+(* A value with tag bits keeps its target and bits through every operation,
+   and is a block of its own whose header tag is not a node's. *)
+let test_tagged_marked_round_trip () =
+  let n = { tid = 7 } in
+  for tag = 1 to 7 do
+    let t = Tagged.make ~tag n in
+    Alcotest.(check bool) "marked: a block of its own, tag <> 0" true
+      (Obj.repr t != Obj.repr n && Obj.tag (Obj.repr t) <> 0);
+    Alcotest.(check bool) "shape Ptr" true (Tagged.shape t = Tagged.Ptr);
+    Alcotest.(check bool) "target" true (Tagged.node t == n);
+    Alcotest.(check int) "bits" tag (Tagged.tag t);
+    Alcotest.(check int) "set_bits adds" (tag lor 4)
+      (Tagged.tag (Tagged.set_bits t 4));
+    Alcotest.(check bool) "set_bits keeps the target" true
+      (Tagged.node (Tagged.set_bits t 4) == n);
+    Alcotest.(check bool) "untagged is the node again" true
+      (Obj.repr (Tagged.untagged t) == Obj.repr n);
+    Alcotest.(check bool) "of_option agrees" true
+      (Tagged.tag (Tagged.of_option ~tag (Some n)) = tag
+      && Tagged.node (Tagged.of_option ~tag (Some n)) == n)
+  done
 
 let test_tagged_same_ptr () =
   let a = ref 1 and b = ref 1 in
   let ta = Tagged.make a in
   let ta' = Tagged.make ~tag:3 a in
+  let ta'' = Tagged.make ~tag:Tagged.invalid_bit a in
   let tb = Tagged.make b in
   Alcotest.(check bool) "same target, tags differ" true
     (Tagged.same_ptr ta ta');
+  Alcotest.(check bool) "marked, marked" true (Tagged.same_ptr ta'' ta');
+  Alcotest.(check bool) "marked, clean" true (Tagged.same_ptr ta' ta);
   Alcotest.(check bool) "equal but distinct refs" false (Tagged.same_ptr ta tb);
+  Alcotest.(check bool) "marked, other clean" false (Tagged.same_ptr ta' tb);
   Alcotest.(check bool) "null = null" true
     (Tagged.same_ptr Tagged.null Tagged.null);
-  Alcotest.(check bool) "null vs some" false (Tagged.same_ptr Tagged.null ta)
+  Alcotest.(check bool) "null vs some" false (Tagged.same_ptr Tagged.null ta);
+  Alcotest.(check bool) "null vs marked" false
+    (Tagged.same_ptr ta' Tagged.null)
 
+let test_tagged_null_invalid () =
+  Alcotest.(check bool) "null: shape" true
+    (Tagged.shape Tagged.null = Tagged.Null);
+  Alcotest.(check int) "null: tag" 0 (Tagged.tag Tagged.null);
+  Alcotest.(check bool) "null: not invalid" false
+    (Tagged.is_invalid Tagged.null);
+  Alcotest.(check bool) "invalid: null" true (Tagged.is_null Tagged.invalid);
+  Alcotest.(check bool) "invalid: invalid" true
+    (Tagged.is_invalid Tagged.invalid);
+  Alcotest.(check bool) "invalid: not deleted" false
+    (Tagged.is_deleted Tagged.invalid);
+  Alcotest.(check bool) "invalid = null, by target" true
+    (Tagged.same_ptr Tagged.invalid Tagged.null);
+  Alcotest.(check bool) "null with bits set is still null" true
+    (Tagged.is_null (Tagged.set_bits Tagged.null Tagged.deleted_bit)
+    && Tagged.tag (Tagged.set_bits Tagged.null Tagged.deleted_bit) = 1);
+  Alcotest.(check bool) "untagged invalid is null" true
+    (Tagged.untagged Tagged.invalid == Tagged.null)
+
+(* Link CAS compares values physically: a clean value is its node, so a
+   re-made clean value matches (the paper's word CAS), and a marked value
+   matches only the very block read. *)
 let test_link_cas_physical () =
   let n1 = ref 1 and n2 = ref 2 in
-  let t1 = Tagged.make n1 in
-  let link = Link.make t1 in
-  let t1_lookalike = Tagged.make n1 in
-  Alcotest.(check bool) "CAS with a re-made record fails" false
-    (Link.cas link t1_lookalike (Tagged.make n2));
-  Alcotest.(check bool) "CAS with the read record succeeds" true
-    (Link.cas link t1 (Tagged.make n2))
+  let link = Link.make (Tagged.make n1) in
+  Alcotest.(check bool) "CAS with a re-made clean value succeeds" true
+    (Link.cas link (Tagged.make n1) (Tagged.make ~tag:1 n2));
+  Alcotest.(check bool) "CAS with a re-made marked value fails" false
+    (Link.cas link (Tagged.make ~tag:1 n2) (Tagged.make n1));
+  Alcotest.(check bool) "CAS with the read marked value succeeds" true
+    (Link.cas link (Link.get link) (Tagged.make n1))
+
+(* [cas_clean] fails when the link was tagged after it was read, and when
+   the value read carried a tag. *)
+let test_link_cas_clean () =
+  let n1 = ref 1 and n2 = ref 2 in
+  let link = Link.make (Tagged.make n1) in
+  let read = Link.get link in
+  assert (Link.cas link read (Tagged.set_bits read Tagged.deleted_bit));
+  Alcotest.(check bool) "link tagged since the read: fails" false
+    (Link.cas_clean link read (Tagged.make n2));
+  Alcotest.(check bool) "tagged expected value: fails" false
+    (Link.cas_clean link (Link.get link) (Tagged.make n2));
+  Alcotest.(check bool) "the link kept its tagged value" true
+    (Tagged.is_deleted (Link.get link)
+    && Tagged.node (Link.get link) == n1);
+  let clean = Link.make (Tagged.make n1) in
+  Alcotest.(check bool) "clean link, clean expected: succeeds" true
+    (Link.cas_clean clean (Tagged.make n1) (Tagged.make n2))
 
 let test_link_mark_invalid () =
   let n = ref 0 in
@@ -465,7 +556,7 @@ let test_link_mark_invalid () =
   Alcotest.(check bool) "keeps deleted bit" true (Tagged.is_deleted v);
   Alcotest.(check bool) "gains invalid bit" true (Tagged.is_invalid v);
   Alcotest.(check bool) "keeps pointer" true
-    (match v with Tagged.Ptr (p, _) -> p == n | Tagged.Null _ -> false)
+    ((not (Tagged.is_null v)) && Tagged.node v == n)
 
 (* A node with an embedded link, declared the way the lists declare theirs:
    the link is the first field and mutable. *)
@@ -473,10 +564,10 @@ type enode = { mutable next : enode Link.cell; id : int }
 
 let enode id = { next = Link.cell Tagged.null; id }
 
-(* Store a young tagged block, with no other root to it, into the link of a
-   node promoted to the major heap: only the CAS's write barrier keeps the
-   minor collection from leaving the field pointing into the old minor
-   heap. *)
+(* Store a young node (a clean value is the node itself), with no other
+   root to it, into the link of a node promoted to the major heap: only
+   the CAS's write barrier keeps the minor collection from leaving the
+   field pointing into the old minor heap. *)
 let[@inline never] cas_young link =
   Link.cas link (Link.get link) (Tagged.make (enode 2))
 
@@ -492,9 +583,10 @@ let test_link_embedded_gc () =
     ignore (Sys.opaque_identity (enode i))
   done;
   let survives what =
-    match Link.get link with
-    | Tagged.Ptr (m, 0) -> Alcotest.(check int) what 2 m.id
-    | _ -> Alcotest.failf "%s: the link lost its target" what
+    let v = Link.get link in
+    if Tagged.is_null v || Tagged.tag v <> 0 then
+      Alcotest.failf "%s: the link lost its target" what;
+    Alcotest.(check int) what 2 (Tagged.node v).id
   in
   Gc.minor ();
   survives "after Gc.minor";
@@ -505,10 +597,8 @@ let test_link_embedded_gc () =
   Alcotest.(check int) "the node's own fields are intact" 1 n.id;
   Alcotest.(check bool) "CAS with a stale expected value fails" false
     (Link.cas link Tagged.null (Tagged.make (enode 3)));
-  Alcotest.(check bool) "CAS with a lookalike of the current value fails" false
-    (match Link.get link with
-    | Tagged.Ptr (m, tag) -> Link.cas link (Tagged.make ~tag m) Tagged.null
-    | Tagged.Null _ -> true);
+  Alcotest.(check bool) "CAS with a lookalike of the current node fails" false
+    (Link.cas link (Tagged.make (enode 2)) Tagged.null);
   survives "after the failed CASes"
 
 (* Each structure whose nodes embed their link. A node built with a known
@@ -518,9 +608,9 @@ let test_link_embedded_gc () =
    the node of 1 must read the link its insert stored, to the node of 2,
    and the node of 2 a null link. *)
 let key_chain ~what ~key ~head ~succ =
-  let node_of = function
-    | Tagged.Ptr (n, _) -> n
-    | Tagged.Null _ -> Alcotest.failf "%s: missing node" what
+  let node_of tg =
+    if Tagged.is_null tg then Alcotest.failf "%s: missing node" what
+    else Tagged.node tg
   in
   let n1 = node_of head in
   Alcotest.(check int) (what ^ ": first key") 1 (key n1);
@@ -586,9 +676,9 @@ let test_link_embedded_nodes () =
    Q.enqueue t l 1;
    Q.enqueue t l 2;
    let dummy =
-     match Link.get_quiescent t.Q.head with
-     | Tagged.Ptr (d, _) -> d
-     | Tagged.Null _ -> Alcotest.fail "msqueue: no dummy"
+     let head = Link.get_quiescent t.Q.head in
+     if Tagged.is_null head then Alcotest.fail "msqueue: no dummy"
+     else Tagged.node head
    in
    key_chain ~what:"msqueue"
      ~key:(fun n -> Option.value n.Q.value ~default:0)
@@ -606,7 +696,10 @@ let test_link_embedded_nodes () =
    block with the count at 1. The node holding [key] then goes through
    retire and free on that very word: the detector must name its uid, and
    the node's key must be untouched by the CASes. A record whose header is
-   not field 1 would read another field as the word and fail here. *)
+   not field 1 would read another field as the word and fail here. Every
+   node must also be a tag-0 block: a clean tagged link is the node itself,
+   told from a mark block by that tag, so a float-only record or a
+   constructor-tagged node would break {!Tagged}'s view. *)
 let embedded_base = Mem.max_uid - 4095
 
 let check_embedded ~what ~stats ~key_of ~key nodes =
@@ -614,6 +707,7 @@ let check_embedded ~what ~stats ~key_of ~key nodes =
   let uids =
     List.map
       (fun n ->
+        Alcotest.(check int) (what ^ ": a tag-0 block") 0 (Obj.tag (Obj.repr n));
         let h = Mem.of_node n in
         let uid = Mem.uid h in
         if uid < embedded_base || uid >= embedded_base + allocated then
@@ -653,9 +747,12 @@ let embedded_in f =
       f (Ebr.stats scheme) scheme h;
       Ebr.unregister h)
 
-let rec chain next acc = function
-  | Tagged.Null _ -> List.rev acc
-  | Tagged.Ptr (n, _) -> chain next (n :: acc) (next n)
+let rec chain next acc tg =
+  match Tagged.shape tg with
+  | Tagged.Null -> List.rev acc
+  | Tagged.Ptr ->
+      let n = Tagged.node tg in
+      chain next (n :: acc) (next n)
 
 let rec subtree children n =
   n :: List.concat_map (subtree children) (children n)
@@ -713,9 +810,8 @@ let test_embedded_header_nodes () =
       let children n =
         List.filter_map
           (fun link ->
-            match Link.get_quiescent link with
-            | Tagged.Ptr (c, _) -> Some c
-            | Tagged.Null _ -> None)
+            let c = Link.get_quiescent link in
+            if Tagged.is_null c then None else Some (Tagged.node c))
           [ n.B.left; n.B.right ]
       in
       check_embedded ~what:"nmtree" ~stats ~key_of:(fun n -> n.B.key) ~key:3
@@ -727,9 +823,8 @@ let test_embedded_header_nodes () =
       let children n =
         List.filter_map
           (fun link ->
-            match Link.get_quiescent link with
-            | Tagged.Ptr (c, _) -> Some c
-            | Tagged.Null _ -> None)
+            let c = Link.get_quiescent link in
+            if Tagged.is_null c then None else Some (Tagged.node c))
           [ n.B.left; n.B.right ]
       in
       check_embedded ~what:"efrbtree" ~stats ~key_of:(fun n -> n.B.key) ~key:3
@@ -740,9 +835,9 @@ let test_embedded_header_nodes () =
       List.iter (fun k -> assert (B.insert t l k k)) keys;
       let children n = List.filter_map Fun.id [ n.B.left; n.B.right ] in
       let root =
-        match Link.get_quiescent t.B.root with
-        | Tagged.Ptr (r, _) -> r
-        | Tagged.Null _ -> Alcotest.fail "bonsai: empty after inserts"
+        let r = Link.get_quiescent t.B.root in
+        if Tagged.is_null r then Alcotest.fail "bonsai: empty after inserts"
+        else Tagged.node r
       in
       check_embedded ~what:"bonsai" ~stats ~key_of:(fun n -> n.B.key) ~key:3
         (subtree children root))
@@ -879,12 +974,19 @@ let () =
       ( "tagged",
         [
           Alcotest.test_case "basics" `Quick test_tagged_basics;
+          Alcotest.test_case "clean make is the node, allocates nothing"
+            `Quick test_tagged_clean_is_node;
+          Alcotest.test_case "marked values round-trip" `Quick
+            test_tagged_marked_round_trip;
           Alcotest.test_case "same_ptr" `Quick test_tagged_same_ptr;
+          Alcotest.test_case "null and invalid" `Quick test_tagged_null_invalid;
           QCheck_alcotest.to_alcotest prop_tagged_bits;
         ] );
       ( "link",
         [
           Alcotest.test_case "physical CAS" `Quick test_link_cas_physical;
+          Alcotest.test_case "cas_clean fails once tagged" `Quick
+            test_link_cas_clean;
           Alcotest.test_case "mark invalid" `Quick test_link_mark_invalid;
           Alcotest.test_case "embedded link survives GC" `Quick
             test_link_embedded_gc;
