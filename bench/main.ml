@@ -2,11 +2,13 @@
    evaluation (see DESIGN.md section 4 for the experiment index).
 
    Default invocation runs the full set at container-friendly sizes:
-     dune exec bench/main.exe
+     dune exec --profile release bench/main.exe
    Individual experiments:
-     dune exec bench/main.exe -- exp fig8 fig11 --threads 1,2,4
+     dune exec --profile release bench/main.exe -- exp fig8 fig11 --threads 1,2,4
    Paper-scale key ranges and longer runs:
-     dune exec bench/main.exe -- exp fig8 --paper-scale --duration 2 *)
+     dune exec --profile release bench/main.exe -- exp fig8 --paper-scale --duration 2
+   The dev profile compiles libraries with -opaque, so it inlines nothing of
+   a traversal step across modules: measure the release profile. *)
 
 module E = Bench_harness.Experiments
 
@@ -17,7 +19,7 @@ let parse_threads s =
 
 (* No experiment names: the whole suite runs. *)
 let run_exps settings exps =
-  let exps = if exps = [] then E.known @ [ "hotpath" ] else exps in
+  let exps = if exps = [] then E.known @ [ "hotpath"; "step" ] else exps in
   Printf.printf
     "HP++ reproduction benchmark suite\n\
      host: %d cores | threads=%s duration=%.2fs paper_scale=%b\n\
@@ -32,6 +34,10 @@ let run_exps settings exps =
         Bench_harness.Results.set_experiment "hotpath";
         Hotpath.run ~threads_list:settings.E.threads_list
           ~duration:settings.E.duration
+      end
+      else if exp = "step" then begin
+        Bench_harness.Results.set_experiment "step";
+        Step.run ~duration:settings.E.duration
       end
       else E.run settings exp)
     exps
@@ -60,7 +66,7 @@ let no_uaf_arg =
 let exps_arg =
   let doc =
     "Experiments to run: fig8..fig23, tab1, tab2, alg5, thresholds, \
-     stalled, hotpath. Default: all."
+     stalled, hotpath, step. Default: all."
   in
   Arg.(value & pos_right (-1) string [] & info [] ~docv:"EXP" ~doc)
 

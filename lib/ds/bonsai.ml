@@ -119,8 +119,8 @@ module Make (S : Smr.Smr_intf.S) = struct
   let guard_old t l ctx n =
     if S.needs_protection then begin
       let g = take_guard l in
-      S.protect g (Mem.of_node n);
-      if not (S.protection_valid l.handle) then raise Restart;
+      C.protect g (Mem.of_node n);
+      if not (C.protection_valid l.handle) then raise Restart;
       if not (Link.get t.root == ctx.root_rec) then raise Restart
     end;
     Mem.check_access (Mem.of_node n)
@@ -427,8 +427,8 @@ module Make (S : Smr.Smr_intf.S) = struct
      falls back to "the root has not moved". *)
   let protect_read t l g ~root_rec ~src n =
     if S.needs_protection then begin
-      S.protect g (Mem.of_node n);
-      if not (S.protection_valid l.handle) then raise Restart;
+      C.protect g (Mem.of_node n);
+      if not (C.protection_valid l.handle) then raise Restart;
       if S.supports_optimistic then begin
         if Atomic.get (if src == root_src then n.invalid else src) then
           raise Restart

@@ -3,8 +3,13 @@
 module Mem = Smr_core.Mem
 module Tagged = Smr_core.Tagged
 module Link = Smr_core.Link
+module Slots = Smr.Slots
 
 module Trace = Obs.Trace
+
+(* Bound here so the step's hook test is one load off this module's block
+   plus the atomic read (see hook.mli). *)
+let hook_flags = Fault.Hook.flags
 
 module Make (S : Smr.Smr_intf.S) = struct
   (* The Step/Validation_fail trace uid of a source node: [Mem.phantom]
@@ -29,6 +34,32 @@ module Make (S : Smr.Smr_intf.S) = struct
       Trace.emit Trace.Step (uid_of_hdr src) dst (Tagged.tag l)
     end
 
+  (* How a step protects, decided once, when the functor is applied. A
+     scheme whose [protect] is [Slots.set] itself (HP, HP++, PEBR) gets
+     the slot store inlined into the step; one whose [protection_valid] is
+     [Slots.always_valid] (HP, HP++) gets no validity call at all. Any
+     other [S] — a wrapper that counts or times the scheme's calls —
+     keeps both calls, so it sees every protect a structure makes. *)
+  let inline_store =
+    S.needs_protection && Obj.repr S.protect == Obj.repr Slots.set
+
+  let inline_valid =
+    Obj.repr S.protection_valid == Obj.repr Slots.always_valid
+
+  let inline_step = inline_store && inline_valid
+
+  (* The one [guard -> slot] cast of lib/ds. The invariant that makes it
+     sound: it is taken only under [inline_store], when [S.protect] is
+     [Slots.set], so every guard [S] protects with is already the
+     [Slots.slot] that [Slots.set] stores into. *)
+  let[@inline] slot_of (g : S.guard) : Slots.slot = Obj.magic g
+
+  let[@inline] protect guard hdr =
+    if inline_store then Slots.set (slot_of guard) hdr else S.protect guard hdr
+
+  let[@inline] protection_valid handle =
+    inline_valid || S.protection_valid handle
+
   (* Paper Algorithm 3 TryProtect with under-approximating validation:
      protection only fails when [src_link] carries the invalidation bit (or,
      under PEBR, this thread was neutralized); logical-deletion tags are
@@ -42,53 +73,60 @@ module Make (S : Smr.Smr_intf.S) = struct
      only. A target is protected as [Mem.of_node n], its embedded header.
      Allocates nothing.
 
-     [try_protect] is the fast path of one step: protect, scheme validity,
-     one re-read of [src_link], same target. Everything else goes to
-     [protect_moved], which continues from the value already re-read, so a
-     step makes the same protect calls and trace events either way. *)
+     [try_protect] is one step. Under [inline_step], while the hook word is
+     zero, it is the bare slot store, one re-read of [src_link] and the
+     compare; otherwise [step_called] takes the same step through
+     [protect] and [protection_valid], instrumented. A moved or
+     invalidated link goes to [protect_moved], which continues from the
+     value already re-read, so a step makes the same protect calls, trace
+     events and fault-point hits on every path. *)
   let validation_fail ~src tag =
     Trace.emit Trace.Validation_fail (uid_of_hdr src) tag 0;
     Tagged.invalid
 
-  (* Cold path: [l] was re-read from [src_link] and is either invalidated
-     or a new target. *)
-  let rec protect_moved ~src guard handle ~src_link l =
-    if Tagged.is_invalid l then validation_fail ~src (Tagged.tag l)
-    else begin
-      (match Tagged.shape l with
-      | Tagged.Ptr -> S.protect guard (Mem.of_node (Tagged.node l))
-      | Tagged.Null -> ());
-      if not (S.protection_valid handle) then validation_fail ~src 0
-      else
-        let l' = Link.get src_link in
-        if Tagged.same_ptr l' l && not (Tagged.is_invalid l') then begin
-          if Trace.enabled () then
-            trace_step ~src ~validated:true l';
-          l'
-        end
-        else protect_moved ~src guard handle ~src_link l'
-    end
+  (* The call path of one step, and the instrumented one: through
+     [protect] and [protection_valid], with the trace. [protect_moved] is
+     the cold path: [l] was re-read from [src_link] and is either
+     invalidated or a new target, which it steps onto anew. *)
+  let rec step_called ~src guard handle ~src_link expected =
+    (match Tagged.shape expected with
+    | Tagged.Ptr -> protect guard (Mem.of_node (Tagged.node expected))
+    | Tagged.Null -> ());
+    if not (protection_valid handle) then validation_fail ~src 0
+    else
+      let l = Link.get src_link in
+      if Tagged.same_ptr l expected && not (Tagged.is_invalid l) then begin
+        if Trace.enabled () then
+          trace_step ~src ~validated:true l;
+        l
+      end
+      else protect_moved ~src guard handle ~src_link l
 
+  and protect_moved ~src guard handle ~src_link l =
+    if Tagged.is_invalid l then validation_fail ~src (Tagged.tag l)
+    else step_called ~src guard handle ~src_link l
+
+  (* Under [inline_step], one test of the hook word per step (hook.mli):
+     while it is zero nothing traces, faults or yields, so the step is the
+     bare slot store, the re-read and the compare, with no call on its
+     path. Anything armed takes [step_called], which instruments it. *)
   let[@inline] try_protect ~src guard handle ~src_link expected =
     if not S.needs_protection then begin
       if Trace.enabled () then
         trace_step ~src ~validated:false expected;
       expected
     end
-    else begin
+    else if inline_step && Atomic.get hook_flags = 0 then begin
       (match Tagged.shape expected with
-      | Tagged.Ptr -> S.protect guard (Mem.of_node (Tagged.node expected))
+      | Tagged.Ptr ->
+          Slots.set_disarmed (slot_of guard)
+            (Mem.of_node (Tagged.node expected))
       | Tagged.Null -> ());
-      if not (S.protection_valid handle) then validation_fail ~src 0
-      else
-        let l = Link.get src_link in
-        if Tagged.same_ptr l expected && not (Tagged.is_invalid l) then begin
-          if Trace.enabled () then
-            trace_step ~src ~validated:true l;
-          l
-        end
-        else protect_moved ~src guard handle ~src_link l
+      let l = Link.get src_link in
+      if Tagged.same_ptr l expected && not (Tagged.is_invalid l) then l
+      else protect_moved ~src guard handle ~src_link l
     end
+    else step_called ~src guard handle ~src_link expected
 
   (* Over-approximating validation (original HP, paper §2.2): succeed only
      if [src_link] still holds exactly [expected]'s target with a clean tag;
@@ -101,10 +139,10 @@ module Make (S : Smr.Smr_intf.S) = struct
     end
     else begin
       (match Tagged.shape expected with
-      | Tagged.Ptr -> S.protect guard (Mem.of_node (Tagged.node expected))
+      | Tagged.Ptr -> protect guard (Mem.of_node (Tagged.node expected))
       | Tagged.Null -> ());
       if
-        S.protection_valid handle
+        protection_valid handle
         &&
         let l = Link.get src_link in
         Tagged.same_ptr l expected && Tagged.tag l = 0

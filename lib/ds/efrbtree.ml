@@ -303,10 +303,10 @@ module Make (S : Smr.Smr_intf.S) = struct
                   next_rec link
             else begin
               (match Tagged.shape expected with
-              | Tagged.Ptr -> S.protect g_cur (Mem.of_node (Tagged.node expected))
+              | Tagged.Ptr -> C.protect g_cur (Mem.of_node (Tagged.node expected))
               | Tagged.Null -> ());
               if
-                S.protection_valid l.handle
+                C.protection_valid l.handle
                 && (Atomic.get cur.update).state <> Mark
                 && Tagged.same_ptr (Link.get link) expected
               then begin

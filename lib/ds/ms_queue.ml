@@ -101,8 +101,8 @@ module Make (S : Smr.Smr_intf.S) = struct
               else begin
                 (* Protect [n], then validate: while [head] still holds [h],
                    [n] cannot have been retired, so the protection is safe. *)
-                S.protect l.hp_next (Mem.of_node n);
-                if not (S.protection_valid l.handle) then `Prot
+                C.protect l.hp_next (Mem.of_node n);
+                if not (C.protection_valid l.handle) then `Prot
                 else if not (Tagged.same_ptr (Link.get t.head) head_t) then
                   `Retry
                 else begin

@@ -182,7 +182,7 @@ module Make (S : Smr.Smr_intf.S) = struct
                    copy in the old ancestor's slot, taken while the leaf's
                    own slot still holds it, so that each role keeps a slot
                    of its own when the two part. *)
-                S.protect ga (Mem.of_node leaf);
+                C.protect ga (Mem.of_node leaf);
                 walk gp ga gl gc gs parent parent_link parent_rec leaf leaf
                   link next_rec next
               end

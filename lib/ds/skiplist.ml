@@ -180,7 +180,7 @@ module Make (S : Smr.Smr_intf.S) = struct
           pred_ts.(lvl) <- cur_t;
           succs.(lvl) <- succ;
           (match pred.node with
-          | Some p -> S.protect l.pred_guards.(lvl) (Mem.of_node p)
+          | Some p -> C.protect l.pred_guards.(lvl) (Mem.of_node p)
           | None -> ());
           level gpred gcur (lvl - 1) pred
         in
@@ -315,7 +315,7 @@ module Make (S : Smr.Smr_intf.S) = struct
             if not found then `Done false
             else begin
               let x = Option.get succs.(0) in
-              S.protect l.target_guard (Mem.of_node x);
+              C.protect l.target_guard (Mem.of_node x);
               (* Mark from the top down; level 0 last — winning its mark CAS
                  is the linearization point and makes us the remover. *)
               for lvl = height x - 1 downto 1 do

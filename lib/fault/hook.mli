@@ -12,10 +12,15 @@
     Now all three share {e one} flags word: bit 0 = tracing enabled, bit 1 =
     a fault plan armed, bit 2 = the cooperative scheduler installed.
     [Obs.Trace.enabled]/[Fault.enabled] read this word with a mask, so a
-    fully disarmed hook is still exactly one atomic load and one branch —
-    the discipline PR 3 benchmarked — and a site that consults both tracing
-    and faults reads the word once per concern but never spawns extra
-    atomics.
+    fully disarmed hook is still exactly one atomic load and one branch.
+
+    One test per site: a hot site that serves several concerns tests the
+    whole word once ([Atomic.get flags = 0]) and sends any armed state to
+    an [[@inline never]] instrumented copy, which then consults each
+    concern in the usual order. [Slots.set] and [Slots.clear] have this
+    shape, and so does the traversal step ([Ds_common.try_protect]):
+    disarmed, a step is the load, the compare, the slot store and the
+    link re-read, with no call on its path.
 
     The scheduler piggybacks on the {e existing} guards: when [sched] is
     set, [Obs.Trace.emit] and [Fault.hit] call {!yield} before doing their

@@ -27,7 +27,7 @@ let stats t = t.stats
 let crit_enter _ = ()
 let crit_exit _ = ()
 let crit_refresh _ = ()
-let protection_valid _ = true
+let protection_valid = Slots.always_valid
 
 let guard h = Slots.acquire h.local
 let protect = Slots.set

@@ -92,18 +92,30 @@ let acquire local =
 
 module Trace = Obs.Trace
 
-(* The Unprotect event must be emitted BEFORE the store that withdraws the
+(* [set] and [clear] inline into their callers and test the combined
+   hook word once ([hook_flags], bound here so the test is one load off
+   this module's block plus the atomic read). While the word is zero the
+   function is the store alone ([set_disarmed]); any armed concern —
+   tracing, a fault plan, the scheduler — takes the out-of-line
+   instrumented copy, which keeps the armed order: Unprotect event, store,
+   [Fault.Protect] hit. One test instead of one per concern leaves one
+   reachable call instead of two, and every reachable call makes the loop
+   around it spill its registers.
+
+   The Unprotect event must be emitted BEFORE the store that withdraws the
    protection: any reclaimer that observes the withdrawal (and may then
    free) draws its Free sequence number after ours, so the trace-replay
    checker never sees a Free inside a protection window of a correct run
    (see Obs.Trace on emission-order discipline). *)
-let[@inline never] emit_unprotect slot =
-  let prev = slot.uid in
-  if prev <> empty then Trace.emit Trace.Unprotect prev 0 0
+let hook_flags = Fault.Hook.flags
 
-let[@inline] trace_unprotect slot = if Trace.enabled () then emit_unprotect slot
+let trace_unprotect slot =
+  if Trace.enabled () then begin
+    let prev = slot.uid in
+    if prev <> empty then Trace.emit Trace.Unprotect prev 0 0
+  end
 
-let[@inline] set slot hdr =
+let[@inline never] set_instrumented slot hdr =
   trace_unprotect slot;
   slot.uid <- Mem.uid hdr;
   (* Crash window: the protection is published, nothing has been validated
@@ -111,9 +123,21 @@ let[@inline] set slot hdr =
      stall parks the victim with the hazard held. *)
   if Fault.enabled () then Fault.hit Fault.Protect
 
-let[@inline] clear slot =
+let[@inline] set_disarmed slot hdr = slot.uid <- Mem.uid hdr
+
+let[@inline] set slot hdr =
+  if Atomic.get hook_flags = 0 then set_disarmed slot hdr
+  else set_instrumented slot hdr
+
+let[@inline never] clear_instrumented slot =
   trace_unprotect slot;
   slot.uid <- empty
+
+let[@inline] clear slot =
+  if Atomic.get hook_flags = 0 then slot.uid <- empty
+  else clear_instrumented slot
+
+let always_valid _ = true
 
 let release local slot =
   clear slot;

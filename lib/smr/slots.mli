@@ -45,9 +45,24 @@ val set : slot -> Smr_core.Mem.header -> unit
 (** Announce protection of a block: a plain store of its uid, an
     immediate. The caller's next load (the validation) is the light fence;
     a reclaimer must issue {!Smr_core.Fence.heavy} before {!scan_snapshot}
-    for the store to be guaranteed visible to it. *)
+    for the store to be guaranteed visible to it. Inlined: one test of the
+    {!Fault.Hook} word, then the store while the word is zero; when any
+    concern is armed, an out-of-line copy emits [Unprotect], stores and
+    hits [Fault.Protect], in that order. *)
+
+val set_disarmed : slot -> Smr_core.Mem.header -> unit
+(** {!set} for a caller that has itself found the {!Fault.Hook} word zero
+    (one test per site): the store alone. A traversal step tests the word
+    once for its whole body ([Ds_common.try_protect]). *)
 
 val clear : slot -> unit
+(** Withdraw the slot's protection; the same one-test shape as {!set}. *)
+
+val always_valid : 'a -> bool
+(** Always [true]: the [protection_valid] of a scheme that never withdraws
+    a thread's protection (HP, HP++). Schemes bind this one function so a
+    data structure can tell by physical equality that the validity call
+    can be skipped ([Ds_common]). *)
 
 val release : local -> slot -> unit
 (** Clear the slot and return it to the owner's free list. *)

@@ -163,6 +163,102 @@ let test_with_crit_first_attempt_alloc () =
     Alcotest.failf "%.2f minor words per first-attempt with_crit, want 0"
       words
 
+(* A counting wrapper of a scheme, shaped like perfbench's [Timed]: every
+   protect is counted and passed through, so [S.protect] is no longer
+   [Slots.set] itself and [Ds_common] must keep the call path. *)
+let protects = ref 0
+
+module Counting (S : Smr.Smr_intf.S) = struct
+  include S
+
+  let protect g hdr =
+    incr protects;
+    S.protect g hdr
+
+  let protection_valid h = S.protection_valid h
+end
+
+module Hpp_counted = Counting (Hp_plus)
+
+(* The step's protect and validity are decided once per scheme: inline for
+   the schemes whose [protect] is the slot store, a call for any wrapper. *)
+let test_step_decision () =
+  let check name (module S : Smr.Smr_intf.S) ~store ~valid =
+    let module C = Smr_ds.Ds_common.Make (S) in
+    Alcotest.(check bool) (name ^ " inline store") store C.inline_store;
+    Alcotest.(check bool) (name ^ " inline validity") valid C.inline_valid
+  in
+  check "HP" (module Hp) ~store:true ~valid:true;
+  check "HP++" (module Hp_plus) ~store:true ~valid:true;
+  check "PEBR" (module Pebr) ~store:true ~valid:false;
+  check "EBR" (module Ebr) ~store:false ~valid:false;
+  check "counting HP++" (module Hpp_counted) ~store:false ~valid:false
+
+let n_nodes = 64
+
+(* An HHSList holding keys 0 .. n_nodes - 1, and one thread's local. *)
+module Filled (S : Smr.Smr_intf.S) = struct
+  module L = Smr_ds.Hhslist.Make (S)
+
+  let make () =
+    let scheme = S.create () in
+    let l = L.make_local (S.register scheme) in
+    let t = L.create scheme in
+    for k = 0 to n_nodes - 1 do
+      assert (L.insert t l k k)
+    done;
+    (t, l)
+end
+
+module Counted = Filled (Hpp_counted)
+module Plain = Filled (Hp_plus)
+
+(* Through the wrapper, a get still makes one protect per step onto a node:
+   key k sits k + 1 steps from the head, and the step onto the null past
+   the last node protects nothing. *)
+let test_wrapper_counts_protects () =
+  let t, l = Counted.make () in
+  List.iter
+    (fun (key, want) ->
+      protects := 0;
+      ignore (Counted.L.get t l key);
+      Alcotest.(check int)
+        (Printf.sprintf "protects for get %d" key)
+        want !protects)
+    [ (0, 1); (10, 11); (n_nodes - 1, n_nodes); (n_nodes, n_nodes) ]
+
+(* An armed [Fault.Protect] kill at hit k fires on the same step whether the
+   step stores inline or calls through the wrapper: the traced events up to
+   the kill are the same kinds in the same order, with k - 1 validated
+   steps before it. *)
+let test_protect_kill_same_step () =
+  let k = 5 in
+  let kinds_until_kill get =
+    Obs.Trace.enable ~capacity:4096 ();
+    Fault.arm ~point:Fault.Protect ~action:Fault.Kill ~after:k ();
+    (match get () with
+    | (_ : int option) -> Alcotest.fail "get survived an armed Protect kill"
+    | exception Fault.Killed Fault.Protect -> ());
+    Fault.reset ();
+    Obs.Trace.disable ();
+    let s = Obs.Trace.snapshot () in
+    Obs.Trace.reset ();
+    Array.to_list (Array.map (fun e -> e.Obs.Trace.kind) s.Obs.Trace.events)
+  in
+  let t, l = Plain.make () in
+  let inline = kinds_until_kill (fun () -> Plain.L.get t l (n_nodes - 1)) in
+  let t, l = Counted.make () in
+  protects := 0;
+  let called = kinds_until_kill (fun () -> Counted.L.get t l (n_nodes - 1)) in
+  Alcotest.(check int) "the wrapper saw k protects" k !protects;
+  let steps = List.filter (fun e -> e = Obs.Trace.Step) in
+  Alcotest.(check int) "k - 1 validated steps, inline" (k - 1)
+    (List.length (steps inline));
+  Alcotest.(check (list string))
+    "same events either path"
+    (List.map Obs.Trace.kind_name inline)
+    (List.map Obs.Trace.kind_name called)
+
 let () =
   Alcotest.run "lists"
     [
@@ -208,6 +304,15 @@ let () =
             (test_alloc_per_insert ~bound:45.);
           Alcotest.test_case "hhslist remove HP++" `Quick
             (test_alloc_per_remove ~bound:101.);
+        ] );
+      ( "step decision",
+        [
+          Alcotest.test_case "inline for the slot schemes only" `Quick
+            test_step_decision;
+          Alcotest.test_case "wrapper counts one protect per step" `Quick
+            test_wrapper_counts_protects;
+          Alcotest.test_case "Protect kill fires on the same step" `Quick
+            test_protect_kill_same_step;
         ] );
       ( "with_crit",
         [
