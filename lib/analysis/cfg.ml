@@ -126,10 +126,9 @@ let nodes_of (fn : func) =
 (* --- Build-time environment ---------------------------------------------- *)
 
 (* What a let-bound variable holds when the binding was a protection-family
-   call whose outcome is inspected later ([let ok = protect ... in if ok]):
+   call whose outcome is inspected later ([let ok = offer ... in if ok]):
    the refinement is applied where the boolean/outcome is branched on. *)
 type pending =
-  | P_protect of objset  (** protect_pessimistic result: true => Validated *)
   | P_offer of objset  (** Collector.offer result: true => Handed_off *)
   | P_valid  (** protection_valid result: true => Validate_protected *)
 
@@ -138,9 +137,9 @@ type env = {
   funcs : int SMap.t;
   pend : pending SMap.t;
   tries : (objset * objset) SMap.t;
-      (** [let r = try_protect ...] results: r's objects and the expected
-          argument's, both Validated where [not (Tagged.is_invalid r)];
-          rebinding the name drops the entry *)
+      (** [let r = try_protect ...] (or [protect_pessimistic]) results:
+          r's objects and the expected argument's, both Validated where
+          [not (Tagged.is_invalid r)]; rebinding the name drops the entry *)
   in_crit : bool;
   frozen : bool;
   handler : int option;  (** innermost exception-handler node *)
@@ -224,16 +223,18 @@ let is_blocking qual last =
 (* Value-preserving wrappers: the result aliases the arguments.
    [Mem.of_node n] is [n]'s embedded header, and a node's header is the
    node itself: protecting or retiring it protects or retires [n], and
-   taking it reads nothing. [Tagged.node r] is [r]'s target (a clean [r]
-   is that very node), so a field read through it dereferences [r]; and
-   [Tagged.shape r] stands for [r] as a match scrutinee, so its [Null] arm
-   refines [r]. *)
+   taking it reads nothing; [Tagged.header r] is [r]'s target's header.
+   [Tagged.node r] is [r]'s target (a clean [r] is that very node), so a
+   field read through it dereferences [r]; [Tagged.shape r] stands for [r]
+   as a match scrutinee, so its [Null] arm refines [r]. [Tagged.raw] and
+   the escapes that make a [Tagged.safe] are the identity. *)
 let is_transparent qual last =
   match (qual, last) with
   | Some "Mem", "of_node" -> true
   | ( Some "Tagged",
       ( "make" | "of_option" | "node" | "shape" | "untagged" | "set_bits"
-      | "with_tag" ) ) ->
+      | "with_tag" | "header" | "raw" | "validated" | "owned" | "sentinel"
+      | "quiescent" ) ) ->
       true
   | Some "Option", ("get" | "some" | "value") -> true
   | Some "Array", "get" -> true
@@ -661,7 +662,7 @@ and track_pending ctx ~env_rhs env vb =
   match (vb.pvb_pat.ppat_desc, vb.pvb_expr.pexp_desc) with
   | Ppat_var { txt; _ }, Pexp_apply (f, args) -> (
       match head_name f with
-      | Some (_, "try_protect") ->
+      | Some (_, ("try_protect" | "protect_pessimistic")) ->
           (* the expected argument resolves in the binding's own scope: the
              result usually shadows it ([let cur_t = try_protect .. cur_t]) *)
           let expected = last_positional_objs env_rhs args in
@@ -669,9 +670,6 @@ and track_pending ctx ~env_rhs env vb =
             Option.value (SMap.find_opt txt env.vars) ~default:oempty
           in
           { env with tries = SMap.add txt (result, expected) env.tries }
-      | Some (_, "protect_pessimistic") ->
-          let objs = last_positional_objs env args in
-          { env with pend = SMap.add txt (P_protect objs) env.pend }
       | Some (_, "protection_valid") ->
           { env with pend = SMap.add txt P_valid env.pend }
       | Some (Some "Collector", "offer") ->
@@ -734,7 +732,6 @@ and eval_cond ctx env cond =
     when SMap.mem x env.pend ->
       let refin =
         match SMap.find x env.pend with
-        | P_protect objs -> [ ([ Set_state (objs, Lattice.Validated) ], []) ]
         | P_offer objs -> [ ([ Set_state (objs, Lattice.Handed_off) ], []) ]
         | P_valid -> [ ([ Validate_protected ], []) ]
       in
@@ -745,9 +742,9 @@ and eval_cond ctx env cond =
            { pexp_desc = Pexp_ident { txt = Longident.Lident x; _ }; _ }) ] )
     when head_name f = Some (Some "Tagged", "is_invalid")
          && SMap.mem x env.tries ->
-      (* the reshaped TryProtect: a result without the invalid bit is the
-         validated current link value; the invalid one is the shared
-         sentinel carrying no node *)
+      (* TryProtect's result: one without the invalid bit is the validated
+         current link value; the invalid one is the shared sentinel
+         carrying no node *)
       let result, expected = SMap.find x env.tries in
       ( [ ( [ Set_state (result, Lattice.Invalidated) ],
             [ Set_state (ounion result expected, Lattice.Validated) ] ) ],
@@ -755,8 +752,6 @@ and eval_cond ctx env cond =
   | Pexp_apply (f, args) -> (
       let v_refin =
         match head_name f with
-        | Some (_, "protect_pessimistic") ->
-            Some [ ([ Set_state (last_positional_objs_dyn ctx env args, Lattice.Validated) ], []) ]
         | Some (_, "protection_valid") -> Some [ ([ Validate_protected ], []) ]
         | Some (Some "Collector", "offer") ->
             Some
@@ -809,7 +804,6 @@ and eval_match ctx env ~loc scrut cases =
             in
             if is_true then
               (match p with
-              | P_protect objs -> emit ctx (Set_state (objs, Lattice.Validated))
               | P_offer objs -> emit ctx (Set_state (objs, Lattice.Handed_off))
               | P_valid -> emit ctx Validate_protected);
             let env_c = bind_pattern env c.pc_lhs vnone in
@@ -943,29 +937,24 @@ and eval_apply ctx env ~loc f args =
       ctx.fn.fn_sync <- true;
       emit ctx (Protect (all_arg_objs vals));
       (vnone, env)
-  | Some (_, "protect_pessimistic") ->
-      (* boolean position not branched on: the slot store happened but the
-         validation outcome is unknown — Protected only *)
+  | Some (qual, (("try_protect" | "protect_pessimistic") as last))
+    when not (qual = None && SMap.mem last env.funcs) ->
+      (* TryProtect announces [expected] and returns the validated current
+         value or the invalid sentinel, never a merely-Protected one *)
       let vals, env = eval_args ctx env args in
       ctx.fn.fn_sync <- true;
       emit ctx (Protect (last_positional vals));
-      (vnone, env)
-  | Some (qual, "try_protect")
-    when not (qual = None && SMap.mem "try_protect" env.funcs) ->
-      let vals, env = eval_args ctx env args in
-      ctx.fn.fn_sync <- true;
-      emit ctx (Protect (last_positional vals));
-      (vof (osingle (fresh_tracked ctx Lattice.Protected)), env)
+      (vof (osingle (fresh_tracked ctx Lattice.Validated)), env)
   | Some (_, "protection_valid") ->
       let _, env = eval_args ctx env args in
       (vnone, env)
   (* a local definition shadows the name-based retire/invalidate contracts:
      scheme files define [retire]/[do_invalidation] themselves, and those
      bodies are what the summary should say, not the Smr_intf automaton;
-     likewise Ds_common's own recursive [try_protect] *)
+     likewise Ds_common's own [try_protect] and [protect_pessimistic] *)
   | Some (None, last)
     when (List.mem last retire_names || List.mem last invalidate_names
-         || last = "try_protect")
+         || last = "try_protect" || last = "protect_pessimistic")
          && SMap.mem last env.funcs ->
       eval_local_call ctx env ~loc (SMap.find last env.funcs) args
   | Some (_, last) when List.mem last retire_names ->
@@ -1323,7 +1312,6 @@ and build_tail_match ctx env scrut cases =
           in
           if is_true then
             (match p with
-            | P_protect objs -> emit ctx (Set_state (objs, Lattice.Validated))
             | P_offer objs -> emit ctx (Set_state (objs, Lattice.Handed_off))
             | P_valid -> emit ctx Validate_protected);
           let env_c = bind_pattern env c.pc_lhs vnone in

@@ -2,15 +2,14 @@
 
    v2 layering: the v1 syntactic rules (R2–R5) run as a fast pre-pass —
    they are cheap and their findings are locational in ways the dataflow
-   engine does not replicate — then the flow rules (F1–F7, rules_flow.ml)
+   engine does not replicate — then the flow rules (F2–F7, rules_flow.ml)
    run per scope.
 
-   Cross-file resolution is by summary sidecar: each analyzed file's
+   Cross-file resolution is by summary table: each analyzed file's
    top-level summaries accumulate into a table (keyed "stem.name"), and a
    qualified call [C.try_protect] in a later file resolves through the
-   lowercased qualifier. Files are visited in sorted order, so in-tree
-   resolution is deterministic; a [--summaries-in] table from a previous
-   run covers arbitrary cross-file orders. *)
+   lowercased qualifier. Files are visited in sorted order, so resolution
+   is deterministic. *)
 
 (* A scope is a sequence of adjacent path components; ["lib"; "ds"] matches
    any file living under a .../lib/ds/... directory, wherever the tree was
@@ -52,7 +51,7 @@ let lint_scope = [ [ "lib" ]; [ "bin" ] ]
 
 let checks_for path =
   {
-    Rules_flow.c_deref = under path ds_scope;
+    Rules_flow.c_escape = under path ds_scope;
     c_retire = under path ds_scope || under path scheme_scope;
     c_handoff = under path scheme_scope;
     c_crit = under path lint_scope;
@@ -64,8 +63,6 @@ type report = {
   findings : Finding.t list;  (** unsuppressed, sorted *)
   suppressed : (Finding.t * string) list;  (** finding, pragma reason *)
   files : int;
-  summaries : Summary.table;
-      (** top-level summaries of every analyzed file, keyed "stem.name" *)
 }
 
 let stem_of path =
@@ -151,14 +148,13 @@ let apply_pragmas (src : Source.t) findings =
   in
   (kept @ unused @ bad, suppressed)
 
-let analyze_source ?(mli_exists = false) ?table ~path text =
-  let table = match table with Some t -> t | None -> Summary.empty_table () in
+let analyze_source ?(mli_exists = false) ~path text =
+  let table = Summary.empty_table () in
   let src = Source.of_string ~path text in
   let findings = raw_findings ~table ~path ~mli_exists src in
   apply_pragmas src findings
 
-let analyze_file ?table path =
-  let table = match table with Some t -> t | None -> Summary.empty_table () in
+let analyze_in ~table path =
   let src = Source.load path in
   let mli_exists =
     Filename.check_suffix path ".ml"
@@ -178,15 +174,17 @@ let rec ml_files_under path acc =
   else if Filename.check_suffix path ".ml" then path :: acc
   else acc
 
-let run ?table paths =
-  let table = match table with Some t -> t | None -> Summary.empty_table () in
+let analyze_file path = analyze_in ~table:(Summary.empty_table ()) path
+
+let run paths =
+  let table = Summary.empty_table () in
   let files =
     List.concat_map (fun p -> List.rev (ml_files_under p [])) paths
   in
   let findings, suppressed =
     List.fold_left
       (fun (fs, ss) file ->
-        let f, s = analyze_file ~table file in
+        let f, s = analyze_in ~table file in
         (f @ fs, s @ ss))
       ([], []) files
   in
@@ -194,5 +192,4 @@ let run ?table paths =
     findings = List.sort Finding.compare findings;
     suppressed = List.sort (fun (a, _) (b, _) -> Finding.compare a b) suppressed;
     files = List.length files;
-    summaries = table;
   }

@@ -8,35 +8,28 @@
     rules.
 
     v2 layering: the v1 syntactic rules (R2–R5) run as a fast pre-pass,
-    then the flow rules (F1–F7, {!Rules_flow}). Each file's top-level
-    summaries accumulate
-    into the run's {!Summary.table} for cross-file call resolution. *)
+    then the flow rules (F2–F7, {!Rules_flow}). Each file's top-level
+    summaries accumulate into the run's {!Summary.table} for cross-file
+    call resolution. *)
 
 type report = {
   findings : Finding.t list;  (** unsuppressed, sorted by file/line *)
   suppressed : (Finding.t * string) list;  (** finding, pragma reason *)
   files : int;
-  summaries : Summary.table;
-      (** top-level summaries of every analyzed file, keyed "stem.name" *)
 }
 
 val analyze_source :
   ?mli_exists:bool ->
-  ?table:Summary.table ->
   path:string ->
   string ->
   Finding.t list * (Finding.t * string) list
 (** Analyze one compilation unit given as a string; [path] selects rule
-    scopes, [mli_exists] (default [false]) feeds the missing-mli rule, and
-    [table] supplies/collects cross-file summaries. Returns (unsuppressed
-    findings, suppressed findings with reasons). *)
+    scopes and [mli_exists] (default [false]) feeds the missing-mli rule.
+    Returns (unsuppressed findings, suppressed findings with reasons). *)
 
-val analyze_file :
-  ?table:Summary.table ->
-  string ->
-  Finding.t list * (Finding.t * string) list
+val analyze_file : string -> Finding.t list * (Finding.t * string) list
 
-val run : ?table:Summary.table -> string list -> report
+val run : string list -> report
 (** Analyze every [.ml] file under the given files/directories (skipping
     [_build] and dot-directories), in sorted order so in-tree summary
     resolution is deterministic. *)

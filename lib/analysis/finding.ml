@@ -55,17 +55,6 @@ let r5 =
 (* Flow rules (smr_lint v2): produced by the dataflow engine in
    rules_flow.ml rather than the syntactic pass. *)
 
-let f1 =
-  {
-    id = "F1";
-    slug = "unvalidated-deref";
-    file_scope = false;
-    suppressible = true;
-    summary =
-      "dereference of a shared-read pointer on a path where Validated does \
-       not dominate (still raw, or protected but never validated)";
-  }
-
 let f2 =
   {
     id = "F2";
@@ -159,20 +148,13 @@ let parse_error =
     summary = "source file failed to parse";
   }
 
-let all_rules =
-  [ r2; r3; r4; r5; f1; f2; f3; f4; f5; f6; f7; unused_pragma; bad_pragma;
-    parse_error ]
-
 let rule_matches rule token =
   let t = String.lowercase_ascii token in
   t = String.lowercase_ascii rule.id || t = rule.slug
 
-(* [col] is 1-based and carried for SARIF only: the human and JSON
-   renderings below do not print it, so their output stays byte-identical
-   to v1 (pinned by test_analysis). *)
-type t = { rule : rule; file : string; line : int; col : int; message : string }
+type t = { rule : rule; file : string; line : int; message : string }
 
-let make ?(col = 1) rule ~file ~line message = { rule; file; line; col; message }
+let make rule ~file ~line message = { rule; file; line; message }
 
 let compare a b =
   match String.compare a.file b.file with
@@ -185,24 +167,3 @@ let compare a b =
 let to_human f =
   Printf.sprintf "%s:%d: [%s %s] %s" f.file f.line f.rule.id f.rule.slug
     f.message
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let to_json f =
-  Printf.sprintf
-    "{\"rule\":\"%s\",\"slug\":\"%s\",\"file\":\"%s\",\"line\":%d,\
-     \"message\":\"%s\"}"
-    f.rule.id f.rule.slug (json_escape f.file) f.line (json_escape f.message)

@@ -3,12 +3,12 @@
    One value per tracked *object* — a site-allocated abstraction of a node
    (or bag) fetched from shared state. The order is a protection-confidence
    chain: join at a CFG merge keeps the weakest guarantee either path
-   established, so a deref is reported unless validation *must*-dominates
-   it. [Bot] is the identity (unreached path). [Neutral] tracks values the
-   analysis identifies but makes no protection claim about (locally
-   constructed records, opaque parameters); [Quiescent] marks values read
-   through [Link.get_quiescent], whose contract (no concurrent writers)
-   makes dereference legal without a protection window. *)
+   established, so a read after a retire on some path is reported. [Bot]
+   is the identity (unreached path). [Neutral] tracks values the analysis
+   identifies but makes no protection claim about (locally constructed
+   records, opaque parameters); [Quiescent] marks values read through
+   [Link.get_quiescent], whose contract (no concurrent writers) needs no
+   protection window. *)
 
 type state =
   | Bot  (** unreached; identity of {!join} *)
@@ -17,7 +17,7 @@ type state =
   | Retired  (** retired without a surviving protection window *)
   | Raw  (** fetched from a shared link, not yet protected *)
   | Protected  (** hazard slot published, not yet validated *)
-  | Validated  (** protection validated: dereference is legal *)
+  | Validated  (** protection validated *)
   | Quiescent  (** read under the declared no-concurrent-writers contract *)
   | Neutral  (** tracked but carrying no protection obligation *)
 

@@ -1,9 +1,9 @@
 (** The protection-state lattice (DESIGN.md §15).
 
     One abstract state per tracked object, ordered so that [join] along
-    control-flow merges is "least protected wins": a dereference is legal
-    only when validation {e must}-dominates it, i.e. when the join over
-    every incoming path is still [Validated] or better. *)
+    control-flow merges is "least protected wins": a check at a merge sees
+    the weakest state any incoming path reached, so a read after a retire
+    on {e some} path is reported. *)
 
 type state =
   | Bot  (** unreached / no information: identity of [join] *)
@@ -12,7 +12,7 @@ type state =
   | Retired  (** retired by this thread without surviving protection *)
   | Raw  (** read from a shared link, no protection yet *)
   | Protected  (** hazard slot announced, not yet re-validated *)
-  | Validated  (** protection validated: dereference is legal *)
+  | Validated  (** protection validated *)
   | Quiescent  (** declared quiescent read ([Link.get_quiescent]) *)
   | Neutral  (** not SMR-tracked (locals, fresh records, unknown results) *)
 

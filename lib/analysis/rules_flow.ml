@@ -1,4 +1,4 @@
-(* The flow rules F1–F7 (DESIGN.md §15): build the file's CFGs, iterate
+(* The flow rules F2–F7 (DESIGN.md §15): build the file's CFGs, iterate
    build+summarize until the per-function summaries reach fixpoint, then
    run a Neutral-seeded error pass per function and turn bad replay
    observations into findings.
@@ -15,7 +15,7 @@
 open Parsetree
 
 type checks = {
-  c_deref : bool;  (** F1 + F2, lib/ds *)
+  c_escape : bool;  (** F2, lib/ds *)
   c_retire : bool;  (** F3, lib/ds + scheme code *)
   c_handoff : bool;  (** F4, scheme code *)
   c_crit : bool;  (** F5, lib + bin *)
@@ -221,7 +221,7 @@ let check_file ~file ~checks ~ext ast =
     let line, col = line_col loc in
     if not (Hashtbl.mem seen (rule.Finding.id, line, col)) then begin
       Hashtbl.add seen (rule.Finding.id, line, col) ();
-      findings := Finding.make ~col rule ~file ~line msg :: !findings
+      findings := Finding.make rule ~file ~line msg :: !findings
     end
   in
   Array.iteri
@@ -254,24 +254,6 @@ let check_file ~file ~checks ~ext ast =
                     (fun _ f hint loc ->
                       if not quiet then
                         match f.Lattice.st with
-                        | Lattice.Raw when checks.c_deref ->
-                            report Finding.f1 loc
-                              (Printf.sprintf
-                                 "`%s` dereferences `%s` while it is still \
-                                  raw on some path from the shared read: \
-                                  validation (a try_protect result that \
-                                  is not Tagged.is_invalid / \
-                                  protect_pessimistic true) must dominate \
-                                  every field access"
-                                 fname hint)
-                        | Lattice.Protected when checks.c_deref ->
-                            report Finding.f1 loc
-                              (Printf.sprintf
-                                 "`%s` dereferences `%s` under a protection \
-                                  that was never validated: the hazard slot \
-                                  is announced but the link may already \
-                                  have moved"
-                                 fname hint)
                         | Lattice.Retired when checks.c_retire ->
                             report Finding.f3 loc
                               (Printf.sprintf
@@ -321,7 +303,7 @@ let check_file ~file ~checks ~ext ast =
                                 on some path" fname));
                   ob_ret =
                     (fun _ f loc ->
-                      if (not quiet) && checks.c_deref then
+                      if (not quiet) && checks.c_escape then
                         match f.Lattice.st with
                         | Lattice.Protected ->
                             report Finding.f2 loc
@@ -334,7 +316,7 @@ let check_file ~file ~checks ~ext ast =
                         | _ -> ());
                   ob_store =
                     (fun _ f loc ->
-                      if (not quiet) && checks.c_deref then
+                      if (not quiet) && checks.c_escape then
                         match f.Lattice.st with
                         | Lattice.Protected ->
                             report Finding.f2 loc
@@ -408,9 +390,9 @@ let f6_check ~file ast =
           | Pexp_apply (f, [ (_, a); (_, b) ])
             when Rules.app_head_name f = Some (None, "-")
                  && reads_counter a && reads_counter b ->
-              let line, col = line_col e.pexp_loc in
+              let line, _ = line_col e.pexp_loc in
               hits :=
-                Finding.make ~col Finding.f6 ~file ~line
+                Finding.make Finding.f6 ~file ~line
                   "both operands of this subtraction sweep monotonic \
                    counters: OCaml evaluates operands right-to-left, so the \
                    decreasing side is swept first and a reader preempted \
@@ -429,7 +411,7 @@ let f6_check ~file ast =
 let run ~file ~checks ~ext ast =
   let flow, exports =
     if
-      checks.c_deref || checks.c_retire || checks.c_handoff || checks.c_crit
+      checks.c_escape || checks.c_retire || checks.c_handoff || checks.c_crit
       || checks.c_quiescent
     then check_file ~file ~checks ~ext ast
     else ([], [])

@@ -1,9 +1,9 @@
-(** The flow rules F1–F7 (DESIGN.md §15): summary fixpoint over a file's
+(** The flow rules F2–F7 (DESIGN.md §15): summary fixpoint over a file's
     CFGs, then a Neutral-seeded error pass per function. Scope selection
     (which checks run on which directory) lives in {!Engine}. *)
 
 type checks = {
-  c_deref : bool;  (** F1 unvalidated-deref + F2 protected-escape *)
+  c_escape : bool;  (** F2 protected-escape *)
   c_retire : bool;  (** F3 use-after-retire *)
   c_handoff : bool;  (** F4 collector-handoff *)
   c_crit : bool;  (** F5 crit-hygiene *)
@@ -26,5 +26,5 @@ val run :
   ext:(qual:string option -> string -> Summary.fn option) ->
   Parsetree.structure ->
   Finding.t list * Summary.fn list
-(** Returns (findings, summaries of the file's top-level functions — the
-    sidecar export). *)
+(** Returns (findings, summaries of the file's top-level functions, for
+    the run's cross-file table). *)

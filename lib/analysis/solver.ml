@@ -3,9 +3,9 @@
    solver.summarize) and the error pass (Neutral-seeded, rules_flow.ml).
 
    The abstract domain is Lattice.t — per-object facts plus reachability —
-   and every merge is a join, so a deref is accepted only when validation
-   *must*-dominates it: any path that reaches the deref still Raw drags the
-   join down to Raw and the rule fires. Termination: node in-states only
+   and every merge is a join, so a deref is checked against the weakest
+   state on any path to it: one path that reaches it Retired drags the
+   join down to Retired and the rule fires. Termination: node in-states only
    ever descend the finite-height chain (join accumulates), so the
    worklist drains after at most height × objects × nodes relaxations. *)
 
@@ -103,10 +103,6 @@ let apply ~lookup ~obs (facts : Lattice.fact array) (ev : Cfg.ev) =
       | Some (s : Summary.fn) ->
           let n = min s.s_arity (Array.length args) in
           for i = 0 to n - 1 do
-            if i < Array.length s.s_derefs_raw && s.s_derefs_raw.(i) then
-              List.iter
-                (fun o -> obs.ob_deref o (get o) "<argument>" loc)
-                args.(i);
             if i < Array.length s.s_retires && s.s_retires.(i) then
               (* the publish-discipline half of F3 is only checkable inside
                  the callee, where its unlinking CAS precedes the retire;
@@ -231,7 +227,6 @@ let is_param (fn : Cfg.func) o =
 let summarize ~lookup (fn : Cfg.func) : Summary.fn =
   let arity = List.length fn.Cfg.fn_params in
   let ins = solve ~lookup fn ~seed:Lattice.Raw in
-  let derefs_raw = Array.make arity false in
   let retires = Array.make arity false in
   let ret_sites :
       ((Cfg.objset * Lattice.state) array * (Cfg.objset * Lattice.state)) list
@@ -245,11 +240,6 @@ let summarize ~lookup (fn : Cfg.func) : Summary.fn =
   let obs =
     {
       silent with
-      ob_deref =
-        (fun o f _ _ ->
-          match is_param fn o with
-          | Some i when f.Lattice.st = Lattice.Raw -> derefs_raw.(i) <- true
-          | _ -> ());
       ob_retire =
         (fun o _ _ ->
           match is_param fn o with
@@ -364,7 +354,6 @@ let summarize ~lookup (fn : Cfg.func) : Summary.fn =
     Summary.s_name = fn.Cfg.fn_name;
     s_arity = arity;
     s_param_exit = param_exit;
-    s_derefs_raw = derefs_raw;
     s_retires = retires;
     s_ret_slots = ret_slots;
     s_ret_whole = ret_whole;

@@ -7,7 +7,7 @@
 
      smr-lint: allow <rule>[, <rule>...] — <reason>
 
-   where <rule> is an id ("F1") or slug ("unvalidated-deref") and <reason> is
+   where <rule> is an id ("F3") or slug ("use-after-retire") and <reason> is
    mandatory, after an em dash or "--". A pragma suppresses matching
    line-scope findings on its own line or the line directly below, and
    matching file-scope findings anywhere in the file. Requiring the comment

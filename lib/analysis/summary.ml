@@ -7,10 +7,10 @@
    mutual recursion between local helpers) converges by iterating the
    build-and-summarize pass over a file until summaries stop changing.
 
-   Summaries of top-level functions are exported as a JSON sidecar
-   ([--summaries-out]) and imported ([--summaries-in]) so a later run can
-   resolve qualified cross-file calls (module aliases like
-   [module C = Ds_common.Make (S)] map the qualifier to a file stem). *)
+   Summaries of top-level functions collect in a table for the run, so a
+   file analyzed later resolves qualified cross-file calls (module aliases
+   like [module C = Ds_common.Make (S)] map the qualifier to a file
+   stem). *)
 
 type slot =
   | Pass of int
@@ -26,8 +26,6 @@ type fn = {
   s_arity : int;
   s_param_exit : Lattice.state array;
       (** exit state of each Raw-seeded param; [Raw] means untouched *)
-  s_derefs_raw : bool array;
-      (** param flows to a deref while still Raw inside the callee *)
   s_retires : bool array;  (** param is retired by the callee *)
   s_ret_slots : slot array;
       (** per-slot return shapes, joined across return sites; a slot is a
@@ -42,24 +40,9 @@ type fn = {
   s_quiescent : bool;  (** performs a declared quiescent read *)
 }
 
-let bottom ~name ~arity =
-  {
-    s_name = name;
-    s_arity = arity;
-    s_param_exit = Array.make arity Lattice.Raw;
-    s_derefs_raw = Array.make arity false;
-    s_retires = Array.make arity false;
-    s_ret_slots = [||];
-    s_ret_whole = St Lattice.Bot;
-    s_blocks = None;
-    s_enters_crit = false;
-    s_quiescent = false;
-  }
-
 let equal a b =
   a.s_name = b.s_name && a.s_arity = b.s_arity
   && a.s_param_exit = b.s_param_exit
-  && a.s_derefs_raw = b.s_derefs_raw
   && a.s_retires = b.s_retires
   && a.s_ret_slots = b.s_ret_slots
   && a.s_ret_whole = b.s_ret_whole
@@ -67,7 +50,7 @@ let equal a b =
   && a.s_enters_crit = b.s_enters_crit
   && a.s_quiescent = b.s_quiescent
 
-(* --- Sidecar table ------------------------------------------------------- *)
+(* --- Summary table -------------------------------------------------------- *)
 
 (* Keyed ["stem.name"] where stem is the defining file's basename without
    extension ("ds_common"), so a caller that aliases the module resolves
@@ -81,263 +64,3 @@ let lookup (t : table) ~stem name =
   Hashtbl.find_opt t (key ~stem name)
 
 let add (t : table) ~stem (s : fn) = Hashtbl.replace t (key ~stem s.s_name) s
-
-(* --- JSON export --------------------------------------------------------- *)
-
-let state_to_json st = "\"" ^ Lattice.to_string st ^ "\""
-
-(* A passthrough slot serializes as the bare parameter index, a state slot
-   as its state string — distinguishable on parse by JSON type. *)
-let slot_to_json = function
-  | Pass i -> string_of_int i
-  | St st -> state_to_json st
-
-let fn_to_json ~stem s =
-  let arr f xs =
-    "[" ^ String.concat "," (Array.to_list (Array.map f xs)) ^ "]"
-  in
-  Printf.sprintf
-    "{\"key\":\"%s\",\"arity\":%d,\"param_exit\":%s,\"derefs_raw\":%s,\
-     \"retires\":%s,\"ret_slots\":%s,\"ret_whole\":%s,\"blocks\":%s,\
-     \"enters_crit\":%b,\"quiescent\":%b}"
-    (Finding.json_escape (key ~stem s.s_name))
-    s.s_arity
-    (arr state_to_json s.s_param_exit)
-    (arr string_of_bool s.s_derefs_raw)
-    (arr string_of_bool s.s_retires)
-    (arr slot_to_json s.s_ret_slots)
-    (slot_to_json s.s_ret_whole)
-    (match s.s_blocks with
-    | None -> "null"
-    | Some b -> "\"" ^ Finding.json_escape b ^ "\"")
-    s.s_enters_crit s.s_quiescent
-
-let table_to_json (t : table) =
-  let entries =
-    Hashtbl.fold (fun k s acc -> (k, s) :: acc) t []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-    |> List.map (fun (k, s) ->
-           let stem, name =
-             match String.index_opt k '.' with
-             | Some i ->
-                 (String.sub k 0 i, String.sub k (i + 1) (String.length k - i - 1))
-             | None -> ("", k)
-           in
-           fn_to_json ~stem { s with s_name = name })
-  in
-  "[" ^ String.concat ",\n " entries ^ "]\n"
-
-(* --- JSON import --------------------------------------------------------- *)
-
-(* Minimal recursive-descent parser for exactly the subset emitted above:
-   arrays, objects, strings (with the escapes json_escape produces),
-   numbers, booleans, null. *)
-
-type json =
-  | J_str of string
-  | J_num of int
-  | J_bool of bool
-  | J_null
-  | J_arr of json list
-  | J_obj of (string * json) list
-
-exception Bad_json of string
-
-let parse_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    skip_ws ();
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> raise (Bad_json (Printf.sprintf "expected '%c' at %d" c !pos))
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> raise (Bad_json "unterminated string")
-      | Some '"' -> advance ()
-      | Some '\\' ->
-          advance ();
-          (match peek () with
-          | Some 'n' -> Buffer.add_char buf '\n'
-          | Some 't' -> Buffer.add_char buf '\t'
-          | Some 'u' ->
-              (* \uXXXX: json_escape only emits these for control chars *)
-              let hex = String.sub s (!pos + 1) 4 in
-              pos := !pos + 4;
-              Buffer.add_char buf (Char.chr (int_of_string ("0x" ^ hex) land 0xff))
-          | Some c -> Buffer.add_char buf c
-          | None -> raise (Bad_json "dangling escape"));
-          advance ();
-          go ()
-      | Some c ->
-          advance ();
-          Buffer.add_char buf c;
-          go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '"' -> J_str (parse_string ())
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          J_arr []
-        end
-        else
-          let rec items acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                items (v :: acc)
-            | Some ']' ->
-                advance ();
-                List.rev (v :: acc)
-            | _ -> raise (Bad_json "array")
-          in
-          J_arr (items [])
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          J_obj []
-        end
-        else
-          let rec fields acc =
-            skip_ws ();
-            let k = parse_string () in
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                fields ((k, v) :: acc)
-            | Some '}' ->
-                advance ();
-                List.rev ((k, v) :: acc)
-            | _ -> raise (Bad_json "object")
-          in
-          J_obj (fields [])
-    | Some 't' ->
-        pos := !pos + 4;
-        J_bool true
-    | Some 'f' ->
-        pos := !pos + 5;
-        J_bool false
-    | Some 'n' ->
-        pos := !pos + 4;
-        J_null
-    | Some ('-' | '0' .. '9') ->
-        let start = !pos in
-        let rec num () =
-          match peek () with
-          | Some ('-' | '0' .. '9') ->
-              advance ();
-              num ()
-          | _ -> ()
-        in
-        num ();
-        J_num (int_of_string (String.sub s start (!pos - start)))
-    | _ -> raise (Bad_json "value")
-  in
-  let v = parse_value () in
-  skip_ws ();
-  v
-
-let state_of_string st =
-  match List.find_opt (fun x -> Lattice.to_string x = st) Lattice.all with
-  | Some x -> x
-  | None -> raise (Bad_json ("unknown state " ^ st))
-
-let table_of_json text : table =
-  let t = empty_table () in
-  let field obj k =
-    match List.assoc_opt k obj with
-    | Some v -> v
-    | None -> raise (Bad_json ("missing field " ^ k))
-  in
-  let states = function
-    | J_arr xs ->
-        Array.of_list
-          (List.map (function J_str s -> state_of_string s | _ -> raise (Bad_json "state")) xs)
-    | _ -> raise (Bad_json "state array")
-  in
-  let slots = function
-    | J_arr xs ->
-        Array.of_list
-          (List.map
-             (function
-               | J_str s -> St (state_of_string s)
-               | J_num i -> Pass i
-               | _ -> raise (Bad_json "slot"))
-             xs)
-    | _ -> raise (Bad_json "slot array")
-  in
-  let bools = function
-    | J_arr xs ->
-        Array.of_list
-          (List.map (function J_bool b -> b | _ -> raise (Bad_json "bool")) xs)
-    | _ -> raise (Bad_json "bool array")
-  in
-  (match parse_json text with
-  | J_arr entries ->
-      List.iter
-        (function
-          | J_obj o ->
-              let k = match field o "key" with J_str s -> s | _ -> raise (Bad_json "key") in
-              (* the key is "stem.name"; store the bare name so an imported
-                 entry is indistinguishable from a locally built one *)
-              let name =
-                match String.index_opt k '.' with
-                | Some i -> String.sub k (i + 1) (String.length k - i - 1)
-                | None -> k
-              in
-              let s =
-                {
-                  s_name = name;
-                  s_arity = (match field o "arity" with J_num i -> i | _ -> 0);
-                  s_param_exit = states (field o "param_exit");
-                  s_derefs_raw = bools (field o "derefs_raw");
-                  s_retires = bools (field o "retires");
-                  s_ret_slots = slots (field o "ret_slots");
-                  s_ret_whole =
-                    (match field o "ret_whole" with
-                    | J_str s -> St (state_of_string s)
-                    | J_num i -> Pass i
-                    | _ -> St Lattice.Bot);
-                  s_blocks =
-                    (match field o "blocks" with
-                    | J_str s -> Some s
-                    | _ -> None);
-                  s_enters_crit =
-                    (match field o "enters_crit" with J_bool b -> b | _ -> false);
-                  s_quiescent =
-                    (match field o "quiescent" with J_bool b -> b | _ -> false);
-                }
-              in
-              Hashtbl.replace t k s
-          | _ -> raise (Bad_json "entry"))
-        entries
-  | _ -> raise (Bad_json "top-level array"));
-  t

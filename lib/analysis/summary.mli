@@ -1,8 +1,8 @@
 (** Per-function protection-effect summaries (DESIGN.md §15): the
     Raw-seeded abstract of one function, applied at call sites instead of
     inlining. The file driver iterates build-and-summarize to fixpoint so
-    (mutually) recursive helpers converge; top-level summaries export to a
-    JSON sidecar for cross-file resolution. *)
+    (mutually) recursive helpers converge; top-level summaries collect in
+    a table for cross-file resolution within one run. *)
 
 type slot =
   | Pass of int
@@ -16,8 +16,6 @@ type fn = {
   s_arity : int;
   s_param_exit : Lattice.state array;
       (** exit state of each Raw-seeded param; [Raw] means untouched *)
-  s_derefs_raw : bool array;
-      (** param flows to a deref while still Raw inside the callee *)
   s_retires : bool array;  (** param is retired by the callee *)
   s_ret_slots : slot array;
       (** per-slot return shape joined across return sites; a slot is a
@@ -31,23 +29,12 @@ type fn = {
   s_quiescent : bool;  (** performs a declared quiescent read *)
 }
 
-val bottom : name:string -> arity:int -> fn
 val equal : fn -> fn -> bool
 
-(** {1 Sidecar table} — keyed ["stem.name"] by defining file stem *)
+(** {1 Summary table} — keyed ["stem.name"] by defining file stem *)
 
 type table = (string, fn) Hashtbl.t
 
-val key : stem:string -> string -> string
 val empty_table : unit -> table
 val lookup : table -> stem:string -> string -> fn option
 val add : table -> stem:string -> fn -> unit
-
-val fn_to_json : stem:string -> fn -> string
-val table_to_json : table -> string
-
-exception Bad_json of string
-
-val table_of_json : string -> table
-(** Parse a sidecar produced by {!table_to_json}; raises {!Bad_json} on
-    malformed input. *)

@@ -13,11 +13,6 @@ type kind = KMap | KStack | KQueue
 
 let kind_name = function KMap -> "map" | KStack -> "stack" | KQueue -> "queue"
 
-let op_kind = function
-  | Insert _ | Remove _ | Get _ -> KMap
-  | Push _ | Pop -> KStack
-  | Enq _ | Deq -> KQueue
-
 let op_to_string = function
   | Insert (k, v) -> Printf.sprintf "ins %d %d" k v
   | Remove k -> Printf.sprintf "del %d" k

@@ -18,7 +18,6 @@ type op =
 type kind = KMap | KStack | KQueue
 
 val kind_name : kind -> string
-val op_kind : op -> kind
 val op_to_string : op -> string
 
 val op_of_string : string -> op

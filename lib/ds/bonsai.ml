@@ -128,9 +128,15 @@ module Make (S : Smr.Smr_intf.S) = struct
   (* The root link's target in the option shape the tree's own child
      fields use. *)
   let root_of r =
-    match Tagged.shape r with
+    match Tagged.shape (Tagged.raw r) with
     | Tagged.Ptr -> Some (Tagged.node r)
     | Tagged.Null -> None
+
+  (* The target of the root record an operation starts from. Bonsai
+     validates per node, not per link: [guard_old] and [protect_read]
+     protect a node and make the root check before any of its fields is
+     read, so here the root's target is only named. *)
+  let read_root root_rec = root_of (Tagged.validated root_rec)
 
   let node_size = function None -> 0 | Some n -> n.size
   let weight n = node_size n + 1
@@ -223,7 +229,7 @@ module Make (S : Smr.Smr_intf.S) = struct
   (* One attempted update: [rebuild] maps the protected old tree to a new
      tree (or None when the operation is a no-op). Raises [Restart] when a
      protection fails mid-read. *)
-  let update t l ~noop (rebuild : 'v ctx -> is_old:('v node -> bool) -> 'v node Tagged.t -> ('v node option * 'a) option) =
+  let update t l ~noop (rebuild : 'v ctx -> is_old:('v node -> bool) -> 'v node option -> ('v node option * 'a) option) =
     let attempt () =
       reset_guards l;
       let root_rec = Link.get t.root in
@@ -243,7 +249,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       let discard ns =
         List.iter (fun n -> Mem.discard (stats t) (Mem.of_node n)) ns
       in
-      match rebuild ctx ~is_old root_rec with
+      match rebuild ctx ~is_old (read_root root_rec) with
       | exception Restart ->
           discard ctx.created;
           raise Restart
@@ -295,12 +301,10 @@ module Make (S : Smr.Smr_intf.S) = struct
               (match new_root with
               | Some nr when is_old nr -> S.incr_ref (Mem.of_node nr)
               | _ -> ());
-              let old_root = root_of ctx.root_rec in
               List.iter
                 (fun z ->
-                  match old_root with
-                  | Some r when r == z -> ()
-                  | _ -> S.incr_ref (Mem.of_node z))
+                  if not (Tagged.same_ptr ctx.root_rec (Tagged.make z)) then
+                    S.incr_ref (Mem.of_node z))
                 ctx.replaced;
               List.iter
                 (fun n ->
@@ -328,7 +332,7 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let insert t l key value =
     let st = stats t in
-    update t l ~noop:false (fun ctx ~is_old root_rec ->
+    update t l ~noop:false (fun ctx ~is_old root ->
           let rec go = function
             | None -> Some (mk ctx ~is_old ~key ~value ~left:None ~right:None st)
             | Some n ->
@@ -351,7 +355,7 @@ module Make (S : Smr.Smr_intf.S) = struct
                         (rebalance t l ctx st ~is_old ~key:n.key ~value:n.value
                            ~left:n.left ~right:(Some right))
           in
-          match go (root_of root_rec) with
+          match go root with
           | None -> None
           | Some root -> Some (Some root, true))
 
@@ -359,7 +363,7 @@ module Make (S : Smr.Smr_intf.S) = struct
      pulls up the minimum of the right side. *)
   let remove t l key =
     let st = stats t in
-    update t l ~noop:false (fun ctx ~is_old root_rec ->
+    update t l ~noop:false (fun ctx ~is_old root ->
           let rec min_node n =
             guard_old t l ctx n;
             match n.left with None -> n | Some c -> min_node c
@@ -410,7 +414,7 @@ module Make (S : Smr.Smr_intf.S) = struct
                            (rebalance t l ctx st ~is_old ~key:n.key
                               ~value:n.value ~left:n.left ~right)))
           in
-          match go (root_of root_rec) with
+          match go root with
           | None -> None
           | Some root -> Some (root, true))
 
@@ -450,7 +454,7 @@ module Make (S : Smr.Smr_intf.S) = struct
               else if key < n.key then go gchild gparent n.invalid n.left
               else go gchild gparent n.invalid n.right
         in
-        match go l.hp_parent l.hp_child root_src (root_of root_rec) with
+        match go l.hp_parent l.hp_child root_src (read_root root_rec) with
         | r -> r
         | exception Restart -> `Prot)
 
@@ -475,7 +479,7 @@ module Make (S : Smr.Smr_intf.S) = struct
               put_guard l g;
               acc
         in
-        match go root_src init (root_of root_rec) with
+        match go root_src init (read_root root_rec) with
         | acc -> `Done acc
         | exception Restart ->
             reset_guards l;

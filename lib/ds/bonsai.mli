@@ -22,7 +22,7 @@ module Make (S : Smr.Smr_intf.S) : sig
        and type handle = S.handle
        and type 'v t := 'v t
 
-  val root_of : 'v node Smr_core.Tagged.t -> 'v node option
+  val root_of : 'v node Smr_core.Tagged.safe -> 'v node option
 
   val fold : 'v t -> local -> init:'a -> f:('a -> int -> 'v -> 'a) -> 'a
   (** A consistent in-order snapshot scan: folds over the tree one root

@@ -26,7 +26,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       let dst =
         match Tagged.shape l with
         | Tagged.Ptr ->
-            let uid = Mem.uid (Mem.of_node (Tagged.node l)) in
+            let uid = Mem.uid (Tagged.header l) in
             if validated then Trace.emit Trace.Protect uid 0 0;
             uid
         | Tagged.Null -> -1
@@ -65,8 +65,8 @@ module Make (S : Smr.Smr_intf.S) = struct
      under PEBR, this thread was neutralized); logical-deletion tags are
      ignored, so optimistic traversal through deleted chains succeeds. If
      the link moved to a new target, chase it, announcing protection anew
-     each time. Returns the current value of [src_link] — same target as
-     requested, possibly retagged — or, on failure, the shared
+     each time. Returns the current value of [src_link], validated — same
+     target as requested, possibly retagged — or, on failure, the shared
      {!Tagged.invalid}, which carries no node; the caller must then recover,
      typically by restarting the operation. [src] is the header of the node
      [src_link] lives in ([Mem.phantom] for a root link), for the trace
@@ -90,7 +90,7 @@ module Make (S : Smr.Smr_intf.S) = struct
      invalidated or a new target, which it steps onto anew. *)
   let rec step_called ~src guard handle ~src_link expected =
     (match Tagged.shape expected with
-    | Tagged.Ptr -> protect guard (Mem.of_node (Tagged.node expected))
+    | Tagged.Ptr -> protect guard (Tagged.header expected)
     | Tagged.Null -> ());
     if not (protection_valid handle) then validation_fail ~src 0
     else
@@ -98,7 +98,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       if Tagged.same_ptr l expected && not (Tagged.is_invalid l) then begin
         if Trace.enabled () then
           trace_step ~src ~validated:true l;
-        l
+        Tagged.validated l
       end
       else protect_moved ~src guard handle ~src_link l
 
@@ -114,47 +114,43 @@ module Make (S : Smr.Smr_intf.S) = struct
     if not S.needs_protection then begin
       if Trace.enabled () then
         trace_step ~src ~validated:false expected;
-      expected
+      Tagged.validated expected
     end
     else if inline_step && Atomic.get hook_flags = 0 then begin
       (match Tagged.shape expected with
       | Tagged.Ptr ->
-          Slots.set_disarmed (slot_of guard)
-            (Mem.of_node (Tagged.node expected))
+          Slots.set_disarmed (slot_of guard) (Tagged.header expected)
       | Tagged.Null -> ());
       let l = Link.get src_link in
-      if Tagged.same_ptr l expected && not (Tagged.is_invalid l) then l
+      if Tagged.same_ptr l expected && not (Tagged.is_invalid l) then
+        Tagged.validated l
       else protect_moved ~src guard handle ~src_link l
     end
     else step_called ~src guard handle ~src_link expected
 
   (* Over-approximating validation (original HP, paper §2.2): succeed only
      if [src_link] still holds exactly [expected]'s target with a clean tag;
-     any change — including the source's logical deletion — fails. *)
+     any change — including the source's logical deletion — fails. Returns
+     like [try_protect]: the value re-read, or {!Tagged.invalid}. *)
   let protect_pessimistic ~src guard handle ~src_link expected =
     if not S.needs_protection then begin
       if Trace.enabled () then
         trace_step ~src ~validated:false expected;
-      true
+      Tagged.validated expected
     end
     else begin
       (match Tagged.shape expected with
-      | Tagged.Ptr -> protect guard (Mem.of_node (Tagged.node expected))
+      | Tagged.Ptr -> protect guard (Tagged.header expected)
       | Tagged.Null -> ());
-      if
-        protection_valid handle
-        &&
+      if not (protection_valid handle) then validation_fail ~src 0
+      else
         let l = Link.get src_link in
-        Tagged.same_ptr l expected && Tagged.tag l = 0
-      then begin
-        if Trace.enabled () then
-          trace_step ~src ~validated:true expected;
-        true
-      end
-      else begin
-        Trace.emit Trace.Validation_fail (uid_of_hdr src) 0 0;
-        false
-      end
+        if Tagged.same_ptr l expected && Tagged.tag l = 0 then begin
+          if Trace.enabled () then
+            trace_step ~src ~validated:true expected;
+          Tagged.validated l
+        end
+        else validation_fail ~src 0
     end
 
   (* Run [body] inside a critical section until it completes. [`Prot] is a

@@ -32,7 +32,7 @@ module Make (S : Smr.Smr_intf.S) : sig
     S.handle ->
     src_link:'a Smr_core.Link.t ->
     'a Smr_core.Tagged.t ->
-    'a Smr_core.Tagged.t
+    'a Smr_core.Tagged.safe
   (** TryProtect with under-approximating validation (paper Algorithm 3):
       fails only when [src_link] is invalidated or the thread was
       neutralized, returning {!Smr_core.Tagged.invalid}; otherwise returns
@@ -44,9 +44,10 @@ module Make (S : Smr.Smr_intf.S) : sig
     S.handle ->
     src_link:'a Smr_core.Link.t ->
     'a Smr_core.Tagged.t ->
-    bool
+    'a Smr_core.Tagged.safe
   (** HP's over-approximation: protect, then validate that [src_link]
-      still holds the record, untagged. *)
+      still holds the record, untagged. Returns that value, or
+      {!Smr_core.Tagged.invalid} when validation fails. *)
 
   val with_crit :
     S.handle ->

@@ -83,7 +83,7 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   (* [root] is the sentinel R; [s_rec] is its left child record, which
      holds the sentinel S for good. *)
-  type 'v t = { scheme : S.t; root : 'v node; s_rec : 'v node Tagged.t }
+  type 'v t = { scheme : S.t; root : 'v node; s_rec : 'v node Tagged.safe }
 
   type local = {
     handle : S.handle;
@@ -140,9 +140,10 @@ module Make (S : Smr.Smr_intf.S) = struct
         ~left:(Tagged.make (leaf inf1))
         ~right:(Tagged.make (leaf inf2))
     in
-    let s_rec = Tagged.make s in
+    let s_rec = Tagged.sentinel (Tagged.make s) in
     let r =
-      mk_node stats ~key:inf2 ~value:None ~kind:Internal ~left:s_rec
+      mk_node stats ~key:inf2 ~value:None ~kind:Internal
+        ~left:(Tagged.raw s_rec)
         ~right:(Tagged.make (leaf inf2))
     in
     { scheme; root = r; s_rec }
@@ -208,10 +209,9 @@ module Make (S : Smr.Smr_intf.S) = struct
     (match Tagged.shape sib_rec with
     | Tagged.Null -> ()
     | Tagged.Ptr ->
-        let sibling = Tagged.node sib_rec in
         ignore
           (S.try_unlink l.handle
-             ~frontier:[ Mem.of_node sibling ]
+             ~frontier:[ Tagged.header sib_rec ]
              ~do_unlink:(fun () ->
                if
                  Link.cas_clean op.d_gp_link op.d_gp_rec
@@ -260,12 +260,13 @@ module Make (S : Smr.Smr_intf.S) = struct
      starts at S as the node below R; S is internal, so the first step
      drops the first call's stand-in grandparent arguments. *)
   let search t l key =
-    let rec walk g_gp g_p g_l g_cur gp p gpupdate pupdate p_rec p_link cur_rec
+    let rec walk g_gp g_p g_l g_cur gp p gpupdate pupdate p_rec p_link cur_s
         cur_link =
+      let cur_rec = Tagged.raw cur_s in
       match Tagged.shape cur_rec with
       | Tagged.Null -> `Retry
       | Tagged.Ptr ->
-          let cur = Tagged.node cur_rec in
+          let cur = Tagged.node cur_s in
           Mem.check_access (Mem.of_node cur);
           if cur.kind = Leaf then
             `Done
@@ -293,17 +294,17 @@ module Make (S : Smr.Smr_intf.S) = struct
                record a validated protection of a freed leaf whenever the
                mark test then fails. *)
             if S.supports_optimistic then
-              let next_rec =
+              let next_s =
                 C.try_protect ~src:(Mem.of_node cur) g_cur l.handle
                   ~src_link:link expected
               in
-              if Tagged.is_invalid next_rec then `Prot
+              if Tagged.is_invalid (Tagged.raw next_s) then `Prot
               else
                 walk g_p g_l g_cur g_gp p cur pupdate up cur_rec cur_link
-                  next_rec link
+                  next_s link
             else begin
               (match Tagged.shape expected with
-              | Tagged.Ptr -> C.protect g_cur (Mem.of_node (Tagged.node expected))
+              | Tagged.Ptr -> C.protect g_cur (Tagged.header expected)
               | Tagged.Null -> ());
               if
                 C.protection_valid l.handle
@@ -314,7 +315,7 @@ module Make (S : Smr.Smr_intf.S) = struct
                   C.trace_step ~src:(Mem.of_node cur) ~validated:true
                     expected;
                 walk g_p g_l g_cur g_gp p cur pupdate up cur_rec cur_link
-                  expected link
+                  (Tagged.validated expected) link
               end
               else begin
                 Trace.emit Trace.Validation_fail
@@ -325,8 +326,8 @@ module Make (S : Smr.Smr_intf.S) = struct
     in
     let r = t.root in
     let r_up = Atomic.get r.update in
-    walk l.hp_gp l.hp_p l.hp_l l.hp_cur r r r_up r_up t.s_rec r.left t.s_rec
-      r.left
+    walk l.hp_gp l.hp_p l.hp_l l.hp_cur r r r_up r_up (Tagged.raw t.s_rec)
+      r.left t.s_rec r.left
 
   let get t l key =
     if key >= inf1 then invalid_arg "Efrbtree: key too large";
@@ -437,7 +438,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       | Internal ->
           let go link acc =
             let child = Link.get_quiescent link in
-            match Tagged.shape child with
+            match Tagged.shape (Tagged.raw child) with
             | Tagged.Ptr -> walk (Tagged.node child) acc
             | Tagged.Null -> acc
           in
@@ -452,7 +453,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       assert (not (Mem.is_freed (Mem.of_node n)));
       let go link =
         let child = Link.get_quiescent link in
-        match Tagged.shape child with
+        match Tagged.shape (Tagged.raw child) with
         | Tagged.Ptr -> walk (Tagged.node child)
         | Tagged.Null -> ()
       in

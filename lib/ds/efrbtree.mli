@@ -39,7 +39,7 @@ module Make (S : Smr.Smr_intf.S) : sig
   type 'v t = {
     scheme : S.t;
     root : 'v node;
-    s_rec : 'v node Smr_core.Tagged.t;
+    s_rec : 'v node Smr_core.Tagged.safe;
   }
 
   include

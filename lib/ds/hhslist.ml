@@ -91,7 +91,7 @@ module Make (S : Smr.Smr_intf.S) = struct
         let acc = n :: acc in
         let next_t = Link.get (Link.of_node n) in
         match Tagged.shape next_t with
-        | Tagged.Ptr -> walk (Tagged.node next_t) acc
+        | Tagged.Ptr -> walk (Tagged.node (Tagged.owned next_t)) acc
         | Tagged.Null -> List.rev acc
     in
     walk first []
@@ -136,15 +136,14 @@ module Make (S : Smr.Smr_intf.S) = struct
        hands roles on by permuting them at the recursive call. [src] is the
        header of the node owning [prev_link] ([Mem.phantom] at the head). *)
     let rec loop gprev gcur ganchor ganext src prev_link cur_t anchor =
-      let cur_t =
-        C.try_protect ~src gcur l.handle ~src_link:prev_link cur_t
-      in
+      let cur_s = C.try_protect ~src gcur l.handle ~src_link:prev_link cur_t in
+      let cur_t = Tagged.raw cur_s in
       if Tagged.is_invalid cur_t then `Prot
       else
         match Tagged.shape cur_t with
         | Tagged.Null -> finish ~found:false prev_link cur_t None anchor
         | Tagged.Ptr ->
-            let cur = Tagged.node cur_t in
+            let cur = Tagged.node cur_s in
             let hcur = Mem.of_node cur in
             Mem.check_access hcur;
             let cur_link = Link.of_node cur in
@@ -183,16 +182,16 @@ module Make (S : Smr.Smr_intf.S) = struct
   let get t l key =
     C.with_crit l.handle (stats t) (fun () ->
         let rec walk gprev gcur src prev_link cur_t =
-          let cur_t =
-            C.try_protect ~src gcur l.handle
-              ~src_link:prev_link cur_t
+          let cur_s =
+            C.try_protect ~src gcur l.handle ~src_link:prev_link cur_t
           in
+          let cur_t = Tagged.raw cur_s in
           if Tagged.is_invalid cur_t then `Prot
           else
             match Tagged.shape cur_t with
             | Tagged.Null -> `Done None
             | Tagged.Ptr ->
-                let cur = Tagged.node cur_t in
+                let cur = Tagged.node cur_s in
                 Mem.check_access (Mem.of_node cur);
                 let cur_link = Link.of_node cur in
                 let next_t = Link.get cur_link in
@@ -258,7 +257,7 @@ module Make (S : Smr.Smr_intf.S) = struct
                    protected and [cur] invalidated before it is retired. *)
                 let frontier =
                   match Tagged.shape next_t with
-                  | Tagged.Ptr -> [ Mem.of_node (Tagged.node next_t) ]
+                  | Tagged.Ptr -> [ Tagged.header next_t ]
                   | Tagged.Null -> []
                 in
                 ignore
@@ -278,13 +277,14 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let to_list t =
     let rec walk acc tg =
-      match Tagged.shape tg with
+      match Tagged.shape (Tagged.raw tg) with
       | Tagged.Null -> List.rev acc
       | Tagged.Ptr ->
           let n = Tagged.node tg in
           let next_t = Link.get_quiescent (Link.of_node n) in
           let acc =
-            if Tagged.is_deleted next_t then acc else (n.key, n.value) :: acc
+            if Tagged.is_deleted (Tagged.raw next_t) then acc
+            else (n.key, n.value) :: acc
           in
           walk acc next_t
     in
@@ -294,7 +294,7 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let assert_reachable_not_freed t =
     let rec walk tg =
-      match Tagged.shape tg with
+      match Tagged.shape (Tagged.raw tg) with
       | Tagged.Null -> ()
       | Tagged.Ptr ->
           let n = Tagged.node tg in

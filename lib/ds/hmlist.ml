@@ -61,13 +61,13 @@ module Make (S : Smr.Smr_intf.S) = struct
       match Tagged.shape cur_t with
       | Tagged.Null -> `Done (false, prev_link, cur_t, None)
       | Tagged.Ptr ->
-          let cur = Tagged.node cur_t in
-          if
-            not
-              (C.protect_pessimistic ~src:Mem.phantom gcur
-                 l.handle ~src_link:prev_link cur_t)
-          then `Prot
+          let cur_s =
+            C.protect_pessimistic ~src:Mem.phantom gcur l.handle
+              ~src_link:prev_link cur_t
+          in
+          if Tagged.is_invalid (Tagged.raw cur_s) then `Prot
           else begin
+            let cur = Tagged.node cur_s in
             Mem.check_access (Mem.of_node cur);
             let next_t = Link.get (Link.of_node cur) in
             if Tagged.is_deleted next_t then begin
@@ -156,13 +156,14 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let to_list t =
     let rec walk acc tg =
-      match Tagged.shape tg with
+      match Tagged.shape (Tagged.raw tg) with
       | Tagged.Null -> List.rev acc
       | Tagged.Ptr ->
           let n = Tagged.node tg in
           let next_t = Link.get_quiescent (Link.of_node n) in
           let acc =
-            if Tagged.is_deleted next_t then acc else (n.key, n.value) :: acc
+            if Tagged.is_deleted (Tagged.raw next_t) then acc
+            else (n.key, n.value) :: acc
           in
           walk acc next_t
     in
@@ -174,7 +175,7 @@ module Make (S : Smr.Smr_intf.S) = struct
      marked nodes too. Quiescent test invariant. *)
   let assert_reachable_not_freed t =
     let rec walk tg =
-      match Tagged.shape tg with
+      match Tagged.shape (Tagged.raw tg) with
       | Tagged.Null -> ()
       | Tagged.Ptr ->
           let n = Tagged.node tg in

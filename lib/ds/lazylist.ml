@@ -86,16 +86,17 @@ module Make (S : Smr.Smr_intf.S) = struct
      node. *)
   let walk t l key =
     let rec go gprev gcur prev cur_t =
-      let cur_t =
+      let cur_s =
         C.try_protect ~src:Mem.phantom gcur l.handle
           ~src_link:(pred_link t prev) cur_t
       in
+      let cur_t = Tagged.raw cur_s in
       if Tagged.is_invalid cur_t then `Prot
       else
         match Tagged.shape cur_t with
         | Tagged.Null -> `Done (prev, None)
         | Tagged.Ptr ->
-            let cur = Tagged.node cur_t in
+            let cur = Tagged.node cur_s in
             Mem.check_access (Mem.of_node cur);
             if cur.key >= key then `Done (prev, Some cur)
             else go gcur gprev (Node cur) (Link.get (Link.of_node cur))
@@ -162,7 +163,6 @@ module Make (S : Smr.Smr_intf.S) = struct
                       n
                 in
                 match
-                  (* smr-lint: allow F1 — validated locks pred and cur before any deref; locked, unmarked nodes cannot be unlinked, hence never invalidated or freed (Heller validation) *)
                   validated t ~pred ~cur (fun () ->
                       Link.set (Link.of_node node) (Tagged.of_option cur);
                       Link.set (pred_link t pred) (Tagged.make node))
@@ -180,7 +180,6 @@ module Make (S : Smr.Smr_intf.S) = struct
             else if Atomic.get cur.marked then `Done false
             else (
               match
-                (* smr-lint: allow F1 — validated locks pred and cur before any deref; locked, unmarked nodes cannot be unlinked, hence never invalidated or freed (Heller validation) *)
                 validated t ~pred ~cur:(Some cur) (fun () ->
                     (* logical deletion: the linearization point *)
                     Atomic.set cur.marked true;
@@ -190,7 +189,7 @@ module Make (S : Smr.Smr_intf.S) = struct
                     let next_t = Link.get (Link.of_node cur) in
                     let frontier =
                       match Tagged.shape next_t with
-                      | Tagged.Ptr -> [ Mem.of_node (Tagged.node next_t) ]
+                      | Tagged.Ptr -> [ Tagged.header next_t ]
                       | Tagged.Null -> []
                     in
                     ignore
@@ -211,7 +210,7 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let to_list t =
     let rec go acc tg =
-      match Tagged.shape tg with
+      match Tagged.shape (Tagged.raw tg) with
       | Tagged.Null -> List.rev acc
       | Tagged.Ptr ->
           let n = Tagged.node tg in
@@ -226,7 +225,7 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let assert_reachable_not_freed t =
     let rec go tg =
-      match Tagged.shape tg with
+      match Tagged.shape (Tagged.raw tg) with
       | Tagged.Null -> ()
       | Tagged.Ptr ->
           let n = Tagged.node tg in

@@ -50,13 +50,13 @@ module Make (S : Smr.Smr_intf.S) = struct
     in
     C.with_crit l.handle (stats t) (fun () ->
         let tail_t = Link.get t.tail in
-        let tl = Tagged.node tail_t in
-        if
-          not
-            (C.protect_pessimistic ~src:Mem.phantom l.hp_head
-               l.handle ~src_link:t.tail tail_t)
-        then `Prot
+        let tail_s =
+          C.protect_pessimistic ~src:Mem.phantom l.hp_head l.handle
+            ~src_link:t.tail tail_t
+        in
+        if Tagged.is_invalid (Tagged.raw tail_s) then `Prot
         else begin
+          let tl = Tagged.node tail_s in
           Mem.check_access (Mem.of_node tl);
           let next_t = Link.get (Link.of_node tl) in
           match Tagged.shape next_t with
@@ -79,20 +79,19 @@ module Make (S : Smr.Smr_intf.S) = struct
   let dequeue t l =
     C.with_crit l.handle (stats t) (fun () ->
         let head_t = Link.get t.head in
-        let h = Tagged.node head_t in
-        if
-          not
-            (C.protect_pessimistic ~src:Mem.phantom l.hp_head
-               l.handle ~src_link:t.head head_t)
-        then `Prot
+        let head_s =
+          C.protect_pessimistic ~src:Mem.phantom l.hp_head l.handle
+            ~src_link:t.head head_t
+        in
+        if Tagged.is_invalid (Tagged.raw head_s) then `Prot
         else begin
+          let h = Tagged.node head_s in
           Mem.check_access (Mem.of_node h);
           let tail_t = Link.get t.tail in
           let next_t = Link.get (Link.of_node h) in
           match Tagged.shape next_t with
           | Tagged.Null -> `Done None
           | Tagged.Ptr ->
-              let n = Tagged.node next_t in
               if Tagged.same_ptr head_t tail_t then begin
                 (* Help the lagging tail past the dummy. *)
                 ignore (Link.cas_clean t.tail tail_t (Tagged.untagged next_t));
@@ -101,11 +100,12 @@ module Make (S : Smr.Smr_intf.S) = struct
               else begin
                 (* Protect [n], then validate: while [head] still holds [h],
                    [n] cannot have been retired, so the protection is safe. *)
-                C.protect l.hp_next (Mem.of_node n);
+                C.protect l.hp_next (Tagged.header next_t);
                 if not (C.protection_valid l.handle) then `Prot
                 else if not (Tagged.same_ptr (Link.get t.head) head_t) then
                   `Retry
                 else begin
+                  let n = Tagged.node (Tagged.validated next_t) in
                   Mem.check_access (Mem.of_node n);
                   let value = n.value in
                   if Link.cas_clean t.head head_t (Tagged.untagged next_t)
@@ -128,7 +128,7 @@ module Make (S : Smr.Smr_intf.S) = struct
      test/check_corpus/msqueue-to-list-model.case). *)
   let to_list t =
     let rec walk acc tg =
-      match Tagged.shape tg with
+      match Tagged.shape (Tagged.raw tg) with
       | Tagged.Null -> List.rev acc
       | Tagged.Ptr ->
           let n = Tagged.node tg in
@@ -136,7 +136,7 @@ module Make (S : Smr.Smr_intf.S) = struct
           walk acc (Link.get_quiescent (Link.of_node n))
     in
     let head_t = Link.get_quiescent t.head in
-    match Tagged.shape head_t with
+    match Tagged.shape (Tagged.raw head_t) with
     | Tagged.Null -> []
     | Tagged.Ptr ->
         walk [] (Link.get_quiescent (Link.of_node (Tagged.node head_t)))

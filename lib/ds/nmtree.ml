@@ -160,16 +160,17 @@ module Make (S : Smr.Smr_intf.S) = struct
           }
       else
         let link = child_link leaf key in
-        let next_rec =
+        let next_s =
           C.try_protect ~src:(Mem.of_node leaf) gc l.handle ~src_link:link
             (Link.get link)
         in
+        let next_rec = Tagged.raw next_s in
         if Tagged.is_invalid next_rec then `Prot
         else
           match Tagged.shape next_rec with
           | Tagged.Null -> `Retry
           | Tagged.Ptr ->
-              let next = Tagged.node next_rec in
+              let next = Tagged.node next_s in
               Mem.check_access (Mem.of_node next);
               if is_tagged parent_rec then
                 (* The parent edge is frozen: ancestor and successor stay,
@@ -209,7 +210,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       else
         let child = Link.get (child_link n key) in
         match Tagged.shape child with
-        | Tagged.Ptr -> walk (Tagged.node child) acc
+        | Tagged.Ptr -> walk (Tagged.node (Tagged.owned child)) acc
         | Tagged.Null -> List.rev acc
     in
     walk successor []
@@ -235,16 +236,15 @@ module Make (S : Smr.Smr_intf.S) = struct
     match Tagged.shape sib_rec with
     | Tagged.Null -> false
     | Tagged.Ptr ->
-        let sibling = Tagged.node sib_rec in
         (* The sibling moves up with its tag cleared but its flag kept: a
            flagged sibling is a leaf whose own delete is pending, and
            dropping the flag would resurrect it unfrozen, letting an insert
            hang a live leaf under an edge that a later splice removes. *)
         let moved =
-          Tagged.make ~tag:(Tagged.tag sib_rec land flag_bit) sibling
+          Tagged.with_tag sib_rec (Tagged.tag sib_rec land flag_bit)
         in
         S.try_unlink l.handle
-          ~frontier:[ Mem.of_node sibling ]
+          ~frontier:[ Tagged.header sib_rec ]
           ~do_unlink:(fun () ->
             if
               Link.cas_clean sr.sr_ancestor_link sr.sr_ancestor_rec moved
@@ -362,7 +362,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       | Internal ->
           let go link acc =
             let child = Link.get_quiescent link in
-            match Tagged.shape child with
+            match Tagged.shape (Tagged.raw child) with
             | Tagged.Ptr -> walk (Tagged.node child) acc
             | Tagged.Null -> acc
           in
@@ -377,7 +377,7 @@ module Make (S : Smr.Smr_intf.S) = struct
       assert (not (Mem.is_freed (Mem.of_node n)));
       let go link =
         let child = Link.get_quiescent link in
-        match Tagged.shape child with
+        match Tagged.shape (Tagged.raw child) with
         | Tagged.Ptr -> walk (Tagged.node child)
         | Tagged.Null -> ()
       in

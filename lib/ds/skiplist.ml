@@ -93,7 +93,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     let desired = Tagged.with_tag next_t 0 in
     let frontier =
       match Tagged.shape next_t with
-      | Tagged.Ptr -> [ Mem.of_node (Tagged.node next_t) ]
+      | Tagged.Ptr -> [ Tagged.header next_t ]
       | Tagged.Null -> []
     in
     let ok =
@@ -134,16 +134,11 @@ module Make (S : Smr.Smr_intf.S) = struct
     let succs = Array.make max_height None in
     let protect_cur gcur pred_links lvl cur_t =
       if S.supports_optimistic then
-        let cur_t =
-          C.try_protect ~src:Mem.phantom gcur l.handle
-            ~src_link:pred_links.(lvl) cur_t
-        in
-        if Tagged.is_invalid cur_t then None else Some cur_t
-      else if
+        C.try_protect ~src:Mem.phantom gcur l.handle
+          ~src_link:pred_links.(lvl) cur_t
+      else
         C.protect_pessimistic ~src:Mem.phantom gcur l.handle
           ~src_link:pred_links.(lvl) cur_t
-      then Some cur_t
-      else None
     in
     (* [gcur] protects the node being read, [gpred] the tower whose links
        the walk is reading; they swap at each step right and carry over on
@@ -157,24 +152,25 @@ module Make (S : Smr.Smr_intf.S) = struct
             succs )
       else
         let rec walk gpred gcur pred cur_t =
-          match protect_cur gcur pred.links lvl cur_t with
-          | None -> `Prot
-          | Some cur_t -> (
-              match Tagged.shape cur_t with
-              | Tagged.Null -> descend gpred gcur pred cur_t None
-              | Tagged.Ptr ->
-                  let cur = Tagged.node cur_t in
-                  Mem.check_access (Mem.of_node cur);
-                  let next_t = Link.get cur.next.(lvl) in
-                  if Tagged.is_deleted next_t then
-                    match
-                      snip l ~pred_links:pred.links ~lvl ~cur ~cur_t ~next_t
-                    with
-                    | Some desired -> walk gpred gcur pred desired
-                    | None -> `Retry
-                  else if cur.key < key then
-                    walk gcur gpred { links = cur.next; node = Some cur } next_t
-                  else descend gpred gcur pred cur_t (Some cur))
+          let cur_s = protect_cur gcur pred.links lvl cur_t in
+          let cur_t = Tagged.raw cur_s in
+          if Tagged.is_invalid cur_t then `Prot
+          else
+            match Tagged.shape cur_t with
+            | Tagged.Null -> descend gpred gcur pred cur_t None
+            | Tagged.Ptr ->
+                let cur = Tagged.node cur_s in
+                Mem.check_access (Mem.of_node cur);
+                let next_t = Link.get cur.next.(lvl) in
+                if Tagged.is_deleted next_t then
+                  match
+                    snip l ~pred_links:pred.links ~lvl ~cur ~cur_t ~next_t
+                  with
+                  | Some desired -> walk gpred gcur pred desired
+                  | None -> `Retry
+                else if cur.key < key then
+                  walk gcur gpred { links = cur.next; node = Some cur } next_t
+                else descend gpred gcur pred cur_t (Some cur)
         and descend gpred gcur pred cur_t succ =
           preds.(lvl) <- pred;
           pred_ts.(lvl) <- cur_t;
@@ -228,16 +224,17 @@ module Make (S : Smr.Smr_intf.S) = struct
      at the start); a step right or down allocates nothing. *)
   let get_optimistic t l key =
     let rec level gpred gcur lvl links cur_t =
-      let cur_t =
+      let cur_s =
         C.try_protect ~src:Mem.phantom gcur l.handle
           ~src_link:links.(lvl) cur_t
       in
+      let cur_t = Tagged.raw cur_s in
       if Tagged.is_invalid cur_t then `Prot
       else
         match Tagged.shape cur_t with
         | Tagged.Null -> descend gpred gcur lvl links
         | Tagged.Ptr ->
-            let cur = Tagged.node cur_t in
+            let cur = Tagged.node cur_s in
             Mem.check_access (Mem.of_node cur);
             let next_t = Link.get cur.next.(lvl) in
             if cur.key < key then level gcur gpred lvl cur.next next_t
@@ -361,13 +358,14 @@ module Make (S : Smr.Smr_intf.S) = struct
 
   let to_list t =
     let rec walk acc tg =
-      match Tagged.shape tg with
+      match Tagged.shape (Tagged.raw tg) with
       | Tagged.Null -> List.rev acc
       | Tagged.Ptr ->
           let n = Tagged.node tg in
           let next_t = Link.get_quiescent n.next.(0) in
           let acc =
-            if Tagged.is_deleted next_t then acc else (n.key, n.value) :: acc
+            if Tagged.is_deleted (Tagged.raw next_t) then acc
+            else (n.key, n.value) :: acc
           in
           walk acc next_t
     in
@@ -379,7 +377,7 @@ module Make (S : Smr.Smr_intf.S) = struct
     Array.iter
       (fun link ->
         let rec walk tg =
-          match Tagged.shape tg with
+          match Tagged.shape (Tagged.raw tg) with
           | Tagged.Null -> ()
           | Tagged.Ptr ->
               let n = Tagged.node tg in

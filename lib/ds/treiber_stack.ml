@@ -13,11 +13,12 @@ module Link = Smr_core.Link
 module Make (S : Smr.Smr_intf.S) = struct
   module C = Ds_common.Make (S)
 
-  (* [hdr] is the node's embedded header word: second and mutable, read and
-     written only through [Mem.of_node]. [next] is written only before the
+  (* [next] is the node's embedded successor link and [hdr] its embedded
+     header word: first and second, mutable, read and written only through
+     [Link.of_node] and [Mem.of_node]. [next] is written only before the
      push's CAS publishes the node. *)
   type 'v node = {
-    mutable next : 'v node option;
+    mutable next : 'v node Link.cell;
     mutable hdr : Mem.cell;
     value : 'v;
   }
@@ -32,13 +33,12 @@ module Make (S : Smr.Smr_intf.S) = struct
   let clear_local l = S.release l.hp
 
   let push t l value =
-    let node = { next = None; hdr = Mem.cell (stats t); value } in
+    let node =
+      { next = Link.cell Tagged.null; hdr = Mem.cell (stats t); value }
+    in
     C.with_crit l.handle (stats t) (fun () ->
         let top_t = Link.get t.top in
-        node.next <-
-          (match Tagged.shape top_t with
-          | Tagged.Ptr -> Some (Tagged.node top_t)
-          | Tagged.Null -> None);
+        Link.set (Link.of_node node) top_t;
         if Link.cas_clean t.top top_t (Tagged.make node) then `Done ()
         else `Retry)
 
@@ -48,15 +48,16 @@ module Make (S : Smr.Smr_intf.S) = struct
         match Tagged.shape top_t with
         | Tagged.Null -> `Done None
         | Tagged.Ptr ->
-            let n = Tagged.node top_t in
-            if
-              not
-                (C.protect_pessimistic ~src:Mem.phantom l.hp
-                   l.handle ~src_link:t.top top_t)
-            then `Prot
+            let top_s =
+              C.protect_pessimistic ~src:Mem.phantom l.hp l.handle
+                ~src_link:t.top top_t
+            in
+            if Tagged.is_invalid (Tagged.raw top_s) then `Prot
             else begin
+              let n = Tagged.node top_s in
               Mem.check_access (Mem.of_node n);
-              if Link.cas_clean t.top top_t (Tagged.of_option n.next) then begin
+              let next_t = Link.get (Link.of_node n) in
+              if Link.cas_clean t.top top_t next_t then begin
                 S.retire l.handle (Mem.of_node n);
                 `Done (Some n.value)
               end
@@ -69,13 +70,13 @@ module Make (S : Smr.Smr_intf.S) = struct
         match Tagged.shape top_t with
         | Tagged.Null -> `Done None
         | Tagged.Ptr ->
-            let n = Tagged.node top_t in
-            if
-              not
-                (C.protect_pessimistic ~src:Mem.phantom l.hp
-                   l.handle ~src_link:t.top top_t)
-            then `Prot
+            let top_s =
+              C.protect_pessimistic ~src:Mem.phantom l.hp l.handle
+                ~src_link:t.top top_t
+            in
+            if Tagged.is_invalid (Tagged.raw top_s) then `Prot
             else begin
+              let n = Tagged.node top_s in
               Mem.check_access (Mem.of_node n);
               `Done (Some n.value)
             end)
@@ -83,14 +84,14 @@ module Make (S : Smr.Smr_intf.S) = struct
   (* Quiescent helpers. *)
 
   let to_list t =
-    let rec walk acc = function
-      | None -> List.rev acc
-      | Some n -> walk (n.value :: acc) n.next
+    let rec walk acc tg =
+      match Tagged.shape (Tagged.raw tg) with
+      | Tagged.Null -> List.rev acc
+      | Tagged.Ptr ->
+          let n = Tagged.node tg in
+          walk (n.value :: acc) (Link.get_quiescent (Link.of_node n))
     in
-    let top_t = Link.get_quiescent t.top in
-    match Tagged.shape top_t with
-    | Tagged.Null -> []
-    | Tagged.Ptr -> walk [] (Some (Tagged.node top_t))
+    walk [] (Link.get_quiescent t.top)
 
   let length t = List.length (to_list t)
 end

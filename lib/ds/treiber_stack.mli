@@ -3,7 +3,7 @@
 
 module Make (S : Smr.Smr_intf.S) : sig
   type 'v node = {
-    mutable next : 'v node option;
+    mutable next : 'v node Smr_core.Link.cell;
     mutable hdr : Smr_core.Mem.cell;
     value : 'v;
   }

@@ -63,7 +63,6 @@ let hook_flags = Hook.flags
 let[@inline] enabled () =
   Atomic.get hook_flags land (Hook.fault_bit lor Hook.sched_bit) <> 0
 
-let armed_now () = Atomic.get hook_flags land Hook.fault_bit <> 0
 let fired () = Atomic.get fired_flag
 
 let victim_dom () =

@@ -69,10 +69,6 @@ val enabled : unit -> bool
     installed and wants a yield at this point. One load of the combined
     {!Hook} word. Hook guard. *)
 
-val armed_now : unit -> bool
-(** True iff a plan is armed and has not fired (the pre-scheduler meaning
-    of {!enabled}). *)
-
 val hit : point -> unit
 (** Count one arrival at [point]: yield to the scheduler if one is
     installed, then fire the armed plan if this is the [after]-th arrival.

@@ -9,15 +9,6 @@ type cfg = {
   prefill_ratio : float; (* fraction of the key range inserted up front *)
 }
 
-let default_cfg =
-  {
-    threads = 4;
-    duration = 0.25;
-    key_range = 1024;
-    workload = Workload.read_write;
-    prefill_ratio = 0.5;
-  }
-
 type result = {
   ops : int;
   wall : float;

@@ -11,9 +11,6 @@ type settings = {
          container-sized ones *)
 }
 
-let default_settings =
-  { threads_list = [ 1; 2; 4 ]; duration = 0.25; paper_scale = false }
-
 let big_range s cat =
   match cat with
   | `List -> if s.paper_scale then 10_000 else 1_024

@@ -116,20 +116,6 @@ let record_corrected t ~interval v =
 let count t = t.total
 let max_value t = t.max_v
 
-(* Cumulative count of recordings <= v, at bucket resolution: only buckets
-   wholly below the threshold contribute, so the result is a lower bound
-   that is exact whenever [v] is a bucket's inclusive upper bound — which
-   the Prometheus bucket ladder in [Telemetry] picks by construction. *)
-let count_le t v =
-  if v < 0 || t.total = 0 then 0
-  else begin
-    let idx = index t v in
-    let acc = ref 0 in
-    for i = 0 to idx do
-      if highest_equivalent t i <= v then acc := !acc + t.counts.(i)
-    done;
-    !acc
-  end
 let mean t = if t.total = 0 then 0.0 else t.sum /. float_of_int t.total
 
 let percentile t p =

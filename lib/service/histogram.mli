@@ -33,12 +33,6 @@ val record_corrected : t -> interval:int -> int -> unit
 val count : t -> int
 val max_value : t -> int
 
-val count_le : t -> int -> int
-(** [count_le t v]: recordings with value [<= v], at bucket resolution —
-    buckets straddling [v] are excluded, so this is a lower bound, exact
-    when [v] is a bucket's inclusive upper bound ([2^j - 1] always
-    qualifies). Monotone in [v]. The native-histogram bridge in [Telemetry]
-    is built on it. *)
 
 val mean : t -> float
 (** Exact mean of recorded values (tracked as a running sum, not

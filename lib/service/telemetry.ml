@@ -48,27 +48,6 @@ let add_latency m ?(labels = []) name (s : Histogram.summary) =
     ~count:s.Histogram.count
     ~sum:(s.Histogram.mean *. float_of_int s.Histogram.count /. 1e9)
 
-(* Native-histogram bridge: a raw Histogram.t rendered as cumulative
-   le-buckets on a fixed decade ladder (1 µs .. 10 s, in seconds — the
-   repo records nanoseconds). Preferred over [add_latency]'s summary
-   whenever the caller still holds the histogram rather than a summary:
-   bucket counts aggregate across shards and stay monotone across scrapes,
-   quantiles do neither (DESIGN.md §14). *)
-let latency_ladder_ns =
-  [| 1_000; 10_000; 100_000; 1_000_000; 10_000_000; 100_000_000;
-     1_000_000_000; 10_000_000_000 |]
-
-let add_histogram m ?(labels = []) ?(help = "Latency (seconds)") name
-    (h : Histogram.t) =
-  let buckets =
-    Array.to_list
-      (Array.map
-         (fun le_ns -> (float_of_int le_ns /. 1e9, Histogram.count_le h le_ns))
-         latency_ladder_ns)
-  in
-  Metrics.histogram m ~labels ~help name ~buckets ~count:(Histogram.count h)
-    ~sum:(Histogram.mean h *. float_of_int (Histogram.count h) /. 1e9)
-
 (* Background-collector introspection (PR 7's pipeline), labelled by scheme:
    the live series ROADMAP item 1 needs to decide when async_reclaim can
    default on — ring pressure, pending backlog, how long garbage survives. *)

@@ -19,7 +19,7 @@ let null () = Atomic.make Tagged.null
 let[@inline] cell tagged = tagged
 let[@inline] of_node (n : 'a) : 'a t = Obj.magic n
 let get = Atomic.get
-let get_quiescent = Atomic.get
+let get_quiescent l = Tagged.quiescent (Atomic.get l)
 let cas l expected desired = Atomic.compare_and_set l expected desired
 
 let cas_clean l expected desired =

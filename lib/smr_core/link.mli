@@ -30,14 +30,13 @@ val of_node : 'a -> 'a t
 
 val get : 'a t -> 'a Tagged.t
 
-val get_quiescent : 'a t -> 'a Tagged.t
+val get_quiescent : 'a t -> 'a Tagged.safe
 (** [get] under a declared quiescence contract: the caller asserts no
     concurrent writer exists (single-domain tests, post-shutdown audits,
-    debug walkers), so the read needs no protection before dereference.
-    smr_lint tracks the result as [Quiescent] — exempt from the
-    validation-dominates rule (F1) — and flags any function that both
-    declares quiescence and synchronizes (F7 quiescent-mixing), so the
-    contract cannot silently leak into concurrent paths. *)
+    debug walkers), so the value read is {!Tagged.safe} without any
+    protection. smr_lint flags any function that both declares quiescence
+    and synchronizes (F7 quiescent-mixing), so the contract cannot
+    silently leak into concurrent paths. *)
 
 val cas : 'a t -> 'a Tagged.t -> 'a Tagged.t -> bool
 (** Compare-and-set by physical equality with the value previously read

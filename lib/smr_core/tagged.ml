@@ -14,6 +14,7 @@
    tagged value is a record with at least one non-float field. *)
 
 type 'a t = Obj.t
+type 'a safe = 'a t
 type shape = Null | Ptr
 
 type 'a mark = Clean of 'a | Mark of 'a * int [@@warning "-37"]
@@ -40,6 +41,15 @@ let[@inline] shape t = if is_null t then Null else Ptr
    the compiler spill the traversal loops' registers on every step. *)
 let[@inline] node t =
   match view t with Mark (n, _) -> n | Clean _ -> (Obj.obj t : 'a)
+
+external raw : 'a safe -> 'a t = "%identity"
+
+let[@inline] header t = Mem.of_node (node t)
+
+external validated : 'a t -> 'a safe = "%identity"
+external owned : 'a t -> 'a safe = "%identity"
+external sentinel : 'a t -> 'a safe = "%identity"
+external quiescent : 'a t -> 'a safe = "%identity"
 
 let[@inline] tag t =
   if is_null t then (Obj.obj t : int)

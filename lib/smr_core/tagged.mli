@@ -12,9 +12,20 @@
 
     Nodes must be records with at least one non-float field (a tag-0
     block); a value whose block tag is anything else breaks the
-    representation. *)
+    representation.
+
+    Reading a target's fields takes a {!safe} value: {!node} accepts
+    nothing else, so a dereference that skipped validation does not
+    compile. *)
 
 type 'a t
+
+type 'a safe = private 'a t
+(** A value whose target the caller may read: validated against the link
+    it came from, or safe for a reason named by one of the escapes below.
+    It is the same word as the ['a t] it was made from, so making one
+    costs nothing. [Ds_common.try_protect] and
+    [Ds_common.protect_pessimistic] produce them, through {!validated}. *)
 
 type shape = Null | Ptr
 (** What a value points at, without its target: read it with {!shape},
@@ -26,7 +37,7 @@ val invalid_bit : int
 val null : 'a t
 (** Null, tag 0. *)
 
-val invalid : 'a t
+val invalid : 'a safe
 (** Null with the invalid bit: what [Ds_common.try_protect] returns on
     every failure, so a failed protection never hands out a node. *)
 
@@ -37,9 +48,18 @@ val make : ?tag:int -> 'a -> 'a t
 val of_option : ?tag:int -> 'a option -> 'a t
 
 val shape : 'a t -> shape
-val node : 'a t -> 'a
+
+val node : 'a safe -> 'a
 (** The target of a non-null value, whatever its tag. Undefined on null:
     test {!shape} or {!is_null} first. *)
+
+external raw : 'a safe -> 'a t = "%identity"
+(** The same value, for every function that takes an ['a t]. *)
+
+val header : 'a t -> Mem.header
+(** The header embedded in a non-null value's target: the target's
+    identity, for a hazard slot or an unlink frontier. It reads no field
+    of the target, so it needs no {!safe} value. Undefined on null. *)
 
 val tag : 'a t -> int
 val is_null : 'a t -> bool
@@ -60,3 +80,29 @@ val untagged : 'a t -> 'a t
 val same_ptr : 'a t -> 'a t -> bool
 (** Physical equality of targets, ignoring tags. Its first test is
     [a == b], which settles two reads of one clean link at once. *)
+
+(** {1 Escapes}
+
+    Each returns its argument as a {!safe} value and is sound only under
+    the condition its comment states. Apart from {!invalid}, nothing else
+    makes one. *)
+
+external validated : 'a t -> 'a safe = "%identity"
+(** The caller announced a protection of the target and validates it by
+    its own re-read before it reads any field, or its scheme needs no
+    protection (the critical section keeps the target): [Ds_common]'s
+    TryProtect, MS-queue's head re-read, EFRBTree's HP step (update and
+    link unchanged) and Bonsai's root check, which its [protect_read] and
+    [guard_old] make before a node's fields are read. *)
+
+external owned : 'a t -> 'a safe = "%identity"
+(** No other thread can retire the target: this thread allocated it and
+    has not published it, or this thread's own CAS unlinked it and it is
+    not yet retired (a chain being collected for [try_unlink]). *)
+
+external sentinel : 'a t -> 'a safe = "%identity"
+(** The target is a sentinel the structure never retires (EFRBTree's S). *)
+
+external quiescent : 'a t -> 'a safe = "%identity"
+(** The read ran with no concurrent writer: use {!Link.get_quiescent},
+    which is this applied to its read. *)

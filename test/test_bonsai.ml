@@ -175,7 +175,7 @@ let test_cross_batch_frontier () =
   in
   (* drain the builder inserts' own batches first *)
   Hp_plus.flush u1;
-  let old_root = B.root_of (Link.get t.B.root) in
+  let old_root = B.root_of (Link.get_quiescent t.B.root) in
   let p = find_from old_root 2 in
   let c = find_from old_root 1 in
   (* U1 replaces the path root(2) -> 3 by inserting 4; child 1 is shared

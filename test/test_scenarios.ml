@@ -31,13 +31,14 @@ let build_list scheme t lo =
   ignore scheme;
   let node k =
     let rec find tg =
-      match Tagged.shape tg with
+      match Tagged.shape (Tagged.raw tg) with
       | Tagged.Null -> Alcotest.failf "node %d not found" k
       | Tagged.Ptr ->
           let n = Tagged.node tg in
-          if n.L.key = k then n else find (Link.get (Link.of_node n))
+          if n.L.key = k then n
+          else find (Link.get_quiescent (Link.of_node n))
     in
-    find (Link.get t.L.head)
+    find (Link.get_quiescent t.L.head)
   in
   (node 1, node 2, node 3)
 
@@ -64,8 +65,9 @@ let test_scenario_one () =
   (* T1 walks h->p and validates protection of p. *)
   let hp_prev = Hp_plus.guard t1 and hp_cur = Hp_plus.guard t1 in
   (let tg =
-     C.try_protect ~src:Mem.phantom hp_cur t1
-       ~src_link:t.L.head (Link.get t.L.head)
+     Tagged.raw
+       (C.try_protect ~src:Mem.phantom hp_cur t1
+          ~src_link:t.L.head (Link.get t.L.head))
    in
    if not (Tagged.tag tg = 0 && Tagged.same_ptr tg (Tagged.make p)) then
      Alcotest.fail "protection of p must succeed");
@@ -87,8 +89,9 @@ let test_scenario_one () =
   (* T1 now tries the optimistic step p -> q. p is not invalidated yet, so
      the step is allowed — and it is SAFE, because q is not freed. *)
   (let tg =
-     C.try_protect ~src:(Mem.of_node p) hp_prev t1
-       ~src_link:(Link.of_node p) (Link.get (Link.of_node p))
+     Tagged.raw
+       (C.try_protect ~src:(Mem.of_node p) hp_prev t1
+          ~src_link:(Link.of_node p) (Link.get (Link.of_node p)))
    in
    if Tagged.is_invalid tg then Alcotest.fail "p is not invalidated yet";
    assert (Tagged.same_ptr tg (Tagged.make q));
@@ -110,8 +113,9 @@ let test_scenario_one () =
       Mem.check_access (Mem.of_node q));
   (* And the HP++ traverser is told to restart instead: *)
   (let tg =
-     C.try_protect ~src:(Mem.of_node p) hp_cur t1
-       ~src_link:(Link.of_node p) (Link.get (Link.of_node p))
+     Tagged.raw
+       (C.try_protect ~src:(Mem.of_node p) hp_cur t1
+          ~src_link:(Link.of_node p) (Link.get (Link.of_node p)))
    in
    if not (Tagged.is_invalid tg) then
      Alcotest.fail "step from invalidated p must fail";
@@ -147,14 +151,16 @@ let test_scenario_two () =
      against invalidation and succeeds because T2 has not invalidated. *)
   let g1 = Hp_plus.guard t1 and g2 = Hp_plus.guard t1 in
   (let tg =
-     C.try_protect ~src:(Mem.of_node p) g1 t1
-       ~src_link:(Link.of_node p) (Link.get (Link.of_node p))
+     Tagged.raw
+       (C.try_protect ~src:(Mem.of_node p) g1 t1
+          ~src_link:(Link.of_node p) (Link.get (Link.of_node p)))
    in
    if Tagged.is_invalid tg then Alcotest.fail "q step";
    assert (Tagged.same_ptr tg (Tagged.make q)));
   (let tg =
-     C.try_protect ~src:(Mem.of_node q) g2 t1
-       ~src_link:(Link.of_node q) (Link.get (Link.of_node q))
+     Tagged.raw
+       (C.try_protect ~src:(Mem.of_node q) g2 t1
+          ~src_link:(Link.of_node q) (Link.get (Link.of_node q)))
    in
    if Tagged.is_invalid tg then Alcotest.fail "r step";
    assert (Tagged.same_ptr tg (Tagged.make r)));

@@ -437,7 +437,7 @@ let test_tagged_basics () =
     (Tagged.is_deleted i && Tagged.is_invalid i);
   Alcotest.(check int) "untag" 0 (Tagged.tag (Tagged.untagged i));
   Alcotest.(check bool) "null" true (Tagged.is_null Tagged.null);
-  Alcotest.(check int) "node" 42 (Tagged.node t).tid
+  Alcotest.(check int) "node" 42 (Tagged.node (Tagged.owned t)).tid
 
 (* A clean value is the node block itself: making one, or clearing the tag
    of one, allocates nothing. *)
@@ -467,17 +467,18 @@ let test_tagged_marked_round_trip () =
     Alcotest.(check bool) "marked: a block of its own, tag <> 0" true
       (Obj.repr t != Obj.repr n && Obj.tag (Obj.repr t) <> 0);
     Alcotest.(check bool) "shape Ptr" true (Tagged.shape t = Tagged.Ptr);
-    Alcotest.(check bool) "target" true (Tagged.node t == n);
+    let node t = Tagged.node (Tagged.owned t) in
+    Alcotest.(check bool) "target" true (node t == n);
     Alcotest.(check int) "bits" tag (Tagged.tag t);
     Alcotest.(check int) "set_bits adds" (tag lor 4)
       (Tagged.tag (Tagged.set_bits t 4));
     Alcotest.(check bool) "set_bits keeps the target" true
-      (Tagged.node (Tagged.set_bits t 4) == n);
+      (node (Tagged.set_bits t 4) == n);
     Alcotest.(check bool) "untagged is the node again" true
       (Obj.repr (Tagged.untagged t) == Obj.repr n);
     Alcotest.(check bool) "of_option agrees" true
       (Tagged.tag (Tagged.of_option ~tag (Some n)) = tag
-      && Tagged.node (Tagged.of_option ~tag (Some n)) == n)
+      && node (Tagged.of_option ~tag (Some n)) == n)
   done
 
 let test_tagged_same_ptr () =
@@ -499,23 +500,23 @@ let test_tagged_same_ptr () =
     (Tagged.same_ptr ta' Tagged.null)
 
 let test_tagged_null_invalid () =
+  let invalid = Tagged.raw Tagged.invalid in
   Alcotest.(check bool) "null: shape" true
     (Tagged.shape Tagged.null = Tagged.Null);
   Alcotest.(check int) "null: tag" 0 (Tagged.tag Tagged.null);
   Alcotest.(check bool) "null: not invalid" false
     (Tagged.is_invalid Tagged.null);
-  Alcotest.(check bool) "invalid: null" true (Tagged.is_null Tagged.invalid);
-  Alcotest.(check bool) "invalid: invalid" true
-    (Tagged.is_invalid Tagged.invalid);
+  Alcotest.(check bool) "invalid: null" true (Tagged.is_null invalid);
+  Alcotest.(check bool) "invalid: invalid" true (Tagged.is_invalid invalid);
   Alcotest.(check bool) "invalid: not deleted" false
-    (Tagged.is_deleted Tagged.invalid);
+    (Tagged.is_deleted invalid);
   Alcotest.(check bool) "invalid = null, by target" true
-    (Tagged.same_ptr Tagged.invalid Tagged.null);
+    (Tagged.same_ptr invalid Tagged.null);
   Alcotest.(check bool) "null with bits set is still null" true
     (Tagged.is_null (Tagged.set_bits Tagged.null Tagged.deleted_bit)
     && Tagged.tag (Tagged.set_bits Tagged.null Tagged.deleted_bit) = 1);
   Alcotest.(check bool) "untagged invalid is null" true
-    (Tagged.untagged Tagged.invalid == Tagged.null)
+    (Tagged.untagged invalid == Tagged.null)
 
 (* Link CAS compares values physically: a clean value is its node, so a
    re-made clean value matches (the paper's word CAS), and a marked value
@@ -543,7 +544,7 @@ let test_link_cas_clean () =
     (Link.cas_clean link (Link.get link) (Tagged.make n2));
   Alcotest.(check bool) "the link kept its tagged value" true
     (Tagged.is_deleted (Link.get link)
-    && Tagged.node (Link.get link) == n1);
+    && Tagged.node (Link.get_quiescent link) == n1);
   let clean = Link.make (Tagged.make n1) in
   Alcotest.(check bool) "clean link, clean expected: succeeds" true
     (Link.cas_clean clean (Tagged.make n1) (Tagged.make n2))
@@ -556,7 +557,7 @@ let test_link_mark_invalid () =
   Alcotest.(check bool) "keeps deleted bit" true (Tagged.is_deleted v);
   Alcotest.(check bool) "gains invalid bit" true (Tagged.is_invalid v);
   Alcotest.(check bool) "keeps pointer" true
-    ((not (Tagged.is_null v)) && Tagged.node v == n)
+    ((not (Tagged.is_null v)) && Tagged.node (Link.get_quiescent link) == n)
 
 (* A node with an embedded link, declared the way the lists declare theirs:
    the link is the first field and mutable. *)
@@ -583,8 +584,8 @@ let test_link_embedded_gc () =
     ignore (Sys.opaque_identity (enode i))
   done;
   let survives what =
-    let v = Link.get link in
-    if Tagged.is_null v || Tagged.tag v <> 0 then
+    let v = Link.get_quiescent link in
+    if Tagged.is_null (Tagged.raw v) || Tagged.tag (Tagged.raw v) <> 0 then
       Alcotest.failf "%s: the link lost its target" what;
     Alcotest.(check int) what 2 (Tagged.node v).id
   in
@@ -609,7 +610,8 @@ let test_link_embedded_gc () =
    and the node of 2 a null link. *)
 let key_chain ~what ~key ~head ~succ =
   let node_of tg =
-    if Tagged.is_null tg then Alcotest.failf "%s: missing node" what
+    if Tagged.is_null (Tagged.raw tg) then
+      Alcotest.failf "%s: missing node" what
     else Tagged.node tg
   in
   let n1 = node_of head in
@@ -617,7 +619,7 @@ let key_chain ~what ~key ~head ~succ =
   let n2 = node_of (succ n1) in
   Alcotest.(check int) (what ^ ": second key") 2 (key n2);
   Alcotest.(check bool) (what ^ ": tail link null") true
-    (Tagged.is_null (succ n2))
+    (Tagged.is_null (Tagged.raw (succ n2)))
 
 let reads_constructed ~what node tg =
   Alcotest.(check bool)
@@ -677,7 +679,7 @@ let test_link_embedded_nodes () =
    Q.enqueue t l 2;
    let dummy =
      let head = Link.get_quiescent t.Q.head in
-     if Tagged.is_null head then Alcotest.fail "msqueue: no dummy"
+     if Tagged.is_null (Tagged.raw head) then Alcotest.fail "msqueue: no dummy"
      else Tagged.node head
    in
    key_chain ~what:"msqueue"
@@ -748,7 +750,7 @@ let embedded_in f =
       Ebr.unregister h)
 
 let rec chain next acc tg =
-  match Tagged.shape tg with
+  match Tagged.shape (Tagged.raw tg) with
   | Tagged.Null -> List.rev acc
   | Tagged.Ptr ->
       let n = Tagged.node tg in
@@ -793,7 +795,7 @@ let test_embedded_header_nodes () =
       let module T = Smr_ds.Treiber_stack.Make (Ebr) in
       let t = T.create scheme and l = T.make_local h in
       List.iter (T.push t l) keys;
-      let next n = Tagged.of_option n.T.next in
+      let next n = Link.get_quiescent (Link.of_node n) in
       check_embedded ~what:"treiber" ~stats ~key_of:(fun n -> n.T.value) ~key:3
         (chain next [] (Link.get_quiescent t.T.top)));
   embedded_in (fun stats scheme h ->
@@ -811,7 +813,8 @@ let test_embedded_header_nodes () =
         List.filter_map
           (fun link ->
             let c = Link.get_quiescent link in
-            if Tagged.is_null c then None else Some (Tagged.node c))
+            if Tagged.is_null (Tagged.raw c) then None
+            else Some (Tagged.node c))
           [ n.B.left; n.B.right ]
       in
       check_embedded ~what:"nmtree" ~stats ~key_of:(fun n -> n.B.key) ~key:3
@@ -824,7 +827,8 @@ let test_embedded_header_nodes () =
         List.filter_map
           (fun link ->
             let c = Link.get_quiescent link in
-            if Tagged.is_null c then None else Some (Tagged.node c))
+            if Tagged.is_null (Tagged.raw c) then None
+            else Some (Tagged.node c))
           [ n.B.left; n.B.right ]
       in
       check_embedded ~what:"efrbtree" ~stats ~key_of:(fun n -> n.B.key) ~key:3
@@ -836,7 +840,8 @@ let test_embedded_header_nodes () =
       let children n = List.filter_map Fun.id [ n.B.left; n.B.right ] in
       let root =
         let r = Link.get_quiescent t.B.root in
-        if Tagged.is_null r then Alcotest.fail "bonsai: empty after inserts"
+        if Tagged.is_null (Tagged.raw r) then
+          Alcotest.fail "bonsai: empty after inserts"
         else Tagged.node r
       in
       check_embedded ~what:"bonsai" ~stats ~key_of:(fun n -> n.B.key) ~key:3
